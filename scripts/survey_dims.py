@@ -12,6 +12,7 @@ import argparse
 import time
 
 from entspace import (
+    BudgetExceededError,
     candidate_count,
     default_primes,
     entangled_complement,
@@ -27,12 +28,13 @@ def main() -> int:
     ap.add_argument("--max-total", type=int, default=32)
     ap.add_argument("--oracle", action="store_true",
                     help="run the mod-p enumeration on each shape")
-    ap.add_argument("--budget", type=int, default=10**6)
+    ap.add_argument("--budget", type=int, default=10**6,
+                    help="most fibre solves plus found points per oracle run")
     args = ap.parse_args()
 
     header = f"{'dims':>12} {'N':>3} {'total':>6} {'dim S':>6}  counts"
     if args.oracle:
-        header += f"  {'p':>3} {'tests':>8} {'in S':>5} {'in Sperp':>8} {'sec':>6}"
+        header += f"  {'p':>3} {'tuples':>8} {'in S':>5} {'in Sperp':>8} {'sec':>6}"
     print(header)
 
     for dims in iter_dims(max_total=args.max_total):
@@ -45,13 +47,14 @@ def main() -> int:
         if args.oracle:
             p = default_primes(dims, want=1)[0]
             tests = candidate_count(dims, p)
-            if tests > args.budget:
-                line += f"  {p:>3} {tests:>8} (skipped: over budget)"
-            else:
-                t0 = time.perf_counter()
+            t0 = time.perf_counter()
+            try:
                 in_s = find_product_vectors_fp(s, dims, p, args.budget)
                 comp = entangled_complement(dims)
                 in_c = find_product_vectors_fp(comp, dims, p, args.budget)
+            except BudgetExceededError:
+                line += f"  {p:>3} {tests:>8} (skipped: over budget)"
+            else:
                 dt = time.perf_counter() - t0
                 line += (
                     f"  {p:>3} {2 * tests:>8} {len(in_s):>5} "

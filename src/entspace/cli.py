@@ -131,8 +131,25 @@ def _parse_points(text: str) -> list:
         if part in ("inf", "oo"):
             pts.append(INFINITY)
         else:
-            pts.append(Fraction(part))
+            try:
+                pts.append(Fraction(part))
+            except ZeroDivisionError:
+                raise ValueError(f"bad parameter point {part!r}") from None
     return pts
+
+
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return tol
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return n
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -284,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ff", "als"), default="ff")
     p.add_argument("--primes", default=None)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
+    p.add_argument("--max-sweeps", dest="max_sweeps", type=positive_int,
+                   default=DEFAULT_MAX_SWEEPS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="product vectors in the complement over F_p")

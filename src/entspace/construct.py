@@ -37,9 +37,6 @@ class _InfinityPoint:
 
 INFINITY = _InfinityPoint()
 
-# A parameter point is either INFINITY or anything the target field can coerce.
-VandermondePoint = object
-
 
 @dataclass(frozen=True)
 class ProductVector:

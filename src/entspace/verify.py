@@ -9,7 +9,6 @@ the presence of a product vector (overlap near 1) but never the absence.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -23,7 +22,12 @@ from .grading import Dims
 from .linalg import StateVector, Subspace, integer_generators, orthocomplement, \
     reduce_mod_p, span
 
-ENUMERATION_BUDGET = 10**7
+# Fibre solves plus product vectors found.  Every shape with at most 10**7
+# projective product tuples needs fewer fibres (the most: 537,824 for 2^6
+# at p = 13), and each found point is held in memory as a ProductVector.
+ENUMERATION_BUDGET = 10**6
+# int64 entries per block of partial contractions in the fibre solve
+_CHUNK_ENTRIES = 1 << 16
 DEFAULT_PRIME_POOL = (5, 7, 11)
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_SWEEPS = 500
@@ -34,13 +38,19 @@ WITNESS = "witness-found"
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would need more membership tests than allowed."""
+    """Enumeration would take more steps than allowed.
+
+    A step is one fibre solve or one product vector found; ``estimate`` is
+    the count reached when the budget ran out (the fibre count alone when
+    the enumeration is refused before it starts).
+    """
 
     def __init__(self, estimate: int, budget: int):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"enumeration needs {estimate} membership tests, budget is {budget}"
+            f"enumeration needs at least {estimate} fibre solves and found "
+            f"points, budget is {budget}"
         )
 
 
@@ -84,18 +94,149 @@ def _integer_rows(generators, dims: Dims) -> list[StateVector]:
     return list(generators)
 
 
+def _projective_count(d: int, p: int) -> int:
+    """Number of points of the projective space of F_p^d."""
+    return (p**d - 1) // (p - 1)
+
+
 def candidate_count(dims: Dims, p: int) -> int:
     """Number of projective product tuples over F_p."""
-    return math.prod((p**d - 1) // (p - 1) for d in dims.d)
+    return math.prod(_projective_count(d, p) for d in dims.d)
 
 
-def _projective_site_vectors(d: int, p: int) -> list[tuple[int, ...]]:
-    # first nonzero coordinate pinned to 1: (p^d - 1)/(p - 1) vectors
-    out = []
-    for lead in range(d):
-        for rest in itertools.product(range(p), repeat=d - lead - 1):
-            out.append((0,) * lead + (1,) + rest)
+def _site_points(d: int, p: int, pos: np.ndarray) -> np.ndarray:
+    """Rows: the projective points of F_p^d at the given positions.
+
+    Each point has first nonzero coordinate 1.  Points are ordered by the
+    position of that leading 1, then by the coordinates after it read as a
+    base-p number; ``_site_index`` is the inverse.
+    """
+    offsets = np.cumsum([0] + [p ** (d - 1 - lead) for lead in range(d - 1)])
+    lead = np.searchsorted(offsets, pos, side="right") - 1
+    rest = pos - offsets[lead]
+    out = np.zeros((len(pos), d), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        out[:, i] = rest % p
+        rest = rest // p
+    out[np.arange(len(pos)), lead] = 1
     return out
+
+
+def _site_index(v, p: int) -> int:
+    """Position of a normalized vector in ``_site_points`` order."""
+    d = len(v)
+    lead = next(i for i, a in enumerate(v) if a)
+    rest = 0
+    for a in v[lead + 1:]:
+        rest = rest * p + a
+    return sum(p ** (d - 1 - i) for i in range(lead)) + rest
+
+
+def _solved_site(dims: Dims) -> int:
+    # solving the largest site leaves the fewest fibres to enumerate
+    return max(range(dims.k), key=lambda r: (dims.d[r], r))
+
+
+def _check_oracle(dims: Dims, p: int, budget: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p <= dims.max_level:
+        raise ValueError(
+            f"prime {p} must exceed the top level {dims.max_level}"
+        )
+    s = _solved_site(dims)
+    fibres = math.prod(
+        _projective_count(d, p) for r, d in enumerate(dims.d) if r != s
+    )
+    if fibres > budget:
+        raise BudgetExceededError(fibres, budget)
+    if max(dims.d) * p * p >= 2**63:
+        raise ValueError(f"prime {p} is too large for int64 residues")
+
+
+def _inverse_mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    # Fermat: x^(p-2); every intermediate product stays below p^2
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced echelon form over F_p of every matrix in an (F, m, d) stack.
+
+    Works in place and returns the stack with the (F, d) mask of pivot
+    columns; row i of a reduced matrix carries its i-th pivot.
+    """
+    nb, m, d = a.shape
+    every = np.arange(nb)
+    rank = np.zeros(nb, dtype=np.intp)
+    pivot = np.zeros((nb, d), dtype=bool)
+    for c in range(d):
+        cand = (a[:, :, c] != 0) & (np.arange(m) >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        r = np.minimum(rank, m - 1)
+        src = np.where(has, cand.argmax(axis=1), r)
+        # rows at or below the rank are zero left of c, so only the columns
+        # from c on change; a matrix without a pivot here gets top = 0
+        top = a[every, src, c:]
+        top = top * (_inverse_mod_p(top[:, 0], p) * has)[:, None] % p
+        a[every, src] = a[every, r]
+        tail = a[:, :, c:]
+        tail -= tail[:, :, :1] * top[:, None, :]
+        tail %= p
+        a[every[has], r[has], c:] = top[has]
+        pivot[:, c] = has
+        rank += has
+    return a, pivot
+
+
+def _kernel_points(red: np.ndarray, pivot: np.ndarray, p: int):
+    """Projective points of the kernel of one reduced matrix, each scaled so
+    its first nonzero coordinate is 1."""
+    d = len(pivot)
+    pivot_rows = list(zip(red.tolist(), np.flatnonzero(pivot).tolist()))
+    basis = []
+    for j in np.flatnonzero(~pivot).tolist():
+        x = [0] * d
+        x[j] = 1
+        for row, c in pivot_rows:
+            x[c] = -row[j] % p
+        basis.append(x)
+    count = _projective_count(len(basis), p)
+    for coef in _site_points(len(basis), p, np.arange(count)).tolist():
+        v = [sum(a * b[i] for a, b in zip(coef, basis)) % p for i in range(d)]
+        inv = pow(next(a for a in v if a), -1, p)
+        yield [a * inv % p for a in v]
+
+
+def _fibre_stacks(mat: np.ndarray, sites: list[int], p: int):
+    """Yield, in fibre order, stacks of the small matrices M of every fibre.
+
+    ``mat`` holds partial contractions of H along axis 0, with the next
+    unsolved site as axis 2; ``sites`` lists the dimensions of the unsolved
+    sites still to contract.  A contraction is shared by every fibre below
+    it, and no block holds much more than ``_CHUNK_ENTRIES`` entries.
+    """
+    if not sites:
+        yield mat
+        return
+    d, n = sites[0], _projective_count(sites[0], p)
+    row_entries = max(1, mat[0].size // d)
+    x_step = max(1, min(n, _CHUNK_ENTRIES // row_entries))
+    rows_step = max(1, _CHUNK_ENTRIES // (row_entries * n))
+    for i in range(0, len(mat), rows_step):
+        for j in range(0, n, x_step):
+            x = _site_points(d, p, np.arange(j, min(j + x_step, n)))
+            out = np.einsum("cja...,na->cnj...", mat[i:i + rows_step], x) % p
+            out = out.reshape((out.shape[0] * out.shape[1],) + out.shape[2:])
+            yield from _fibre_stacks(out, sites[1:], p)
 
 
 def find_product_vectors_fp(
@@ -104,40 +245,63 @@ def find_product_vectors_fp(
     """All projective product vectors lying in the given subspace over F_p.
 
     The subspace is spanned from the (integer) generators after reduction
-    mod p.  An empty result is an exact statement about F_p; it supports the
-    complex-field claim only for p above the top level, which is why smaller
-    primes are rejected outright.
+    mod p; a subspace already over F_p is used as it is.  An empty result is
+    an exact statement about F_p; it supports the complex-field claim only
+    for p above the top level, which is why smaller primes are rejected
+    outright.
+
+    The search is a fibre solve.  A product vector lies in the subspace
+    exactly when every row of the annihilator H contracts to zero with it.
+    Fixing a projective point on every site but the largest one (the solved
+    site) turns that into a small linear system on the solved site, whose
+    projective kernel points are the hits of that fibre.  Hits come in
+    lexicographic order of their per-site positions in ``_site_points``
+    order, every factor scaled to first nonzero coordinate 1.
+
+    ``budget`` bounds the fibre solves plus the points found; the fibre
+    count is checked before any work.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p <= dims.max_level:
-        raise ValueError(
-            f"prime {p} must exceed the top level {dims.max_level}"
-        )
-    estimate = candidate_count(dims, p)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-
-    rows_fp = reduce_mod_p(_integer_rows(generators, dims), dims, p)
-    rows = [[c.value for c in r.coeffs] for r in rows_fp.rows]
-    pivots = [next(i for i, c in enumerate(row) if c) for row in rows]
-
-    sites = [_projective_site_vectors(d, p) for d in dims.d]
+    _check_oracle(dims, p, budget)
+    rows = _integer_rows(generators, dims)  # also checks a subspace's dims
     fld = prime_field(p)
-    found = []
-    for combo in itertools.product(*sites):
-        coeffs = [1]
-        for f in combo:
-            coeffs = [(c * a) % p for c in coeffs for a in f]
-        work = coeffs
-        for row, piv in zip(rows, pivots):
-            x = work[piv]
-            if x:
-                work = [(a - x * b) % p for a, b in zip(work, row)]
-        if not any(work):
-            factors = tuple(tuple(Fp(a, p) for a in f) for f in combo)
-            found.append(ProductVector(dims, fld, factors))
-    return found
+    if isinstance(generators, Subspace) and generators.field == fld:
+        reduced = generators
+    else:
+        reduced = reduce_mod_p(rows, dims, p)
+    annihilator = orthocomplement(reduced)
+
+    s = _solved_site(dims)
+    sites = [d for r, d in enumerate(dims.d) if r != s]
+    shape = tuple(_projective_count(d, p) for d in sites)
+    h = np.array(
+        [[c.value for c in row.coeffs] for row in annihilator.rows],
+        dtype=np.int64,
+    ).reshape((annihilator.dim,) + dims.d)
+    h = np.moveaxis(h, s + 1, -1)
+
+    steps = math.prod(shape)
+    first = 0
+    hits = []
+    for stack in _fibre_stacks(h[None], sites, p):
+        idx = np.unravel_index(np.arange(first, first + len(stack)), shape)
+        first += len(stack)
+        red, pivot = _rref_stack(stack, p)
+        hit = np.flatnonzero(~pivot.all(axis=1))
+        fixed = [_site_points(d, p, i[hit]).tolist() for d, i in zip(sites, idx)]
+        for n, f in enumerate(hit):
+            steps += _projective_count(dims.d[s] - int(pivot[f].sum()), p)
+            if steps > budget:
+                raise BudgetExceededError(steps, budget)
+            pos = [int(i[f]) for i in idx]
+            factors = [pts[n] for pts in fixed]
+            for x in _kernel_points(red[f], pivot[f], p):
+                key = pos[:s] + [_site_index(x, p)] + pos[s:]
+                hits.append((key, factors[:s] + [x] + factors[s:]))
+    hits.sort(key=lambda hit: hit[0])
+    return [
+        ProductVector(dims, fld, tuple(tuple(Fp(a, p) for a in f) for f in combo))
+        for _, combo in hits
+    ]
 
 
 def ff_verify(
@@ -149,11 +313,16 @@ def ff_verify(
     rows = _integer_rows(generators, dims)
     rational_dim = None
     if rows and rows[0].field == RATIONAL:
-        rational_dim = span(rows, dims=dims, field=RATIONAL).dim
+        if isinstance(generators, Subspace):
+            rational_dim = generators.dim  # already a reduced echelon basis
+        else:
+            rational_dim = span(rows, dims=dims, field=RATIONAL).dim
     reports = []
     for p in primes:
-        found = find_product_vectors_fp(rows, dims, p, budget)
-        certified = {f"fp({p})": reduce_mod_p(rows, dims, p).dim}
+        _check_oracle(dims, p, budget)  # before reducing: refuse at once
+        reduced = reduce_mod_p(rows, dims, p)
+        found = find_product_vectors_fp(reduced, dims, p, budget)
+        certified = {f"fp({p})": reduced.dim}
         if rational_dim is not None:
             certified["rational"] = rational_dim
         reports.append(VerificationReport(

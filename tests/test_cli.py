@@ -133,6 +133,17 @@ def test_upb_min_custom_points(capsys):
     code, _, err = run(capsys, "upb", "--dims", "2,3", "--min",
                        "--lambdas", "0,1")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "upb", "--dims", "2,3", "--min",
+                       "--lambdas", "1/0,1,2,3")
+    assert code == 2 and "error" in err
+
+
+def test_upb_min_default_primes_4x4(capsys):
+    code, out, _ = run(capsys, "upb", "--dims", "4,4", "--min")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["is_upb"] is True
+    assert [r["params"]["p"] for r in report["ff_reports"]] == [7, 11]
 
 
 def test_upb_size(capsys):
@@ -184,6 +195,18 @@ def test_verify_als(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "no-product-vector-found"
     assert doc["reports"][0]["metrics"]["best_overlap"] < 0.95
+
+
+@pytest.mark.parametrize("flags", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "2"), ("--tol", "0"),
+    ("--tol", "-1e-9"), ("--max-sweeps", "0"), ("--max-sweeps", "-3"),
+], ids=" ".join)
+def test_verify_als_rejects_nonsense_parameters(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dims", "3,3", "--space", "Sperp", "--method", "als",
+              "--restarts", "2", *flags])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_verify_bad_prime(capsys):

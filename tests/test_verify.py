@@ -1,7 +1,10 @@
 """Verification: finite-field enumeration and alternating product-overlap search."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entspace import (
     BudgetExceededError,
@@ -24,11 +27,15 @@ from entspace import (
     minimal_upb,
     nearest_vandermonde,
     orthonormal_basis,
+    reduce_mod_p,
     span,
     standard_product_vector,
     vandermonde_vector,
     verify_upb,
 )
+import entspace.verify as verify_module
+from entspace.linalg import integer_generators
+from entspace.verify import _site_index, _site_points
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -55,11 +62,26 @@ def test_oracle_rejects_bad_primes():
 
 
 def test_oracle_budget():
+    # the budget counts fibre solves: 6 projective points on the one
+    # unsolved site of 2,2 at p = 5
     s = entangled_subspace(Dims((2, 2)))
     with pytest.raises(BudgetExceededError) as exc:
-        find_product_vectors_fp(s, Dims((2, 2)), 5, budget=10)
-    assert exc.value.estimate == 36
-    assert exc.value.budget == 10
+        find_product_vectors_fp(s, Dims((2, 2)), 5, budget=5)
+    assert exc.value.estimate == 6
+    assert exc.value.budget == 5
+    assert find_product_vectors_fp(s, Dims((2, 2)), 5, budget=6) == []
+
+
+def test_oracle_budget_counts_found_points():
+    # 6 fibres, then 6 points per fibre on the full space: the walk stops
+    # as soon as the found points push it past the budget
+    dims = Dims((2, 2))
+    gens = [StateVector.basis_vector(dims, RATIONAL, idx)
+            for idx in dims.all_indices()]
+    with pytest.raises(BudgetExceededError) as exc:
+        find_product_vectors_fp(gens, dims, 5, budget=20)
+    assert exc.value.estimate == 24
+    assert len(find_product_vectors_fp(gens, dims, 5, budget=42)) == 36
 
 
 def test_entangled_subspace_has_no_product_vectors_mod_p():
@@ -73,6 +95,42 @@ def test_entangled_subspace_has_no_product_vectors_mod_p():
     ) == []
 
 
+def brute_force_product_vectors(generators, dims, p):
+    """Reference oracle: test every projective product tuple by elimination."""
+    reduced = reduce_mod_p(generators, dims, p)
+    rows = [[c.value for c in r.coeffs] for r in reduced.rows]
+    pivots = [next(i for i, c in enumerate(row) if c) for row in rows]
+    sites = [[(0,) * lead + (1,) + rest for lead in range(d)
+              for rest in itertools.product(range(p), repeat=d - lead - 1)]
+             for d in dims.d]
+    found = []
+    for combo in itertools.product(*sites):
+        work = [1]
+        for f in combo:
+            work = [(c * a) % p for c in work for a in f]
+        for row, piv in zip(rows, pivots):
+            x = work[piv]
+            if x:
+                work = [(a - x * b) % p for a, b in zip(work, row)]
+        if not any(work):
+            found.append(combo)
+    return found
+
+
+@pytest.mark.parametrize("d,p", [(1, 5), (2, 5), (3, 3), (4, 2), (3, 7)])
+def test_site_points_order(d, p):
+    # the order hits are sorted by: leading-1 position, then the rest in base p
+    want = [(0,) * lead + (1,) + rest for lead in range(d)
+            for rest in itertools.product(range(p), repeat=d - lead - 1)]
+    got = [tuple(v) for v in _site_points(d, p, np.arange(len(want))).tolist()]
+    assert got == want
+    assert [_site_index(v, p) for v in want] == list(range(len(want)))
+
+
+def _factor_values(found):
+    return [tuple(tuple(c.value for c in f) for f in pv.factors) for pv in found]
+
+
 def test_full_space_contains_every_candidate():
     dims = Dims((2, 2))
     gens = [
@@ -81,6 +139,57 @@ def test_full_space_contains_every_candidate():
     ]
     found = find_product_vectors_fp(gens, dims, 5)
     assert len(found) == candidate_count(dims, 5)
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
+def test_full_and_zero_space_match_brute_force(dims):
+    full = [StateVector.basis_vector(dims, RATIONAL, idx)
+            for idx in dims.all_indices()]
+    found = find_product_vectors_fp(full, dims, 5)
+    assert len(found) == candidate_count(dims, 5)
+    assert _factor_values(found) == brute_force_product_vectors(full, dims, 5)
+    assert find_product_vectors_fp([], dims, 5) == []
+    assert find_product_vectors_fp(span([], dims=dims, field=RATIONAL), dims, 5) == []
+
+
+@pytest.mark.parametrize("dims,p", [(Dims((3, 3)), 5), (Dims((2, 3)), 7),
+                                    (Dims((3, 2, 2)), 5)], ids=str)
+def test_fibre_solve_matches_brute_force_on_named_spaces(dims, p):
+    for space in (entangled_subspace(dims), entangled_complement(dims)):
+        gens = integer_generators(space)
+        want = brute_force_product_vectors(gens, dims, p)
+        assert _factor_values(find_product_vectors_fp(space, dims, p)) == want
+        reduced = reduce_mod_p(gens, dims, p)
+        assert _factor_values(find_product_vectors_fp(reduced, dims, p)) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_fibre_solve_is_independent_of_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(verify_module, "_CHUNK_ENTRIES", chunk)
+    dims = Dims((2, 2, 3))
+    full = [StateVector.basis_vector(dims, RATIONAL, idx)
+            for idx in dims.all_indices()]
+    for gens in (integer_generators(entangled_subspace(dims)),
+                 integer_generators(entangled_complement(dims)), full[::3]):
+        found = find_product_vectors_fp(gens, dims, 5)
+        assert _factor_values(found) == brute_force_product_vectors(gens, dims, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fibre_solve_matches_brute_force_on_random_subspaces(data):
+    # random ranks reach kernels of dimension >= 2 on a fibre, which the
+    # graded spaces never do
+    dims = data.draw(st.sampled_from(SMALL_DIMS))
+    p = data.draw(st.sampled_from([5, 7]))
+    rank = data.draw(st.integers(0, dims.total))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dims.total, max_size=dims.total),
+        min_size=rank, max_size=rank,
+    ))
+    gens = [StateVector.from_values(dims, RATIONAL, r) for r in rows]
+    found = find_product_vectors_fp(gens, dims, p)
+    assert _factor_values(found) == brute_force_product_vectors(gens, dims, p)
 
 
 def test_ff_verify_reports():
@@ -99,6 +208,26 @@ def test_ff_verify_reports():
     assert comp[0].verdict == WITNESS
     assert comp[0].witness is not None
     assert comp[0].metrics["found"] == 6  # p + 1 projective points
+
+
+def test_ff_verify_reduces_once_per_prime(monkeypatch):
+    calls = []
+    real_reduce = verify_module.reduce_mod_p
+
+    def counting_reduce(vectors, dims, p):
+        calls.append(p)
+        return real_reduce(vectors, dims, p)
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("a reduced echelon input needs no second span")
+
+    monkeypatch.setattr(verify_module, "reduce_mod_p", counting_reduce)
+    monkeypatch.setattr(verify_module, "span", no_span)
+    dims = Dims((2, 3))
+    reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
+    assert calls == [5, 7]
+    assert [r.certified_dims for r in reports] == [
+        {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
 
 
 def test_classify_vandermonde_points():
