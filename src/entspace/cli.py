@@ -63,7 +63,6 @@ class RunConfig:
 
     dims: Dims
     command: str
-    field: str = "rational"
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -149,6 +148,13 @@ def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return n
+
+
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
     return n
 
 
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dims", required=True, help="comma-separated local dimensions, e.g. 2,3")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("dims", help="level-count table and dimensions")
     add_common(p)

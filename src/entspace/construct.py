@@ -2,7 +2,8 @@
 
 Everything here is exact: the completely entangled subspace spanned by
 equal-level differences, its product-vector orthocomplement spanned by the
-level sums, the Vandermonde product vectors that exhaust that complement,
+level sums (both written down in reduced echelon form, with no
+elimination), the Vandermonde product vectors that exhaust that complement,
 unextendible product bases (minimal in any arity, every admissible size for
 two factors), character orthonormal bases per level, and two matrix-space
 examples for the bipartite case.
@@ -18,7 +19,9 @@ from typing import NamedTuple
 
 from .fields import COMPLEX, Field, RATIONAL, Scalar
 from .grading import Dims, MultiIndex, enumerate_level, level_counts
-from .linalg import StateVector, Subspace, orthocomplement, span
+from .linalg import (
+    StateVector, Subspace, check_elimination_cost, orthocomplement, span,
+)
 
 
 class _InfinityPoint:
@@ -136,40 +139,59 @@ def vandermonde_vector(dims: Dims, point, field: Field = RATIONAL) -> ProductVec
     return ProductVector(dims, field, tuple(factors))
 
 
-def _level_differences(dims: Dims, n: int, field: Field) -> list[StateVector]:
-    # anchor at the lexicographically first index of the level
-    idxs = enumerate_level(dims, n)
-    if len(idxs) < 2:
-        return []
-    anchor = StateVector.basis_vector(dims, field, idxs[0])
-    return [anchor - StateVector.basis_vector(dims, field, idx) for idx in idxs[1:]]
+def _graded_rows(dims: Dims, field: Field, levels, sums: bool = False) -> Subspace:
+    """Reduced echelon basis of a graded space, written down without elimination.
+
+    Per level the rows are either the level sum u_n, pivot at the level's
+    first position, or e_i - e_last for every position i of the level but
+    its last (lexicographically largest).  Levels have disjoint supports, so
+    the rows of all requested levels, sorted by pivot, are already reduced.
+    """
+    if not field.exact:
+        raise TypeError("echelon bases need an exact field; convert floats upstream")
+    zero, one = field.zero(), field.one()
+    minus_one = -one
+    pivoted: list[tuple[int, list[Scalar]]] = []
+    for n in levels:
+        positions = [dims.position(idx) for idx in enumerate_level(dims, n)]
+        if sums:
+            coeffs = [zero] * dims.total
+            for pos in positions:
+                coeffs[pos] = one
+            pivoted.append((positions[0], coeffs))
+            continue
+        last = positions[-1]
+        for pos in positions[:-1]:
+            coeffs = [zero] * dims.total
+            coeffs[pos] = one
+            coeffs[last] = minus_one
+            pivoted.append((pos, coeffs))
+    pivoted.sort(key=lambda row: row[0])
+    rows = tuple(StateVector(dims, field, tuple(c)) for _, c in pivoted)
+    return Subspace(dims, field, rows)
 
 
 def entangled_subspace(dims: Dims, field: Field = RATIONAL) -> Subspace:
-    """The maximal completely entangled subspace, spanned per level by
-    differences of same-level basis vectors.  Its dimension is
-    total - (max_level + 1)."""
-    gens: list[StateVector] = []
-    for n in range(dims.max_level + 1):
-        gens.extend(_level_differences(dims, n, field))
-    return span(gens, dims=dims, field=field)
+    """The maximal completely entangled subspace: per level, the vectors whose
+    coefficients sum to zero.  Its dimension is total - (max_level + 1).
+
+    Written down in reduced echelon form; the tests check it against the
+    span of same-level differences by elimination."""
+    return _graded_rows(dims, field, range(dims.max_level + 1))
 
 
 def entangled_complement(dims: Dims, field: Field = RATIONAL) -> Subspace:
     """Orthocomplement of the entangled subspace: span of the level sums."""
-    vecs = [level_sum_vector(dims, n, field) for n in range(dims.max_level + 1)]
-    return span(vecs)
+    return _graded_rows(dims, field, range(dims.max_level + 1), sums=True)
 
 
 def entangled_level(dims: Dims, n: int, field: Field = RATIONAL) -> Subspace:
     """Slice of the entangled subspace inside a single level; dim a_n - 1."""
-    if not 0 <= n <= dims.max_level:
-        raise ValueError(f"level {n} out of range [0, {dims.max_level}]")
-    return span(_level_differences(dims, n, field), dims=dims, field=field)
+    return _graded_rows(dims, field, [n])
 
 
 def level_sum_line(dims: Dims, n: int, field: Field = RATIONAL) -> Subspace:
-    return span([level_sum_vector(dims, n, field)])
+    return _graded_rows(dims, field, [n], sums=True)
 
 
 def character_basis(dims: Dims, n: int) -> list[StateVector]:
@@ -216,6 +238,7 @@ def minimal_upb(
     points = _distinct_points(points, field)
     if len(points) != n_points:
         raise ValueError(f"need exactly {n_points} points, got {len(points)}")
+    check_elimination_cost(n_points, dims.total)  # before the expansions
     vectors = [vandermonde_vector(dims, pt, field) for pt in points]
     spanned = span([v.expand() for v in vectors])
     if spanned.dim != n_points or spanned != entangled_complement(dims, field):
@@ -290,11 +313,9 @@ def upb_of_size(
     if spanned.dim != m:
         raise AssertionError(f"expected rank {m}, got {spanned.dim}")
     chosen_set = set(chosen)
-    leftover: list[StateVector] = []
-    for n in range(top + 1):
-        if n not in chosen_set:
-            leftover.extend(_level_differences(dims, n, field))
-    expected = span(leftover, dims=dims, field=field)
+    expected = _graded_rows(
+        dims, field, [n for n in range(top + 1) if n not in chosen_set]
+    )
     if orthocomplement(spanned) != expected:
         raise AssertionError("complement is not the expected entangled slice sum")
     return UpbRecipe(dims, m, tuple(chosen), used_points, tuple(dropped)), vectors
@@ -303,13 +324,11 @@ def upb_of_size(
 def antidiagonal_zero_space(d1: int, d2: int, field: Field = RATIONAL) -> Subspace:
     """Matrices all of whose anti-diagonal sums vanish, viewed as vectors.
 
-    Built from the constraint functionals rather than from difference
-    generators, so it gives an independent route to the same subspace as
-    entangled_subspace on two factors.
+    This is the entangled subspace on two factors, so it is built the same
+    way; the tests derive it independently as the orthocomplement of the
+    anti-diagonal sum functionals.
     """
-    dims = Dims((d1, d2))
-    sums = [level_sum_vector(dims, n, field) for n in range(dims.max_level + 1)]
-    return orthocomplement(span(sums))
+    return entangled_subspace(Dims((d1, d2)), field)
 
 
 class SplitAntidiagonalExample(NamedTuple):

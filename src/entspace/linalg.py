@@ -16,6 +16,35 @@ from fractions import Fraction
 from .fields import COMPLEX, Field, Fp, GaussianRational, Scalar, prime_field
 from .grading import Dims, MultiIndex
 
+# Largest elimination span() takes on, as rows * cols * min(rows, cols)
+# (the multiply-adds of Gauss-Jordan).  Generic elimination over Fraction is
+# cubic, so past this an input fails at once instead of running for hours;
+# 16x16 S by elimination (about 1.3e7) is the scale just below it.
+ELIMINATION_BUDGET = 2 * 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would take more steps than its budget allows.
+
+    ``estimate`` is the step count reached (or predicted) when the budget
+    ran out; ``unit`` says what a step is.
+    """
+
+    def __init__(self, estimate: int, budget: int, task: str = "elimination",
+                 unit: str = "multiply-adds"):
+        self.estimate = estimate
+        self.budget = budget
+        super().__init__(
+            f"{task} needs at least {estimate} {unit}, budget is {budget}"
+        )
+
+
+def check_elimination_cost(rows: int, cols: int) -> None:
+    """Refuse an elimination of ``rows`` vectors of length ``cols`` over budget."""
+    estimate = rows * cols * min(rows, cols)
+    if estimate > ELIMINATION_BUDGET:
+        raise BudgetExceededError(estimate, ELIMINATION_BUDGET)
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -153,7 +182,9 @@ def _rref(rows: list[list[Scalar]]) -> list[list[Scalar]]:
 def span(vectors, *, dims: Dims | None = None, field: Field | None = None) -> Subspace:
     """Reduced echelon basis of the linear span.
 
-    ``dims`` and ``field`` are only needed when ``vectors`` is empty.
+    ``dims`` and ``field`` are only needed when ``vectors`` is empty.  Raises
+    ``BudgetExceededError`` before eliminating when the input is over
+    ``ELIMINATION_BUDGET``.
     """
     vectors = list(vectors)
     if not vectors:
@@ -169,6 +200,7 @@ def span(vectors, *, dims: Dims | None = None, field: Field | None = None) -> Su
         raise TypeError(f"vectors are over {head.field.label}, expected {field.label}")
     if not head.field.exact:
         raise TypeError("span requires an exact field; convert floats upstream")
+    check_elimination_cost(len(vectors), head.dims.total)
     reduced = _rref([list(v.coeffs) for v in vectors])
     rows = tuple(StateVector(head.dims, head.field, tuple(r)) for r in reduced)
     return Subspace(head.dims, head.field, rows)

@@ -19,8 +19,8 @@ from .construct import INFINITY, ProductVector, entangled_subspace, \
     level_sum_vector, vandermonde_vector
 from .fields import COMPLEX, Fp, RATIONAL, is_prime, prime_field
 from .grading import Dims
-from .linalg import StateVector, Subspace, integer_generators, orthocomplement, \
-    reduce_mod_p, span
+from .linalg import BudgetExceededError, StateVector, Subspace, \
+    integer_generators, orthocomplement, reduce_mod_p, span
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
 # projective product tuples needs fewer fibres (the most: 537,824 for 2^6
@@ -37,21 +37,12 @@ NO_WITNESS = "no-product-vector-found"
 WITNESS = "witness-found"
 
 
-class BudgetExceededError(RuntimeError):
-    """Enumeration would take more steps than allowed.
-
-    A step is one fibre solve or one product vector found; ``estimate`` is
-    the count reached when the budget ran out (the fibre count alone when
-    the enumeration is refused before it starts).
-    """
-
-    def __init__(self, estimate: int, budget: int):
-        self.estimate = estimate
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs at least {estimate} fibre solves and found "
-            f"points, budget is {budget}"
-        )
+def _over_budget(steps: int, budget: int) -> BudgetExceededError:
+    # A step is one fibre solve or one product vector found; ``steps`` is the
+    # fibre count alone when the enumeration is refused before it starts.
+    return BudgetExceededError(
+        steps, budget, "enumeration", "fibre solves and found points"
+    )
 
 
 @dataclass
@@ -149,7 +140,7 @@ def _check_oracle(dims: Dims, p: int, budget: int) -> None:
         _projective_count(d, p) for r, d in enumerate(dims.d) if r != s
     )
     if fibres > budget:
-        raise BudgetExceededError(fibres, budget)
+        raise _over_budget(fibres, budget)
     if max(dims.d) * p * p >= 2**63:
         raise ValueError(f"prime {p} is too large for int64 residues")
 
@@ -291,7 +282,7 @@ def find_product_vectors_fp(
         for n, f in enumerate(hit):
             steps += _projective_count(dims.d[s] - int(pivot[f].sum()), p)
             if steps > budget:
-                raise BudgetExceededError(steps, budget)
+                raise _over_budget(steps, budget)
             pos = [int(i[f]) for i in idx]
             factors = [pts[n] for pts in fixed]
             for x in _kernel_points(red[f], pivot[f], p):

@@ -1,19 +1,22 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from entspace import (
+    INFINITY,
     Dims,
     RATIONAL,
     entangled_complement,
     entangled_level,
     entangled_subspace,
+    minimal_upb,
     span,
 )
 from entspace.cli import main
-from entspace.serialize import document_vectors, parse_csv
+from entspace.serialize import document_product_vectors, document_vectors, parse_csv
 
 
 def run(capsys, *argv):
@@ -123,6 +126,16 @@ def test_upb_min(capsys):
     assert verdicts and all(v == "no-product-vector-found" for v in verdicts)
 
 
+def test_upb_min_round_trips_through_product_vector_document(capsys):
+    code, out, _ = run(capsys, "upb", "--dims", "2,3", "--min",
+                       "--lambdas", "inf,0,1/2,-3")
+    assert code == 0
+    dims, field, vectors = document_product_vectors(json.loads(out))
+    assert (dims, field) == (Dims((2, 3)), RATIONAL)
+    expected = minimal_upb(dims, [INFINITY, 0, Fraction(1, 2), -3])
+    assert [v.factors for v in vectors] == [v.factors for v in expected]
+
+
 def test_upb_min_custom_points(capsys):
     code, out, _ = run(capsys, "upb", "--dims", "2,3", "--min",
                        "--lambdas", "inf,0,1,2")
@@ -160,6 +173,14 @@ def test_upb_size(capsys):
     assert code == 2
     code, _, _ = run(capsys, "upb", "--dims", "2,2,2", "--size", "5")
     assert code == 2
+
+
+def test_upb_oversized_elimination_fails_fast(capsys):
+    # 127 Vandermonde expansions of length 4096 are refused before any
+    # expansion or elimination
+    code, out, err = run(capsys, "upb", "--dims", "64,64", "--size", "200")
+    assert code == 2 and out == ""
+    assert "error: elimination needs at least" in err
 
 
 def test_verify_expected_verdicts(capsys):
@@ -207,6 +228,19 @@ def test_verify_als_rejects_nonsense_parameters(capsys, flags):
               "--restarts", "2", *flags])
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--dims", "2,2"),
+    ("construct", "--dims", "2,2", "--space", "S"),
+    ("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_rejected(capsys, argv, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be at least 0, got {seed}" in capsys.readouterr().err
 
 
 def test_verify_bad_prime(capsys):

@@ -27,6 +27,7 @@ from entspace import (
     level_sum_vector,
     minimal_upb,
     orthocomplement,
+    prime_field,
     span,
     split_antidiagonal_spaces,
     standard_product_vector,
@@ -35,6 +36,23 @@ from entspace import (
     vandermonde_vector,
 )
 from entspace.grading import iter_dims
+
+
+def _level_differences(dims, n, field=RATIONAL):
+    """Reference generators of the level-n slice of S: the level's first
+    basis vector minus each later one."""
+    idxs = enumerate_level(dims, n)
+    anchor = StateVector.basis_vector(dims, field, idxs[0])
+    return [anchor - StateVector.basis_vector(dims, field, idx) for idx in idxs[1:]]
+
+
+def _eliminated_pair(dims, field=RATIONAL):
+    """S and Sperp by elimination: spans of level differences and level sums."""
+    levels = range(dims.max_level + 1)
+    diffs = [v for n in levels for v in _level_differences(dims, n, field)]
+    sums = [level_sum_vector(dims, n, field) for n in levels]
+    return span(diffs, dims=dims, field=field), span(sums)
+
 
 ACCEPTANCE_DIMS = [
     Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((4, 4)),
@@ -114,7 +132,8 @@ def test_entangled_subspace_2x2_basis():
 
 
 def test_complement_pair_sampled_dims():
-    """Dimension split and exact complementarity across a dims sweep.
+    """Dimension split, exact complementarity and the closed forms against
+    elimination, across a dims sweep.
 
     The sweep covers every dims with total <= 48 plus a bracket of larger
     ones; echelon cost grows cubically, so the full 4096 family is out of
@@ -126,10 +145,22 @@ def test_complement_pair_sampled_dims():
     for dims in sample:
         s = entangled_subspace(dims)
         c = entangled_complement(dims)
+        assert (s, c) == _eliminated_pair(dims)
         assert s.dim + c.dim == dims.total
         assert orthocomplement(s) == c
         assert orthocomplement(c) == s
         assert intersect(s, c).dim == 0
+
+
+def test_closed_forms_match_elimination_mod_7():
+    f7 = prime_field(7)
+    for dims in iter_dims(max_total=48):
+        pair = (entangled_subspace(dims, f7), entangled_complement(dims, f7))
+        assert pair == _eliminated_pair(dims, f7)
+        for n in range(dims.max_level + 1):
+            assert entangled_level(dims, n, f7) == span(
+                _level_differences(dims, n, f7), dims=dims, field=f7
+            )
 
 
 def test_level_slices():
@@ -137,6 +168,7 @@ def test_level_slices():
         full_levels = []
         for n in range(dims.max_level + 1):
             sl = entangled_level(dims, n)
+            assert sl == span(_level_differences(dims, n), dims=dims, field=RATIONAL)
             tl = level_sum_line(dims, n)
             a_n = level_count(dims, n)
             assert sl.dim == a_n - 1
@@ -266,7 +298,10 @@ def test_scaled_vandermonde_approaches_infinity_point():
 def test_antidiagonal_space_matches_entangled_subspace():
     assert antidiagonal_zero_space(3, 3).dim == 4
     for d1, d2 in ((2, 2), (3, 3), (2, 4), (4, 5)):
-        assert antidiagonal_zero_space(d1, d2) == entangled_subspace(Dims((d1, d2)))
+        dims = Dims((d1, d2))
+        sums = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
+        assert antidiagonal_zero_space(d1, d2) == orthocomplement(span(sums))
+        assert antidiagonal_zero_space(d1, d2) == entangled_subspace(dims)
         assert antidiagonal_zero_space(d1, d2).dim == (d1 - 1) * (d2 - 1)
     e22 = antidiagonal_zero_space(2, 2)
     d = Dims((2, 2))

@@ -25,8 +25,9 @@ from entspace import (
     subspace_sum,
     vandermonde_vector,
 )
+from entspace import verify
 from entspace.grading import iter_dims
-from entspace.linalg import integer_generators
+from entspace.linalg import ELIMINATION_BUDGET, BudgetExceededError, integer_generators
 
 D23 = Dims((2, 3))
 
@@ -223,3 +224,15 @@ def test_to_complex_and_fp_guard():
     w = _vec(D23, [1, 0, 0, 0, 0, 0], prime_field(5))
     with pytest.raises(TypeError):
         w.to_complex()
+
+
+def test_span_refuses_oversized_elimination():
+    dims = Dims((20, 20))
+    rows = [StateVector.basis_vector(dims, RATIONAL, dims.multi_index(p))
+            for p in range(dims.total)]
+    with pytest.raises(BudgetExceededError) as exc:
+        span(rows)
+    assert exc.value.estimate == 400**3 > ELIMINATION_BUDGET
+    assert exc.value.budget == ELIMINATION_BUDGET
+    assert span(rows[:200]).dim == 200  # 200 * 400 * 200 is admitted
+    assert verify.BudgetExceededError is BudgetExceededError
