@@ -16,20 +16,21 @@ from entspace import (
     orthonormal_basis,
     parse_dims,
 )
+from entspace.cli import non_negative_int, positive_int
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dims", nargs="+", default=["2,2", "2,3", "3,3", "2,2,2"],
+    ap.add_argument("--dims", nargs="+", type=parse_dims,
+                    default=[parse_dims(t) for t in ("2,2", "2,3", "3,3", "2,2,2")],
                     help="shapes to profile, e.g. --dims 2,3 3,3")
-    ap.add_argument("--restarts", type=int, nargs="+", default=[4, 16, 64])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap.add_argument("--restarts", type=positive_int, nargs="+", default=[4, 16, 64])
+    ap.add_argument("--seed", type=non_negative_int, default=0)
+    args = ap.parse_args(argv)
 
     print(f"{'dims':>8} {'space':>6} {'restarts':>8} {'best overlap':>14} "
           f"{'margin':>10} {'sweeps':>7}")
-    for text in args.dims:
-        dims = parse_dims(text)
+    for dims in args.dims:
         for label, space in (
             ("S", entangled_subspace(dims)),
             ("Sperp", entangled_complement(dims)),

@@ -286,7 +286,8 @@ def upb_of_size(
     basis product vector of that level except the lexicographically last.
     The orthocomplement of the result is the direct sum of the entangled
     slices of the unchosen levels, which sits inside the entangled subspace.
-    Rank and complement are verified exactly before returning.
+    Nothing is eliminated here: ``verify.verify_upb`` audits rank and
+    complement exactly.
     """
     if dims.k != 2:
         raise ValueError("sizes above the minimum need exactly two factors")
@@ -307,18 +308,7 @@ def upb_of_size(
         idxs = enumerate_level(dims, n)
         dropped.append(idxs[-1])
         extras.extend(standard_product_vector(dims, idx, field) for idx in idxs[:-1])
-    vectors = base + extras
-
-    spanned = span([v.expand() for v in vectors])
-    if spanned.dim != m:
-        raise AssertionError(f"expected rank {m}, got {spanned.dim}")
-    chosen_set = set(chosen)
-    expected = _graded_rows(
-        dims, field, [n for n in range(top + 1) if n not in chosen_set]
-    )
-    if orthocomplement(spanned) != expected:
-        raise AssertionError("complement is not the expected entangled slice sum")
-    return UpbRecipe(dims, m, tuple(chosen), used_points, tuple(dropped)), vectors
+    return UpbRecipe(dims, m, tuple(chosen), used_points, tuple(dropped)), base + extras
 
 
 def antidiagonal_zero_space(d1: int, d2: int, field: Field = RATIONAL) -> Subspace:

@@ -28,6 +28,9 @@ from .linalg import BudgetExceededError, StateVector, Subspace, \
 ENUMERATION_BUDGET = 10**6
 # int64 entries per block of partial contractions in the fibre solve
 _CHUNK_ENTRIES = 1 << 16
+# complex entries per stacked array of the ALS restarts advanced together: a
+# 64 KB stack stays in cache, and peak memory stays near a lone restart's
+_ALS_BLOCK_ENTRIES = 1 << 12
 DEFAULT_PRIME_POOL = (5, 7, 11)
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_SWEEPS = 500
@@ -392,16 +395,16 @@ def orthonormal_basis(s: Subspace) -> np.ndarray:
     return np.array(basis).reshape(len(basis), s.dims.total)
 
 
-def _site_update_matrix(w_conj: np.ndarray, factors: list[np.ndarray], r: int) -> np.ndarray:
-    # contraction of the conjugated basis against all factors except site r;
-    # returns c with <w_j, x> = (c @ x_r)_j
+def _site_update_matrices(w_conj: np.ndarray, factors: list[np.ndarray], r: int) -> np.ndarray:
+    # contraction of the conjugated basis against every restart's factors
+    # except site r (each a (B, d_s) stack); returns c with
+    # <w_j, x_b> = (c[b] @ x_b[r])_j
     k = len(factors)
-    operands: list = [w_conj, list(range(k + 1))]
+    operands: list = [w_conj, list(range(1, k + 2))]
     for s in range(k):
         if s != r:
-            operands.extend([factors[s], [s + 1]])
-    c = np.einsum(*operands, [0, r + 1])
-    return c
+            operands.extend([factors[s], [0, s + 2]])
+    return np.einsum(*operands, [0, 1, r + 2])
 
 
 def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]:
@@ -417,6 +420,62 @@ def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]
         if norm > 1e-8:
             return top, proj / norm
     return top, vecs[:, -1]
+
+
+def _als_block(w_conj: np.ndarray, dims: Dims, ts: range, max_sweeps: int,
+               tol: float, seed: int):
+    """Advance the restarts ``ts`` together until each one converges.
+
+    Returns every restart's final overlap, final factors (one (B, d_s)
+    array per site) and history: its overlap after each site update.
+    """
+    factors = [np.empty((len(ts), d), dtype=complex) for d in dims.d]
+    for i, t in enumerate(ts):
+        rng = np.random.default_rng([seed, t])
+        for f, d in zip(factors, dims.d):
+            raw = rng.standard_normal((d, 2))
+            x = raw[:, 0] + 1j * raw[:, 1]
+            f[i] = x / np.linalg.norm(x)
+    final = np.empty(len(ts))
+    n_sweeps = np.empty(len(ts), dtype=np.intp)
+    active = np.arange(len(ts))
+    work = list(factors)  # the active restarts' factors
+    start = np.zeros(len(ts))
+    log = []
+    for sweep in range(max_sweeps):
+        overlaps = np.empty((len(active), dims.k))
+        for r in range(dims.k):
+            c = _site_update_matrices(w_conj, work, r)
+            a = c.conj().transpose(0, 2, 1) @ c
+            vals, vecs = np.linalg.eigh(a)
+            top = vals[:, -1]
+            new = vecs[:, :, -1]
+            near = vals > (top - 1e-12 * np.maximum(1.0, np.abs(top)))[:, None]
+            for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+                _, new[i] = _top_eigvec(a[i], work[r][i])
+            work[r] = new
+            overlaps[:, r] = top
+        log.append((active, overlaps))
+        current = overlaps[:, -1]
+        done = (current - start < tol) | (sweep == max_sweeps - 1)
+        for f, x in zip(factors, work):
+            f[active[done]] = x[done]
+        final[active[done]] = current[done]
+        n_sweeps[active[done]] = sweep + 1
+        keep = ~done
+        if not keep.any():
+            break
+        active, start = active[keep], current[keep]
+        work = [x[keep] for x in work]
+    # a restart runs sweeps 0 .. n_sweeps - 1 without a gap, so its sweep s
+    # goes right after its earlier ones
+    ends = np.cumsum(n_sweeps)
+    flat = np.empty((ends[-1], dims.k))
+    for s, (act, overlaps) in enumerate(log):
+        flat[ends[act] - n_sweeps[act] + s] = overlaps
+    values = flat.ravel().tolist()
+    ends = (ends * dims.k).tolist()
+    return final, factors, [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
 @dataclass
@@ -452,19 +511,33 @@ def max_product_overlap(
     basis holds orthonormal rows (checked to 1e-8).  Each restart draws
     fresh factors from an isotropic complex Gaussian, then cycles over the
     sites; the optimal single-site update is the top eigenvector of a small
-    Hermitian matrix, so the overlap never decreases.  Restart seeds derive
-    from (seed, restart index) alone, making the outcome independent of
-    execution order.
+    Hermitian matrix, so the overlap never decreases.  A restart stops after
+    a sweep that gains less than ``tol``, or after ``max_sweeps`` sweeps.
+
+    Restarts advance together in blocks: each site update is one contraction
+    and one batched eigensolve over every unconverged restart of the block,
+    and no stacked array holds more than ``_ALS_BLOCK_ENTRIES`` entries
+    (unless one restart alone needs more).  Restart
+    seeds derive from (seed, restart index) alone and each restart's
+    arithmetic is that of a lone run, so the outcome is independent of
+    execution order and block size.  Among restarts reaching the same best
+    overlap, the lowest index wins.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 1:
+        raise ValueError(f"need at least one sweep, got max_sweeps={max_sweeps}")
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    params = {"restarts": restarts, "max_sweeps": max_sweeps,
+              "tol": tol, "seed": seed}
     basis = np.asarray(basis, dtype=complex)
     m = basis.shape[0]
     if m == 0:
         report = VerificationReport(
-            method="als",
-            params={"restarts": restarts, "max_sweeps": max_sweeps,
-                    "tol": tol, "seed": seed},
+            method="als", params=params,
             verdict=NO_WITNESS, witness=None,
             metrics={"best_overlap": 0.0, "total_sweeps": 0, "best_restart": -1},
             certified_dims={"complex": 0},
@@ -473,41 +546,29 @@ def max_product_overlap(
     if basis.shape[1] != dims.total:
         raise ValueError(f"basis width {basis.shape[1]} != total {dims.total}")
     gram = basis @ basis.conj().T
-    if np.max(np.abs(gram - np.eye(m))) > 1e-8:
+    if not np.max(np.abs(gram - np.eye(m))) <= 1e-8:  # also rejects nan
         raise ValueError("basis rows are not orthonormal")
 
     w_conj = basis.conj().reshape((m,) + dims.d)
-    k = dims.k
+    # per restart, the update matrix holds m * d_r entries and the
+    # eigenproblem d_r * d_r
+    width = max(dims.d)
+    block = max(1, _ALS_BLOCK_ENTRIES // (width * max(m, width)))
     best = -1.0
     best_factors: list[np.ndarray] | None = None
     best_restart = -1
     histories: list[list[float]] = []
-    total_sweeps = 0
-
-    for t in range(restarts):
-        rng = np.random.default_rng([seed, t])
-        factors = []
-        for d in dims.d:
-            raw = rng.standard_normal((d, 2))
-            x = raw[:, 0] + 1j * raw[:, 1]
-            factors.append(x / np.linalg.norm(x))
-        history: list[float] = []
-        current = 0.0
-        for _ in range(max_sweeps):
-            sweep_start = current
-            for r in range(k):
-                c = _site_update_matrix(w_conj, factors, r)
-                a = c.conj().T @ c
-                current, factors[r] = _top_eigvec(a, factors[r])
-                history.append(current)
-            total_sweeps += 1
-            if current - sweep_start < tol:
-                break
-        histories.append(history)
-        if current > best:
-            best = current
-            best_factors = [f.copy() for f in factors]
-            best_restart = t
+    for first in range(0, restarts, block):
+        ts = range(first, min(first + block, restarts))
+        final, factors, block_histories = _als_block(
+            w_conj, dims, ts, max_sweeps, tol, seed)
+        histories += block_histories
+        i = int(np.argmax(final))  # the first restart reaching the maximum
+        if final[i] > best:
+            best = float(final[i])
+            best_factors = [f[i].copy() for f in factors]
+            best_restart = first + i
+    total_sweeps = sum(map(len, histories)) // dims.k
 
     best = min(max(best, 0.0), 1.0)
     witness_pv = ProductVector.from_values(
@@ -516,8 +577,7 @@ def max_product_overlap(
     verdict = WITNESS if best > 1.0 - tol else NO_WITNESS
     report = VerificationReport(
         method="als",
-        params={"restarts": restarts, "max_sweeps": max_sweeps,
-                "tol": tol, "seed": seed},
+        params=params,
         verdict=verdict,
         witness=witness_pv if verdict == WITNESS else None,
         metrics={"best_overlap": best, "total_sweeps": total_sweeps,

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +300,18 @@ def test_exit_codes_partition(capsys):
         main(["bogus-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1"], ["--restarts", "0"], ["--restarts", "4", "0"], ["--dims", "1,3"],
+], ids=" ".join)
+def test_als_margins_script_rejects_bad_flags(capsys, argv):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "als_margins.py"
+    spec = importlib.util.spec_from_file_location("als_margins", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err

@@ -34,6 +34,7 @@ from entspace import (
     subspace_sum,
     upb_of_size,
     vandermonde_vector,
+    verify_upb,
 )
 from entspace.grading import iter_dims
 
@@ -272,6 +273,27 @@ def test_upb_of_size_range_and_structure():
         upb_of_size(d23, 3)
     with pytest.raises(ValueError):
         upb_of_size(Dims((2, 2, 2)), 5)
+
+
+@pytest.mark.parametrize("dims,points", [
+    (Dims((2, 3)), None), (Dims((3, 2)), None), (Dims((3, 3)), None),
+    (Dims((2, 4)), [INFINITY, 0, Fraction(1, 2), -3, 5]), (Dims((3, 4)), None),
+], ids=str)
+def test_upb_of_size_passes_the_exact_audit(dims, points):
+    # upb_of_size eliminates nothing itself; verify_upb is its rank and
+    # complement audit, and the complement is the unchosen levels' slices
+    lo = dims.max_level + 1
+    for m in range(lo, dims.total + 1):
+        record, vectors = upb_of_size(dims, m, points)
+        report = verify_upb(vectors, dims, primes=(7,))
+        assert report.is_upb, m
+        assert report.span_dim == m and report.independent
+        assert report.complement_dim == dims.total - m
+        assert report.complement_in_entangled
+        unchosen = [n for n in range(lo) if n not in record.levels]
+        expected = span([v for n in unchosen for v in _level_differences(dims, n)],
+                        dims=dims, field=RATIONAL)
+        assert orthocomplement(span([v.expand() for v in vectors])) == expected
 
 
 def test_upb_of_size_m_equals_total_covers_everything():

@@ -1,6 +1,7 @@
 """Verification: finite-field enumeration and alternating product-overlap search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from entspace import (
 )
 import entspace.verify as verify_module
 from entspace.linalg import integer_generators
-from entspace.verify import _site_index, _site_points
+from entspace.serialize import encode_report, json_dumps
+from entspace.verify import _fix_phases, _site_index, _site_points, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -262,7 +264,156 @@ def test_als_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         max_product_overlap(rows, dims)
     with pytest.raises(ValueError):
+        max_product_overlap(np.full((1, 4), np.nan, dtype=complex), dims)
+    with pytest.raises(ValueError):
         max_product_overlap(np.eye(4, dtype=complex), dims, restarts=0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_sweeps": 0}, "at least one sweep"),
+    ({"max_sweeps": -3}, "at least one sweep"),
+    ({"tol": math.nan}, "tol must lie in"),
+    ({"tol": 0.0}, "tol must lie in"),
+    ({"tol": 1.0}, "tol must lie in"),
+    ({"tol": -1e-9}, "tol must lie in"),
+    ({"tol": math.inf}, "tol must lie in"),
+    ({"seed": -1}, "seed must be at least 0"),
+], ids=str)
+def test_als_rejects_nonsense_parameters(kwargs, message):
+    # checked before the basis, so an empty basis is refused too
+    for basis in (np.eye(4, dtype=complex), []):
+        with pytest.raises(ValueError, match=message):
+            max_product_overlap(basis, Dims((2, 2)), **kwargs)
+
+
+def reference_als(basis, dims, restarts, max_sweeps=500, tol=1e-10, seed=0):
+    """Reference ALS: the plain loop, one restart and one site update at a time.
+
+    Returns (best, best factors, best restart, histories, total sweeps).
+    """
+    w_conj = basis.conj().reshape((len(basis),) + dims.d)
+    best, best_factors, best_restart, histories, total_sweeps = -1.0, None, -1, [], 0
+    for t in range(restarts):
+        rng = np.random.default_rng([seed, t])
+        factors = []
+        for d in dims.d:
+            raw = rng.standard_normal((d, 2))
+            x = raw[:, 0] + 1j * raw[:, 1]
+            factors.append(x / np.linalg.norm(x))
+        history, current = [], 0.0
+        for _ in range(max_sweeps):
+            sweep_start = current
+            for r in range(dims.k):
+                operands = [w_conj, list(range(dims.k + 1))]
+                for s in range(dims.k):
+                    if s != r:
+                        operands.extend([factors[s], [s + 1]])
+                c = np.einsum(*operands, [0, r + 1])
+                current, factors[r] = _top_eigvec(c.conj().T @ c, factors[r])
+                history.append(current)
+            total_sweeps += 1
+            if current - sweep_start < tol:
+                break
+        histories.append(history)
+        if current > best:
+            best, best_factors, best_restart = current, [f.copy() for f in factors], t
+    return best, best_factors, best_restart, histories, total_sweeps
+
+
+def assert_matches_reference(basis, dims, restarts, seed, max_sweeps=500, tol=1e-10):
+    got = max_product_overlap(basis, dims, restarts=restarts,
+                              max_sweeps=max_sweeps, tol=tol, seed=seed)
+    best, factors, best_restart, histories, total_sweeps = reference_als(
+        basis, dims, restarts, max_sweeps, tol, seed)
+    best = min(max(best, 0.0), 1.0)
+    witness = ProductVector.from_values(
+        dims, COMPLEX, [tuple(f) for f in _fix_phases(factors)])
+    want = verify_module.VerificationReport(
+        method="als",
+        params={"restarts": restarts, "max_sweeps": max_sweeps,
+                "tol": tol, "seed": seed},
+        verdict=WITNESS if best > 1.0 - tol else NO_WITNESS,
+        witness=witness if best > 1.0 - tol else None,
+        metrics={"best_overlap": best, "total_sweeps": total_sweeps,
+                 "best_restart": best_restart},
+        certified_dims={"complex": len(basis)},
+    )
+    assert got.histories == histories
+    assert got.report.metrics == want.metrics
+    assert got.best_overlap == best
+    assert got.witness.factors == witness.factors
+    assert json_dumps(encode_report(got.report)) == json_dumps(encode_report(want))
+
+
+@pytest.mark.parametrize("dims,restarts", [
+    (Dims((2, 2)), 24), (Dims((3, 3)), 24), (Dims((2, 3, 4)), 8),
+    (Dims((4, 4, 4)), 4), (Dims((2,) * 6), 2),
+], ids=str)
+def test_batched_als_matches_reference_on_named_spaces(dims, restarts):
+    for space in (entangled_subspace(dims), entangled_complement(dims)):
+        assert_matches_reference(orthonormal_basis(space), dims, restarts, seed=7)
+
+
+@pytest.mark.parametrize("dims", [Dims((2, 2)), Dims((2, 3)), Dims((2, 2, 2))], ids=str)
+def test_batched_als_matches_reference_on_identity_basis(dims):
+    # every product vector lies in the whole space: each site update has a
+    # fully degenerate top eigenvalue
+    assert_matches_reference(np.eye(dims.total, dtype=complex), dims, 6, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_als_matches_reference_on_random_subspaces(data):
+    dims = data.draw(st.sampled_from(
+        [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2)), Dims((2, 2, 2, 2))]))
+    m = data.draw(st.integers(1, dims.total))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((dims.total, m)) + 1j * rng.standard_normal((dims.total, m))
+    basis = np.linalg.qr(raw)[0].T.copy()
+    assert_matches_reference(basis, dims, data.draw(st.integers(1, 12)),
+                             seed=data.draw(st.integers(0, 2**31)),
+                             max_sweeps=data.draw(st.sampled_from([1, 3, 500])))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_batched_als_is_independent_of_block_size(monkeypatch, block):
+    dims = Dims((3, 3))
+    blocks = []
+    real_block = verify_module._als_block
+
+    def recording_block(w_conj, dims, ts, *args):
+        blocks.append(len(ts))
+        return real_block(w_conj, dims, ts, *args)
+
+    monkeypatch.setattr(verify_module, "_als_block", recording_block)
+    for space in (entangled_subspace(dims), entangled_complement(dims)):
+        basis = orthonormal_basis(space)
+        # restarts per block: _ALS_BLOCK_ENTRIES // (max(d) * max(m, max(d)))
+        monkeypatch.setattr(verify_module, "_ALS_BLOCK_ENTRIES", block * 3 * len(basis))
+        blocks.clear()
+        assert_matches_reference(basis, dims, 20, seed=5)
+        assert sum(blocks) == 20 and max(blocks) == block
+
+
+def test_batched_als_blocks_stay_within_block_entries(monkeypatch):
+    dims = Dims((16, 16))
+    basis = orthonormal_basis(entangled_subspace(dims))
+    shapes = []
+    real_update = verify_module._site_update_matrices
+
+    def recording_update(w_conj, factors, r):
+        c = real_update(w_conj, factors, r)
+        shapes.append(c.shape)
+        return c
+
+    monkeypatch.setattr(verify_module, "_site_update_matrices", recording_update)
+    result = max_product_overlap(basis, dims, restarts=1000, max_sweeps=1)
+    assert result.report.metrics["total_sweeps"] == 1000
+    cap = verify_module._ALS_BLOCK_ENTRIES
+    assert cap <= 2**16
+    assert max(math.prod(s) for s in shapes) <= cap
+    assert max(s[0] * s[2] ** 2 for s in shapes) <= cap
+    assert sum(s[0] for s in shapes[::2]) == 1000  # two site updates per sweep
 
 
 def test_als_empty_basis():
