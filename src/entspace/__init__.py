@@ -25,6 +25,11 @@ from .fields import (
     prime_field,
 )
 from .linalg import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    NO_WITNESS,
+    WITNESS,
     BudgetExceededError,
     StateVector,
     Subspace,
@@ -53,27 +58,39 @@ from .construct import (
     upb_of_size,
     vandermonde_vector,
 )
-from .verify import (
-    AlsResult,
-    ClassifyReport,
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_RESTARTS,
-    DEFAULT_TOL,
-    ENUMERATION_BUDGET,
-    NO_WITNESS,
-    UpbReport,
-    VerificationReport,
-    WITNESS,
-    candidate_count,
-    classify_product_vectors_fp,
-    default_primes,
-    ff_verify,
-    find_product_vectors_fp,
-    max_product_overlap,
-    nearest_vandermonde,
-    orthonormal_basis,
-    verify_upb,
-)
+
+# The verifier needs numpy, so its names load on first access (PEP 562):
+# ``dims`` and ``construct`` never import numpy.
+_VERIFY_NAMES = frozenset({
+    "ALS_BUDGET",
+    "AlsResult",
+    "ClassifyReport",
+    "ENUMERATION_BUDGET",
+    "UpbReport",
+    "VerificationReport",
+    "candidate_count",
+    "classify_product_vectors_fp",
+    "default_primes",
+    "ff_verify",
+    "find_product_vectors_fp",
+    "max_product_overlap",
+    "nearest_vandermonde",
+    "orthonormal_basis",
+    "verify_upb",
+})
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _VERIFY_NAMES)
+
 
 __all__ = [
     "Dims",
@@ -115,6 +132,7 @@ __all__ = [
     "antidiagonal_zero_space",
     "split_antidiagonal_spaces",
     "gram_matrix",
+    "ALS_BUDGET",
     "AlsResult",
     "BudgetExceededError",
     "ClassifyReport",

@@ -28,7 +28,15 @@ from .construct import (
 )
 from .fields import COMPLEX, RATIONAL
 from .grading import Dims, level_counts, parse_dims
-from .linalg import span
+from .linalg import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    NO_WITNESS,
+    WITNESS,
+    BudgetExceededError,
+    span,
+)
 from .serialize import (
     csv_matrices,
     encode_classify_report,
@@ -40,19 +48,9 @@ from .serialize import (
     subspace_document,
     vectors_document,
 )
-from .verify import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_RESTARTS,
-    DEFAULT_TOL,
-    NO_WITNESS,
-    WITNESS,
-    BudgetExceededError,
-    classify_product_vectors_fp,
-    ff_verify,
-    max_product_overlap,
-    orthonormal_basis,
-    verify_upb,
-)
+
+# ``upb``, ``verify`` and ``classify`` import the numpy-based verifier when
+# they run, so ``dims`` and ``construct`` start without numpy.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -200,6 +198,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_upb(args: argparse.Namespace) -> int:
+    from .verify import verify_upb
+
     cfg = RunConfig.from_args(args)
     points = _parse_points(args.lambdas) if args.lambdas else None
     if args.min:
@@ -226,6 +226,8 @@ def cmd_upb(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import ff_verify, max_product_overlap, orthonormal_basis
+
     cfg = RunConfig.from_args(args)
     target, expected = _resolve_space(cfg.dims, args.space)
     if isinstance(target, list):
@@ -254,6 +256,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .verify import classify_product_vectors_fp
+
     cfg = RunConfig.from_args(args)
     report = classify_product_vectors_fp(cfg.dims, args.prime)
     _write(json_dumps(encode_classify_report(report)), cfg.out)
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help=f"one of {SPACES}")
     p.add_argument("--method", choices=("ff", "als"), default="ff")
     p.add_argument("--primes", default=None)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=positive_int, default=DEFAULT_RESTARTS)
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=positive_int,
                    default=DEFAULT_MAX_SWEEPS)

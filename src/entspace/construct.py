@@ -20,7 +20,8 @@ from typing import NamedTuple
 from .fields import COMPLEX, Field, RATIONAL, Scalar
 from .grading import Dims, MultiIndex, enumerate_level, level_counts
 from .linalg import (
-    StateVector, Subspace, check_elimination_cost, orthocomplement, span,
+    StateVector, Subspace, check_dense_size, check_elimination_cost,
+    orthocomplement, span,
 )
 
 
@@ -146,6 +147,8 @@ def _graded_rows(dims: Dims, field: Field, levels, sums: bool = False) -> Subspa
     first position, or e_i - e_last for every position i of the level but
     its last (lexicographically largest).  Levels have disjoint supports, so
     the rows of all requested levels, sorted by pivot, are already reduced.
+    Levels are counted before their rows are built, so an oversized basis is
+    refused after building at most ``DENSE_BUDGET`` entries.
     """
     if not field.exact:
         raise TypeError("echelon bases need an exact field; convert floats upstream")
@@ -154,6 +157,7 @@ def _graded_rows(dims: Dims, field: Field, levels, sums: bool = False) -> Subspa
     pivoted: list[tuple[int, list[Scalar]]] = []
     for n in levels:
         positions = [dims.position(idx) for idx in enumerate_level(dims, n)]
+        check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), dims.total)
         if sums:
             coeffs = [zero] * dims.total
             for pos in positions:
@@ -202,6 +206,7 @@ def character_basis(dims: Dims, n: int) -> list[StateVector]:
     """
     idxs = enumerate_level(dims, n)
     a = len(idxs)
+    check_dense_size(a, dims.total)
     scale = 1.0 / math.sqrt(a)
     out = []
     for j in range(a):

@@ -22,6 +22,20 @@ from .grading import Dims, MultiIndex
 # 16x16 S by elimination (about 1.3e7) is the scale just below it.
 ELIMINATION_BUDGET = 2 * 10**7
 
+# Largest dense basis a construction writes down, as rows * total entries.
+# Every entry is also a cell of the JSON or CSV document; 12x14 S (the
+# largest benchmarked) has about 2.4e4, 300x300 S would need 8e9.
+DENSE_BUDGET = 2 * 10**6
+
+# Verifier defaults and verdicts.  They live here, away from the numpy-based
+# ``verify`` (which re-exports them), so the CLI can build its parser and
+# run ``dims``/``construct`` without loading numpy.
+DEFAULT_RESTARTS = 64
+DEFAULT_MAX_SWEEPS = 500
+DEFAULT_TOL = 1e-10
+NO_WITNESS = "no-product-vector-found"
+WITNESS = "witness-found"
+
 
 class BudgetExceededError(RuntimeError):
     """A computation would take more steps than its budget allows.
@@ -44,6 +58,13 @@ def check_elimination_cost(rows: int, cols: int) -> None:
     estimate = rows * cols * min(rows, cols)
     if estimate > ELIMINATION_BUDGET:
         raise BudgetExceededError(estimate, ELIMINATION_BUDGET)
+
+
+def check_dense_size(rows: int, cols: int) -> None:
+    """Refuse to write down ``rows`` dense vectors of length ``cols`` over budget."""
+    entries = rows * cols
+    if entries > DENSE_BUDGET:
+        raise BudgetExceededError(entries, DENSE_BUDGET, "dense basis", "entries")
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,34 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .construct import INFINITY, ProductVector, UpbRecipe
 from .fields import COMPLEX, Field, Fp, GaussianRational, parse_field
 from .grading import Dims
 from .linalg import StateVector, Subspace
-from .verify import ClassifyReport, UpbReport, VerificationReport
+
+if TYPE_CHECKING:  # verify loads numpy, which construct and dims never need
+    from .verify import ClassifyReport, UpbReport, VerificationReport
 
 
 def _fmt_float(x: float) -> str:
     return "%.17g" % x
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps does for a str
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit(obj, indent: int, out: list[str]) -> None:
@@ -41,13 +59,13 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not seq:
             out.append("[]")
             return
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
-            out.append("[")
-            for i, v in enumerate(seq):
-                _emit(v, indent, out)
-                if i < len(seq) - 1:
-                    out.append(", ")
-            out.append("]")
+        # a flat list is one line; exact coefficients are all strings
+        types = set(map(type, seq))
+        if types == {str}:
+            out.append("[" + ", ".join(map(encode_basestring_ascii, seq)) + "]")
+            return
+        if not any(issubclass(t, (dict, list, tuple)) for t in types):
+            out.append("[" + ", ".join(map(_scalar, seq)) + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):
@@ -55,18 +73,8 @@ def _emit(obj, indent: int, out: list[str]) -> None:
             _emit(v, indent + 1, out)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_scalar(obj))
 
 
 def json_dumps(obj) -> str:
@@ -76,15 +84,24 @@ def json_dumps(obj) -> str:
     return "".join(out)
 
 
-def encode_scalar(c, field: Field):
-    if field.kind == "rational":
-        return str(c)
-    if field.kind == "gaussian":
-        return {"re": str(c.re), "im": str(c.im)}
-    if field.kind == "fp":
-        return str(c.value)
+def _complex_entry(c) -> dict:
     z = complex(c)
     return {"re": z.real, "im": z.imag}
+
+
+def _scalar_encoder(field: Field):
+    """The function that encodes one scalar of ``field``, to map over vectors."""
+    if field.kind == "rational":
+        return str
+    if field.kind == "gaussian":
+        return lambda c: {"re": str(c.re), "im": str(c.im)}
+    if field.kind == "fp":
+        return lambda c: str(c.value)
+    return _complex_entry
+
+
+def encode_scalar(c, field: Field):
+    return _scalar_encoder(field)(c)
 
 
 def decode_scalar(raw, field: Field):
@@ -104,15 +121,14 @@ def encode_point(pt, field: Field):
 
 
 def _vector_entry(v: StateVector) -> dict:
-    return {"coeffs": [encode_scalar(c, v.field) for c in v.coeffs]}
+    return {"coeffs": list(map(_scalar_encoder(v.field), v.coeffs))}
 
 
 def _product_entry(pv: ProductVector) -> dict:
+    enc = _scalar_encoder(pv.field)
     return {
-        "factors": [
-            [encode_scalar(c, pv.field) for c in f] for f in pv.factors
-        ],
-        "coeffs": [encode_scalar(c, pv.field) for c in pv.expand().coeffs],
+        "factors": [list(map(enc, f)) for f in pv.factors],
+        "coeffs": list(map(enc, pv.expand().coeffs)),
     }
 
 
@@ -243,7 +259,10 @@ def document_product_vectors(doc: dict) -> tuple[Dims, Field, list[ProductVector
 
 
 def csv_matrices(vectors: list[StateVector], dims: Dims) -> str:
-    """One d1 x d2 matrix per vector, blank line between matrices."""
+    """One d1 x d2 matrix per vector, blank line between matrices.
+
+    Row i of a matrix is the lex-ordered slice ``coeffs[i*d2:(i+1)*d2]``.
+    """
     if dims.k != 2:
         raise ValueError("csv output is defined for two factors only")
     d1, d2 = dims.d
@@ -251,11 +270,12 @@ def csv_matrices(vectors: list[StateVector], dims: Dims) -> str:
     for v in vectors:
         if not v.field.exact:
             raise ValueError("csv output is defined for exact scalars only")
-        rows = []
-        for i in range(d1):
-            cells = [str(v.coeffs[dims.position((i, j))]) for j in range(d2)]
-            rows.append(",".join(cells))
-        blocks.append("\n".join(rows))
+        if v.dims != dims:
+            raise ValueError(f"vector dims {v.dims.d} do not match {dims.d}")
+        cells = list(map(str, v.coeffs))
+        blocks.append("\n".join(
+            ",".join(cells[i * d2:(i + 1) * d2]) for i in range(d1)
+        ))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -19,7 +19,8 @@ from .construct import INFINITY, ProductVector, entangled_subspace, \
     level_sum_vector, vandermonde_vector
 from .fields import COMPLEX, Fp, RATIONAL, is_prime, prime_field
 from .grading import Dims
-from .linalg import BudgetExceededError, StateVector, Subspace, \
+from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
+    NO_WITNESS, WITNESS, BudgetExceededError, StateVector, Subspace, \
     integer_generators, orthocomplement, reduce_mod_p, span
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
@@ -31,13 +32,11 @@ _CHUNK_ENTRIES = 1 << 16
 # complex entries per stacked array of the ALS restarts advanced together: a
 # 64 KB stack stays in cache, and peak memory stays near a lone restart's
 _ALS_BLOCK_ENTRIES = 1 << 12
+# Worst-case ALS site updates, restarts * max_sweeps * sites.  The defaults
+# need 64 * 500 * k, the largest benchmarked run (3,3 with 1000 restarts)
+# 10**6; each update is also one float kept in ``AlsResult.histories``.
+ALS_BUDGET = 4 * 10**6
 DEFAULT_PRIME_POOL = (5, 7, 11)
-DEFAULT_RESTARTS = 64
-DEFAULT_MAX_SWEEPS = 500
-DEFAULT_TOL = 1e-10
-
-NO_WITNESS = "no-product-vector-found"
-WITNESS = "witness-found"
 
 
 def _over_budget(steps: int, budget: int) -> BudgetExceededError:
@@ -513,6 +512,8 @@ def max_product_overlap(
     sites; the optimal single-site update is the top eigenvector of a small
     Hermitian matrix, so the overlap never decreases.  A restart stops after
     a sweep that gains less than ``tol``, or after ``max_sweeps`` sweeps.
+    A search that could take more than ``ALS_BUDGET`` site updates raises
+    ``BudgetExceededError`` before any work.
 
     Restarts advance together in blocks: each site update is one contraction
     and one batched eigensolve over every unconverged restart of the block,
@@ -531,6 +532,10 @@ def max_product_overlap(
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
+    updates = restarts * max_sweeps * dims.k
+    if updates > ALS_BUDGET:
+        raise BudgetExceededError(updates, ALS_BUDGET, "ALS search",
+                                  "site updates (restarts * max_sweeps * sites)")
     params = {"restarts": restarts, "max_sweeps": max_sweeps,
               "tol": tol, "seed": seed}
     basis = np.asarray(basis, dtype=complex)

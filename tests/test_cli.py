@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from entspace import (
     minimal_upb,
     span,
 )
+import entspace.cli as entspace_cli
 from entspace.cli import main
 from entspace.serialize import document_product_vectors, document_vectors, parse_csv
 
@@ -223,6 +227,7 @@ def test_verify_als(capsys):
 @pytest.mark.parametrize("flags", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "2"), ("--tol", "0"),
     ("--tol", "-1e-9"), ("--max-sweeps", "0"), ("--max-sweeps", "-3"),
+    ("--restarts", "0"), ("--restarts", "-4"),
 ], ids=" ".join)
 def test_verify_als_rejects_nonsense_parameters(capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -230,6 +235,70 @@ def test_verify_als_rejects_nonsense_parameters(capsys, flags):
               "--restarts", "2", *flags])
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_als_over_work_budget_fails_fast(capsys):
+    # 10**8 restarts of one sweep on two sites: refused before any restart
+    code, out, err = run(capsys, "verify", "--dims", "2,2", "--space", "S",
+                         "--method", "als", "--restarts", "100000000",
+                         "--max-sweeps", "1")
+    assert code == 2 and out == ""
+    assert "error: ALS search needs at least 200000000 site updates" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--dims", "300,300", "--space", "S"),
+    ("onb", "--dims", "200,200", "--level", "150"),
+], ids=lambda argv: argv[0])
+def test_oversized_dense_output_fails_fast(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: dense basis needs at least" in err
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+import entspace.cli
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return entspace.cli.main(list(argv))
+
+assert quiet("dims", "--dims", "3,3") == 0
+assert quiet("construct", "--dims", "3,3", "--space", "S") == 0
+assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+for name in ("numpy", "entspace.verify"):
+    assert name not in sys.modules, name + " loaded by dims, construct or onb"
+
+assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
+             "--restarts", "2") == 0
+assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
+
+import entspace
+names = {}
+exec("from entspace import *", names)
+missing = [n for n in entspace.__all__ if n not in names]
+assert not missing, missing
+assert entspace.max_product_overlap is entspace.verify.max_product_overlap
+assert "max_product_overlap" in dir(entspace)
+try:
+    entspace.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+def test_dims_and_construct_start_without_numpy():
+    src = str(Path(entspace_cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entspace import (
+    BudgetExceededError,
     COMPLEX,
     Dims,
     INFINITY,
@@ -191,6 +192,17 @@ def test_level_slices():
     assert entangled_level(Dims((2, 3)), 3).dim == 0
     with pytest.raises(ValueError):
         entangled_level(Dims((2, 3)), 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: entangled_subspace(Dims((300, 300))),
+    lambda: entangled_complement(Dims((3000, 3000))),
+    lambda: entangled_level(Dims((3000, 3000)), 2999),
+    lambda: character_basis(Dims((200, 200)), 150),
+], ids=["S", "Sperp", "level", "character"])
+def test_oversized_dense_bases_are_refused(build):
+    with pytest.raises(BudgetExceededError, match="dense basis needs at least"):
+        build()
 
 
 def test_character_basis_unitary():

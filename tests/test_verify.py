@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from entspace import (
     BudgetExceededError,
     COMPLEX,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_RESTARTS,
     Dims,
     INFINITY,
     NO_WITNESS,
@@ -284,6 +286,20 @@ def test_als_rejects_nonsense_parameters(kwargs, message):
     for basis in (np.eye(4, dtype=complex), []):
         with pytest.raises(ValueError, match=message):
             max_product_overlap(basis, Dims((2, 2)), **kwargs)
+
+
+def test_als_work_budget():
+    dims = Dims((2, 2))
+    budget = verify_module.ALS_BUDGET
+    # refused before the basis is looked at, whatever the basis
+    for basis in (np.eye(4, dtype=complex), []):
+        with pytest.raises(BudgetExceededError) as exc:
+            max_product_overlap(basis, dims, restarts=budget // 2 + 1, max_sweeps=1)
+        assert exc.value.estimate == 2 * (budget // 2 + 1) and exc.value.budget == budget
+    # the largest benchmarked search and the defaults on many sites are admitted
+    assert 1000 * DEFAULT_MAX_SWEEPS * 2 <= budget
+    assert DEFAULT_RESTARTS * DEFAULT_MAX_SWEEPS * 12 <= budget
+    assert max_product_overlap([], dims, restarts=budget // 2, max_sweeps=1).best_overlap == 0.0
 
 
 def reference_als(basis, dims, restarts, max_sweeps=500, tol=1e-10, seed=0):
