@@ -66,6 +66,7 @@ _VERIFY_NAMES = frozenset({
     "AlsResult",
     "ClassifyReport",
     "ENUMERATION_BUDGET",
+    "LevelSums",
     "UpbReport",
     "VerificationReport",
     "candidate_count",
@@ -140,6 +141,7 @@ __all__ = [
     "DEFAULT_RESTARTS",
     "DEFAULT_TOL",
     "ENUMERATION_BUDGET",
+    "LevelSums",
     "NO_WITNESS",
     "UpbReport",
     "VerificationReport",

@@ -95,6 +95,18 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _level_selector(name: str) -> int:
+    try:
+        return int(name[len("level:"):])
+    except ValueError:
+        raise ValueError(f"bad level selector {name!r}") from None
+
+
+def _check_example1(dims: Dims) -> None:
+    if dims.k != 2:
+        raise ValueError("example1 needs exactly two factors")
+
+
 def _resolve_space(dims: Dims, name: str):
     """Named space -> (subspace or product-vector list, expected verdict)."""
     if name == "S":
@@ -102,14 +114,9 @@ def _resolve_space(dims: Dims, name: str):
     if name == "Sperp":
         return entangled_complement(dims), WITNESS
     if name.startswith("level:"):
-        try:
-            n = int(name[len("level:"):])
-        except ValueError:
-            raise ValueError(f"bad level selector {name!r}") from None
-        return entangled_level(dims, n), NO_WITNESS
+        return entangled_level(dims, _level_selector(name)), NO_WITNESS
     if name == "example1":
-        if dims.k != 2:
-            raise ValueError("example1 needs exactly two factors")
+        _check_example1(dims)
         return antidiagonal_zero_space(dims.d[0], dims.d[1]), NO_WITNESS
     if name in ("example2-M", "example2-R"):
         if dims.d != (4, 4):
@@ -119,6 +126,29 @@ def _resolve_space(dims: Dims, name: str):
             return ex.m_space, NO_WITNESS
         return ex.spanning_set, WITNESS
     raise ValueError(f"unknown space {name!r}; choose from {SPACES}")
+
+
+def _als_space(dims: Dims, name: str):
+    """Named space -> (``max_product_overlap`` input, expected verdict).
+
+    A graded space goes in unbuilt, as its ``LevelSums`` form; the example2
+    spaces are built exactly and go in as orthonormal rows.
+    """
+    from .verify import LevelSums, orthonormal_basis
+
+    every = tuple(range(dims.max_level + 1))
+    if name == "example1":
+        _check_example1(dims)
+    if name in ("S", "example1"):
+        return LevelSums(every), NO_WITNESS
+    if name == "Sperp":
+        return LevelSums(every, sums=True), WITNESS
+    if name.startswith("level:"):
+        return LevelSums((_level_selector(name),)), NO_WITNESS
+    target, expected = _resolve_space(dims, name)
+    if isinstance(target, list):
+        target = span([pv.expand() for pv in target])
+    return orthonormal_basis(target), expected
 
 
 def _parse_points(text: str) -> list:
@@ -226,18 +256,18 @@ def cmd_upb(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import ff_verify, max_product_overlap, orthonormal_basis
+    from .verify import ff_verify, max_product_overlap
 
     cfg = RunConfig.from_args(args)
-    target, expected = _resolve_space(cfg.dims, args.space)
-    if isinstance(target, list):
-        target = span([pv.expand() for pv in target])
-    reports = []
     if args.method == "ff":
+        target, expected = _resolve_space(cfg.dims, args.space)
+        if isinstance(target, list):
+            target = span([pv.expand() for pv in target])
         reports = ff_verify(target, cfg.dims, cfg.primes)
     else:
+        space, expected = _als_space(cfg.dims, args.space)
         result = max_product_overlap(
-            orthonormal_basis(target), cfg.dims,
+            space, cfg.dims,
             restarts=cfg.restarts, max_sweeps=cfg.max_sweeps,
             tol=cfg.tol, seed=cfg.seed,
         )

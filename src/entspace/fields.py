@@ -213,7 +213,7 @@ class Field:
         if self.kind == "fp":
             return f"fp({self.p})"
         if self.kind == "complex":
-            return "complex64-approx"
+            return "complex128-approx"
         return self.kind
 
     def zero(self) -> Scalar:
@@ -273,7 +273,8 @@ def parse_field(label: str) -> Field:
         return RATIONAL
     if label == "gaussian":
         return GAUSSIAN
-    if label == "complex64-approx":
+    # older documents label the same complex128 floats "complex64-approx"
+    if label in ("complex128-approx", "complex64-approx"):
         return COMPLEX
     if label.startswith("fp(") and label.endswith(")"):
         return prime_field(int(label[3:-1]))

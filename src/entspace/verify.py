@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .construct import INFINITY, ProductVector, entangled_subspace, \
     level_sum_vector, vandermonde_vector
 from .fields import COMPLEX, Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims
+from .grading import Dims, level_counts
 from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
     NO_WITNESS, WITNESS, BudgetExceededError, StateVector, Subspace, \
     integer_generators, orthocomplement, reduce_mod_p, span
@@ -374,24 +375,32 @@ def classify_product_vectors_fp(
 def orthonormal_basis(s: Subspace) -> np.ndarray:
     """Complex-float orthonormal rows spanning the same subspace.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; plenty at these
-    sizes since the input rows are exact and well conditioned.
+    One QR factorization of the rows; a diagonal entry of R below 1e-12 means
+    a row is numerically dependent on the ones before it.
     """
     if s.field.kind == "fp":
         raise TypeError("prime-field subspaces have no complex embedding")
     rows = np.array(
         [[complex(c) for c in r.coeffs] for r in s.rows], dtype=complex
     ).reshape(s.dim, s.dims.total)
-    basis = []
-    for v in rows:
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise ValueError("input rows are numerically dependent")
-        basis.append(v / norm)
-    return np.array(basis).reshape(len(basis), s.dims.total)
+    q, r = np.linalg.qr(rows.T)
+    if not np.all(np.abs(np.diagonal(r)) >= 1e-12):  # also rejects nan
+        raise ValueError("input rows are numerically dependent")
+    return np.ascontiguousarray(q.T)
+
+
+class LevelSums(NamedTuple):
+    """A graded space named by its levels, for ``max_product_overlap``.
+
+    With ``sums`` the space is spanned by the level sums u_n of ``levels``;
+    without, it is the part of those levels orthogonal to their u_n.  So S
+    (and example1, which is S on two factors) is every level without sums,
+    Sperp every level with sums, and ``level:n`` the level n without sums:
+    the spaces ``construct`` writes down exactly.
+    """
+
+    levels: tuple[int, ...]
+    sums: bool = False
 
 
 def _site_update_matrices(w_conj: np.ndarray, factors: list[np.ndarray], r: int) -> np.ndarray:
@@ -404,6 +413,95 @@ def _site_update_matrices(w_conj: np.ndarray, factors: list[np.ndarray], r: int)
         if s != r:
             operands.extend([factors[s], [0, s + 2]])
     return np.einsum(*operands, [0, 1, r + 2])
+
+
+def _dense_form(basis, dims: Dims):
+    """Site form of the span of orthonormal rows w_j: c^H c, where c holds
+    the overlaps <w_j, x> as linear maps of site r's factor.
+
+    Returns (form, shift, dim, rows): ``rows`` is the height of c.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    m = basis.shape[0]
+    if m and basis.shape[1] != dims.total:
+        raise ValueError(f"basis width {basis.shape[1]} != total {dims.total}")
+    if m and not np.max(np.abs(basis @ basis.conj().T - np.eye(m))) <= 1e-8:
+        raise ValueError("basis rows are not orthonormal")  # also rejects nan
+    w_conj = basis.conj().reshape((m,) + dims.d)
+
+    def form(factors: list[np.ndarray], r: int) -> np.ndarray:
+        c = _site_update_matrices(w_conj, factors, r)
+        return c.conj().transpose(0, 2, 1) @ c
+
+    return form, 0.0, m, m
+
+
+def _product_polynomial(factors: list[np.ndarray], skip: int) -> np.ndarray:
+    # coefficients of prod_{s != skip} P_s(t), P_s(t) = sum_i f_s[i] t^i,
+    # one row per restart
+    q = None
+    for s, f in enumerate(factors):
+        if s == skip:
+            continue
+        if q is None:
+            q = f
+            continue
+        out = np.zeros((len(q), q.shape[1] + f.shape[1] - 1), dtype=q.dtype)
+        for j in range(f.shape[1]):
+            out[:, j:j + q.shape[1]] += q * f[:, j:j + 1]
+        q = out
+    return q
+
+
+def _toeplitz(q: np.ndarray, d: int) -> np.ndarray:
+    # the stack T with T[b, n, j] = q[b, n - j], zero outside, so that T @ a
+    # holds the coefficients of q(t) * sum_j a[j] t^j
+    t = np.zeros((len(q), q.shape[1] + d - 1, d), dtype=q.dtype)
+    for j in range(d):
+        t[:, j:j + q.shape[1], j] = q
+    return t
+
+
+def _level_sum_form(space: LevelSums, dims: Dims):
+    """Site form of a graded space, read off the level sums.
+
+    For unit factors a_s, <u_n, x> is c_n, the t^n coefficient of
+    prod_s P_s(t), and with every other site fixed c = T a_r.  So the part
+    of x in the span of the u_n has squared norm a_r^H M a_r with
+    M = T^H diag(1/a_n) T, and the rest of level n has the level's squared
+    mass minus |c_n|^2 / a_n.  On S the levels hold all of x, so the overlap
+    is 1 - a_r^H M a_r: the form is -M and the overlap is its top eigenvalue
+    plus the shift 1, so the gap 1 - overlap is the bottom eigenvalue of M
+    rather than a difference of two numbers near 1.
+
+    Returns (form, shift, dim, rows): ``rows`` is the height of T.
+    """
+    for n in space.levels:
+        if not 0 <= n <= dims.max_level:
+            raise ValueError(f"level {n} out of range [0, {dims.max_level}]")
+    counts = level_counts(dims)
+    levels = np.array(sorted(set(space.levels)), dtype=np.intp)
+    every = len(levels) == dims.max_level + 1
+    # the form is M on the span of the sums, and -M (plus the masses) off it
+    sign = 1.0 if space.sums else -1.0
+    weights = sign / np.array([counts[n] for n in levels], dtype=float)[:, None]
+
+    def form(factors: list[np.ndarray], r: int) -> np.ndarray:
+        d = dims.d[r]
+        t = _toeplitz(_product_polynomial(factors, r), d)
+        if not every:
+            t = t[:, levels]
+        m = t.conj().transpose(0, 2, 1) @ (weights * t)
+        if space.sums or every:
+            return m
+        masses = [f.real ** 2 + f.imag ** 2 for f in factors]
+        mass = _toeplitz(_product_polynomial(masses, r), d)[:, levels].sum(axis=1)
+        m[:, np.arange(d), np.arange(d)] += mass
+        return m
+
+    shift = 1.0 if every and not space.sums else 0.0
+    dim = len(levels) if space.sums else sum(counts[n] - 1 for n in levels)
+    return form, shift, dim, dims.max_level + 1
 
 
 def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]:
@@ -421,20 +519,35 @@ def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]
     return top, vecs[:, -1]
 
 
-def _als_block(w_conj: np.ndarray, dims: Dims, ts: range, max_sweeps: int,
-               tol: float, seed: int):
-    """Advance the restarts ``ts`` together until each one converges.
+def _start_factors(dims: Dims, ts: range, seed: int) -> list[np.ndarray]:
+    """Unit start factors of the restarts ``ts``, one (B, d_s) array per site.
 
-    Returns every restart's final overlap, final factors (one (B, d_s)
-    array per site) and history: its overlap after each site update.
+    Restart t draws all its sites at once from the generator seeded with
+    (seed, t): the site vectors in order, each entry a (real, imaginary)
+    pair of standard normals.
     """
     factors = [np.empty((len(ts), d), dtype=complex) for d in dims.d]
+    ends = np.cumsum(dims.d).tolist()
     for i, t in enumerate(ts):
-        rng = np.random.default_rng([seed, t])
-        for f, d in zip(factors, dims.d):
-            raw = rng.standard_normal((d, 2))
-            x = raw[:, 0] + 1j * raw[:, 1]
-            f[i] = x / np.linalg.norm(x)
+        # default_rng([seed, t]) without its wrapper's overhead
+        rng = np.random.Generator(np.random.PCG64([seed, t]))
+        z = rng.standard_normal(2 * ends[-1]).view(complex)
+        for f, a, b in zip(factors, [0] + ends, ends):
+            f[i] = z[a:b] / np.linalg.norm(z[a:b])
+    return factors
+
+
+def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
+               seed: int, shift: float = 0.0):
+    """Advance the restarts ``ts`` together until each one converges.
+
+    ``form(factors, r)`` gives every active restart's Hermitian site form:
+    the factor of site r maximizing the overlap is its top eigenvector, and
+    the overlap is its top eigenvalue plus ``shift``.  Returns every
+    restart's final overlap, final factors (one (B, d_s) array per site)
+    and history: its overlap after each site update.
+    """
+    factors = _start_factors(dims, ts, seed)
     final = np.empty(len(ts))
     n_sweeps = np.empty(len(ts), dtype=np.intp)
     active = np.arange(len(ts))
@@ -444,8 +557,7 @@ def _als_block(w_conj: np.ndarray, dims: Dims, ts: range, max_sweeps: int,
     for sweep in range(max_sweeps):
         overlaps = np.empty((len(active), dims.k))
         for r in range(dims.k):
-            c = _site_update_matrices(w_conj, work, r)
-            a = c.conj().transpose(0, 2, 1) @ c
+            a = form(work, r)
             vals, vecs = np.linalg.eigh(a)
             top = vals[:, -1]
             new = vecs[:, :, -1]
@@ -453,7 +565,7 @@ def _als_block(w_conj: np.ndarray, dims: Dims, ts: range, max_sweeps: int,
             for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
                 _, new[i] = _top_eigvec(a[i], work[r][i])
             work[r] = new
-            overlaps[:, r] = top
+            overlaps[:, r] = top + shift
         log.append((active, overlaps))
         current = overlaps[:, -1]
         done = (current - start < tol) | (sweep == max_sweeps - 1)
@@ -498,7 +610,7 @@ def _fix_phases(factors: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def max_product_overlap(
-    basis: np.ndarray,
+    basis: np.ndarray | LevelSums,
     dims: Dims,
     restarts: int = DEFAULT_RESTARTS,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -507,7 +619,13 @@ def max_product_overlap(
 ) -> AlsResult:
     """Maximize the squared projection of a unit product vector on a subspace.
 
-    basis holds orthonormal rows (checked to 1e-8).  Each restart draws
+    ``basis`` is a ``LevelSums`` graded space (S, Sperp, a level slice, or
+    example1, which is S on two factors), or any subspace given by
+    orthonormal rows (checked to 1e-8).  A graded space's site updates come
+    from the level sums alone: a Toeplitz matrix of the other sites' product
+    polynomial, with no basis and no contraction over the whole space.  Rows
+    (the example2 spaces, and any basis a caller passes) are contracted
+    densely against the factors.  Each restart draws
     fresh factors from an isotropic complex Gaussian, then cycles over the
     sites; the optimal single-site update is the top eigenvector of a small
     Hermitian matrix, so the overlap never decreases.  A restart stops after
@@ -515,10 +633,10 @@ def max_product_overlap(
     A search that could take more than ``ALS_BUDGET`` site updates raises
     ``BudgetExceededError`` before any work.
 
-    Restarts advance together in blocks: each site update is one contraction
-    and one batched eigensolve over every unconverged restart of the block,
-    and no stacked array holds more than ``_ALS_BLOCK_ENTRIES`` entries
-    (unless one restart alone needs more).  Restart
+    Restarts advance together in blocks: each site update is one batched
+    site form and one batched eigensolve over every unconverged restart of
+    the block, and no stacked array holds more than ``_ALS_BLOCK_ENTRIES``
+    entries (unless one restart alone needs more).  Restart
     seeds derive from (seed, restart index) alone and each restart's
     arithmetic is that of a lone run, so the outcome is independent of
     execution order and block size.  Among restarts reaching the same best
@@ -538,8 +656,10 @@ def max_product_overlap(
                                   "site updates (restarts * max_sweeps * sites)")
     params = {"restarts": restarts, "max_sweeps": max_sweeps,
               "tol": tol, "seed": seed}
-    basis = np.asarray(basis, dtype=complex)
-    m = basis.shape[0]
+    if isinstance(basis, LevelSums):
+        form, shift, m, rows = _level_sum_form(basis, dims)
+    else:
+        form, shift, m, rows = _dense_form(basis, dims)
     if m == 0:
         report = VerificationReport(
             method="als", params=params,
@@ -548,17 +668,10 @@ def max_product_overlap(
             certified_dims={"complex": 0},
         )
         return AlsResult(0.0, None, [], report)
-    if basis.shape[1] != dims.total:
-        raise ValueError(f"basis width {basis.shape[1]} != total {dims.total}")
-    gram = basis @ basis.conj().T
-    if not np.max(np.abs(gram - np.eye(m))) <= 1e-8:  # also rejects nan
-        raise ValueError("basis rows are not orthonormal")
-
-    w_conj = basis.conj().reshape((m,) + dims.d)
-    # per restart, the update matrix holds m * d_r entries and the
-    # eigenproblem d_r * d_r
+    # per restart, the site form's factor (c or T) holds rows * d_r entries
+    # and the eigenproblem d_r * d_r
     width = max(dims.d)
-    block = max(1, _ALS_BLOCK_ENTRIES // (width * max(m, width)))
+    block = max(1, _ALS_BLOCK_ENTRIES // (width * max(rows, width)))
     best = -1.0
     best_factors: list[np.ndarray] | None = None
     best_restart = -1
@@ -566,7 +679,7 @@ def max_product_overlap(
     for first in range(0, restarts, block):
         ts = range(first, min(first + block, restarts))
         final, factors, block_histories = _als_block(
-            w_conj, dims, ts, max_sweeps, tol, seed)
+            form, dims, ts, max_sweeps, tol, seed, shift)
         histories += block_histories
         i = int(np.argmax(final))  # the first restart reaching the maximum
         if final[i] > best:

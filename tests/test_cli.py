@@ -1,6 +1,8 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entspace import (
     INFINITY,
@@ -21,6 +24,7 @@ from entspace import (
     span,
 )
 import entspace.cli as entspace_cli
+import entspace.verify as verify_module
 from entspace.cli import main
 from entspace.serialize import document_product_vectors, document_vectors, parse_csv
 
@@ -224,6 +228,38 @@ def test_verify_als(capsys):
     assert doc["reports"][0]["metrics"]["best_overlap"] < 0.95
 
 
+def test_verify_als_graded_spaces_build_no_basis(capsys, monkeypatch):
+    def no_basis(space):
+        raise AssertionError("graded spaces need no orthonormal basis")
+
+    monkeypatch.setattr(verify_module, "orthonormal_basis", no_basis)
+    code, out, _ = run(capsys, "verify", "--dims", "12,12", "--space", "S",
+                       "--method", "als")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == doc["expected"] == "no-product-vector-found"
+    assert doc["reports"][0]["certified_dims"] == {"complex": 144 - 23}
+    for space, want in (("Sperp", 0), ("level:3", 0), ("example1", 0), ("level:9", 2)):
+        assert run(capsys, "verify", "--dims", "3,4", "--space", space,
+                   "--method", "als", "--restarts", "2")[0] == want, space
+
+
+def test_verify_als_example2_uses_the_dense_basis(capsys, monkeypatch):
+    calls = []
+    real = verify_module.orthonormal_basis
+
+    def recording(space):
+        calls.append(space.dim)
+        return real(space)
+
+    monkeypatch.setattr(verify_module, "orthonormal_basis", recording)
+    for space in ("example2-M", "example2-R"):
+        code, out, _ = run(capsys, "verify", "--dims", "4,4", "--space", space,
+                           "--method", "als", "--restarts", "4")
+        assert code == 0, space
+    assert calls == [8, 7]
+
+
 @pytest.mark.parametrize("flags", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "2"), ("--tol", "0"),
     ("--tol", "-1e-9"), ("--max-sweeps", "0"), ("--max-sweeps", "-3"),
@@ -336,7 +372,7 @@ def test_onb(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["approx"] is True
-    assert doc["field"] == "complex64-approx"
+    assert doc["field"] == "complex128-approx"
     assert len(doc["vectors"]) == 2
     for entry in doc["vectors"]:
         norm = sum(c["re"] ** 2 + c["im"] ** 2 for c in entry["coeffs"])
@@ -384,3 +420,75 @@ def test_als_margins_script_rejects_bad_flags(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "Traceback" not in err
+
+
+# The CLI grammar, bad values included: every argv must exit 0, 2 or 3 with
+# no traceback.  Shapes, primes and restarts stay small so each run is quick.
+_BAD_OUT = str(Path(__file__).resolve().parent / "no-such-dir" / "out.json")
+# flag -> (good values, bad values)
+_VALUES = {
+    "--dims": (["2,2", "2,3", "3,3", "2,2,2", "4,4", "2x3"],
+               ["1,3", "0,2", "2", "a,b", "", "-2,3"]),
+    "--out": ([os.devnull], [_BAD_OUT]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--space": (["S", "Sperp", "level:0", "level:2", "example1", "example2-M",
+                 "example2-R"], ["level:9", "level:x", "T"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--size": (["3", "5", "7", "9"], ["-1", "0", "x"]),
+    "--lambdas": (["0,1,2", "0,1,2,3,4", "inf,1/2,3"], ["1/0", "0,0,1", "a", ""]),
+    "--primes": (["5", "7,11"], ["2", "4", "0", "-5", "x", ""]),
+    "--method": (["ff", "als"], ["lsq"]),
+    "--restarts": (["1", "3"], ["0", "-2", "x"]),
+    "--tol": (["1e-10", "0.5"], ["0", "1", "nan", "inf", "x"]),
+    "--max-sweeps": (["1", "20"], ["0", "-3", "x"]),
+    "--prime": (["5", "7", "11"], ["1", "2", "4", "0", "-7", "x"]),
+    "--level": (["0", "1", "2"], ["-1", "9", "x"]),
+}
+_GRAMMAR = {  # command -> (required flags, optional flags); a tuple is a choice
+    "dims": ([], []),
+    "construct": (["--space"], ["--format"]),
+    "upb": ([("--min", "--size")], ["--lambdas", "--primes"]),
+    "verify": (["--space"], ["--method", "--primes", "--restarts", "--tol",
+                             "--max-sweeps"]),
+    "classify": (["--prime"], []),
+    "onb": (["--level"], []),
+    "bogus": ([], []),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of the CLI grammar: a required flag is left out one time in
+    eight, an optional one half the time, a value is bad one time in six,
+    and a flag foreign to the command comes in one time in eight."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[command]
+    flags = [(f, 7) for f in ["--dims"] + required]  # (flag, times in eight)
+    flags += [(f, 4) for f in ["--out", "--seed"] + optional]
+    flags.append((draw(st.sampled_from(sorted(_VALUES))), 1))
+    argv = [command]
+    for flag, keep in flags:
+        if isinstance(flag, tuple):
+            flag = draw(st.sampled_from(flag))
+        if draw(st.integers(0, 7)) >= keep:
+            continue
+        argv.append(flag)
+        if flag != "--min":
+            good, bad = _VALUES[flag]
+            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad)))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv())
+def test_cli_grammar_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in err.getvalue(), argv

@@ -69,6 +69,9 @@ def test_fp_mixed_modulus_rejected():
 def test_field_labels_roundtrip():
     for f in (RATIONAL, GAUSSIAN, COMPLEX, prime_field(5), prime_field(11)):
         assert parse_field(f.label) == f
+    # complex scalars are complex128; documents with the old label still parse
+    assert COMPLEX.label == "complex128-approx"
+    assert parse_field("complex64-approx") == COMPLEX
     with pytest.raises(ValueError):
         parse_field("fp(6)")
     with pytest.raises(ValueError):

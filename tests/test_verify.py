@@ -14,15 +14,19 @@ from entspace import (
     DEFAULT_RESTARTS,
     Dims,
     INFINITY,
+    LevelSums,
     NO_WITNESS,
     ProductVector,
     RATIONAL,
     StateVector,
+    Subspace,
     WITNESS,
     candidate_count,
     classify_product_vectors_fp,
     default_primes,
+    antidiagonal_zero_space,
     entangled_complement,
+    entangled_level,
     entangled_subspace,
     ff_verify,
     find_product_vectors_fp,
@@ -39,7 +43,8 @@ from entspace import (
 import entspace.verify as verify_module
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
-from entspace.verify import _fix_phases, _site_index, _site_points, _top_eigvec
+from entspace.verify import _fix_phases, _site_index, _site_points, \
+    _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -429,6 +434,118 @@ def test_batched_als_blocks_stay_within_block_entries(monkeypatch):
     assert cap <= 2**16
     assert max(math.prod(s) for s in shapes) <= cap
     assert max(s[0] * s[2] ** 2 for s in shapes) <= cap
+    assert sum(s[0] for s in shapes[::2]) == 1000  # two site updates per sweep
+
+
+def graded_spaces(dims):
+    """Every graded space the CLI can search: (name, level-sum form, exact space)."""
+    every = tuple(range(dims.max_level + 1))
+    out = [("S", LevelSums(every), entangled_subspace(dims)),
+           ("Sperp", LevelSums(every, sums=True), entangled_complement(dims))]
+    out += [(f"level:{n}", LevelSums((n,)), entangled_level(dims, n)) for n in every]
+    if dims.k == 2:
+        out.append(("example1", LevelSums(every), antidiagonal_zero_space(*dims.d)))
+    return out
+
+
+def sperp_overlap(witness: ProductVector) -> float:
+    """Squared projection of the unit-normalized witness on Sperp, from its
+    expansion: sum over levels of |level sum|^2 / a_n."""
+    dims = witness.dims
+    x = np.array([complex(c) for c in witness.expand().coeffs])
+    x = x / np.linalg.norm(x)
+    level = np.array([sum(idx) for idx in dims.all_indices()])
+    sums = np.bincount(level, weights=x.real) + 1j * np.bincount(level, weights=x.imag)
+    return float(np.sum(np.abs(sums) ** 2 / np.bincount(level)))
+
+
+@pytest.mark.parametrize("dims", [Dims((2, 2)), Dims((3, 3)), Dims((2, 3, 4)),
+                                  Dims((3, 3, 3)), Dims((2,) * 4)], ids=str)
+def test_level_sum_als_matches_dense_als(dims):
+    for name, graded, space in graded_spaces(dims):
+        got = max_product_overlap(graded, dims, restarts=6, seed=4)
+        want = max_product_overlap(orthonormal_basis(space), dims, restarts=6, seed=4)
+        assert got.report.verdict == want.report.verdict, name
+        assert abs(got.best_overlap - want.best_overlap) <= 1e-9, name
+        assert got.report.certified_dims == want.report.certified_dims == {"complex": space.dim}
+        assert got.report.params == want.report.params
+        if space.dim == 0:
+            assert got.report.metrics == want.report.metrics
+            continue
+        # the histories are overlaps after each site update, never decreasing
+        for history in got.histories:
+            assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+        # the witness factors realize the reported overlap with the space
+        x = np.array([complex(c) for c in got.witness.expand().coeffs])
+        b = orthonormal_basis(space)
+        assert abs(np.sum(np.abs(b.conj() @ x) ** 2) - got.best_overlap) <= 1e-9, name
+        if name == "Sperp":
+            assert got.report.verdict == WITNESS
+            assert sperp_overlap(got.report.witness) > 1 - 1e-9
+
+
+def test_level_sum_als_rejects_levels_out_of_range():
+    dims = Dims((3, 3))
+    for levels in ((5,), (-1,), (0, 9)):
+        with pytest.raises(ValueError, match="out of range"):
+            max_product_overlap(LevelSums(levels), dims)
+    # levels holding one index span no vector orthogonal to their sum
+    result = max_product_overlap(LevelSums((0, 4)), dims)
+    assert result.best_overlap == 0.0 and result.report.certified_dims == {"complex": 0}
+
+
+def test_level_sum_als_runs_large_shapes_without_a_basis():
+    # S on 30,30 is 841-dimensional; its level-sum form holds (B, 59, 30) stacks
+    dims = Dims((30, 30))
+    result = max_product_overlap(LevelSums(tuple(range(59))), dims, restarts=2)
+    assert result.report.certified_dims == {"complex": 30 * 30 - 59}
+    assert 0.0 <= 1.0 - result.best_overlap < 1e-12
+
+
+def test_start_factors_match_the_per_site_draw():
+    for dims, seed in ((Dims((2, 2)), 0), (Dims((3, 5)), 17), (Dims((2, 3, 4)), 2**31),
+                       (Dims((2,) * 6), 5)):
+        ts = range(3, 11)
+        got = _start_factors(dims, ts, seed)
+        for i, t in enumerate(ts):
+            rng = np.random.default_rng([seed, t])
+            for f, d in zip(got, dims.d):
+                raw = rng.standard_normal((d, 2))
+                x = raw[:, 0] + 1j * raw[:, 1]
+                want = x / np.linalg.norm(x)
+                assert f[i].tobytes() == want.tobytes()
+
+
+def test_orthonormal_basis_rejects_dependent_rows():
+    dims = Dims((2, 2))
+    rows = [StateVector.from_values(dims, RATIONAL, [1, 0, 0, 0]),
+            StateVector.from_values(dims, RATIONAL, [2, 0, 0, 0])]
+    # a Subspace is always reduced, so build one around dependent rows
+    space = Subspace(dims, RATIONAL, tuple(rows))
+    with pytest.raises(ValueError, match="numerically dependent"):
+        orthonormal_basis(space)
+    b = orthonormal_basis(span([rows[0]], dims=dims))
+    assert b.shape == (1, 4) and abs(abs(b[0, 0]) - 1) < 1e-15
+
+
+def test_level_sum_blocks_stay_within_block_entries(monkeypatch):
+    dims = Dims((16, 16))
+    shapes = []
+    real_toeplitz = verify_module._toeplitz
+
+    def recording_toeplitz(q, d):
+        t = real_toeplitz(q, d)
+        shapes.append(t.shape)
+        return t
+
+    monkeypatch.setattr(verify_module, "_toeplitz", recording_toeplitz)
+    result = max_product_overlap(LevelSums(tuple(range(31))), dims,
+                                 restarts=1000, max_sweeps=1)
+    assert result.report.metrics["total_sweeps"] == 1000
+    cap = verify_module._ALS_BLOCK_ENTRIES
+    # T is (N + 1) x d_r per restart
+    assert {s[1:] for s in shapes} == {(31, 16)}
+    assert max(math.prod(s) for s in shapes) <= cap
     assert sum(s[0] for s in shapes[::2]) == 1000  # two site updates per sweep
 
 
