@@ -59,14 +59,12 @@ from .construct import (
     vandermonde_vector,
 )
 
-# The verifier needs numpy, so its names load on first access (PEP 562):
-# ``dims`` and ``construct`` never import numpy.
-_VERIFY_NAMES = frozenset({
-    "ALS_BUDGET",
-    "AlsResult",
+# The verifiers load on first access (PEP 562), so ``dims`` and
+# ``construct`` import neither; the finite-field oracle needs no numpy, the
+# ALS search does.
+_FF_NAMES = frozenset({
     "ClassifyReport",
     "ENUMERATION_BUDGET",
-    "LevelSums",
     "UpbReport",
     "VerificationReport",
     "candidate_count",
@@ -74,14 +72,23 @@ _VERIFY_NAMES = frozenset({
     "default_primes",
     "ff_verify",
     "find_product_vectors_fp",
+    "verify_upb",
+})
+_VERIFY_NAMES = frozenset({
+    "ALS_BUDGET",
+    "AlsResult",
+    "LevelSums",
     "max_product_overlap",
     "nearest_vandermonde",
     "orthonormal_basis",
-    "verify_upb",
 })
 
 
 def __getattr__(name: str):
+    if name in _FF_NAMES:
+        from . import ff
+
+        return getattr(ff, name)
     if name in _VERIFY_NAMES:
         from . import verify
 
@@ -90,7 +97,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _VERIFY_NAMES)
+    return sorted(set(globals()) | _FF_NAMES | _VERIFY_NAMES)
 
 
 __all__ = [

@@ -291,7 +291,7 @@ def upb_of_size(
     basis product vector of that level except the lexicographically last.
     The orthocomplement of the result is the direct sum of the entangled
     slices of the unchosen levels, which sits inside the entangled subspace.
-    Nothing is eliminated here: ``verify.verify_upb`` audits rank and
+    Nothing is eliminated here: ``ff.verify_upb`` audits rank and
     complement exactly.
     """
     if dims.k != 2:

@@ -110,7 +110,7 @@ class GaussianRational:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fp:
     """Residue modulo a prime, carrying its modulus.
 

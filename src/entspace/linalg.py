@@ -12,9 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .fields import COMPLEX, Field, Fp, GaussianRational, Scalar, prime_field
 from .grading import Dims, MultiIndex
+
+if TYPE_CHECKING:
+    from .construct import ProductVector
 
 # Largest elimination span() takes on, as rows * cols * min(rows, cols)
 # (the multiply-adds of Gauss-Jordan).  Generic elimination over Fraction is
@@ -27,14 +31,29 @@ ELIMINATION_BUDGET = 2 * 10**7
 # largest benchmarked) has about 2.4e4, 300x300 S would need 8e9.
 DENSE_BUDGET = 2 * 10**6
 
-# Verifier defaults and verdicts.  They live here, away from the numpy-based
-# ``verify`` (which re-exports them), so the CLI can build its parser and
-# run ``dims``/``construct`` without loading numpy.
+# Verifier defaults, verdicts and report.  They live here, away from the
+# numpy-based ``verify`` and the F_p oracle ``ff`` (which both re-export
+# them), so the CLI can build its parser and run ``dims``/``construct``
+# without numpy, and an ALS search runs without loading the oracle.
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_SWEEPS = 500
 DEFAULT_TOL = 1e-10
 NO_WITNESS = "no-product-vector-found"
 WITNESS = "witness-found"
+
+
+@dataclass
+class VerificationReport:
+    method: str                 # "finite-field" | "als"
+    params: dict
+    verdict: str                # NO_WITNESS | WITNESS
+    witness: ProductVector | None
+    metrics: dict
+    certified_dims: dict
+
+    def __post_init__(self) -> None:
+        if (self.witness is not None) != (self.verdict == WITNESS):
+            raise ValueError("witness must be present exactly when found")
 
 
 class BudgetExceededError(RuntimeError):

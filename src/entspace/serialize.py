@@ -17,8 +17,8 @@ from .fields import COMPLEX, Field, Fp, GaussianRational, parse_field
 from .grading import Dims
 from .linalg import StateVector, Subspace
 
-if TYPE_CHECKING:  # verify loads numpy, which construct and dims never need
-    from .verify import ClassifyReport, UpbReport, VerificationReport
+if TYPE_CHECKING:  # dims and construct never need the oracle's report classes
+    from .ff import ClassifyReport, UpbReport, VerificationReport
 
 
 def _fmt_float(x: float) -> str:

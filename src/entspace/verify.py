@@ -1,34 +1,49 @@
 """Two independent verifiers for complete entanglement.
 
-The finite-field route enumerates every projective product tuple over F_p
-and tests exact membership, giving a definitive statement about the reduced
-subspace.  The numerical route runs alternating single-site maximization of
-the product overlap over complex floats and reports a margin; it can certify
-the presence of a product vector (overlap near 1) but never the absence.
+The finite-field route (``entspace.ff``, re-exported here) enumerates every
+projective product vector of the subspace reduced mod p, giving a
+definitive statement about the reduced subspace; this module holds its
+batched numpy kernel for large enumerations.  The numerical route runs
+alternating single-site maximization of the product overlap over complex
+floats and reports a margin; it can certify the presence of a product
+vector (overlap near 1) but never the absence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import NamedTuple
+
+# The package modules load before numpy: a module compiled from source after
+# numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
+from .construct import INFINITY, ProductVector, vandermonde_vector
+from .fields import COMPLEX
+from .grading import Dims, level_counts
+from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
+    NO_WITNESS, WITNESS, BudgetExceededError, Subspace, VerificationReport
 
 import numpy as np
 
-from .construct import INFINITY, ProductVector, entangled_subspace, \
-    level_sum_vector, vandermonde_vector
-from .fields import COMPLEX, Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims, level_counts
-from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
-    NO_WITNESS, WITNESS, BudgetExceededError, StateVector, Subspace, \
-    integer_generators, orthocomplement, reduce_mod_p, span
+# The oracle's names, re-exported on first access (PEP 562): an ALS search
+# never loads ``entspace.ff``, whose compile and import cost about 15 ms.
+_FF_NAMES = frozenset({
+    "DEFAULT_PRIME_POOL", "ENUMERATION_BUDGET", "ClassifyReport", "UpbReport",
+    "_check_oracle", "_projective_count", "_site_index", "_solved_site",
+    "candidate_count", "classify_product_vectors_fp", "default_primes",
+    "ff_verify", "find_product_vectors_fp", "verify_upb",
+})
 
-# Fibre solves plus product vectors found.  Every shape with at most 10**7
-# projective product tuples needs fewer fibres (the most: 537,824 for 2^6
-# at p = 13), and each found point is held in memory as a ProductVector.
-ENUMERATION_BUDGET = 10**6
-# int64 entries per block of partial contractions in the fibre solve
+
+def __getattr__(name: str):
+    if name in _FF_NAMES:
+        from . import ff
+
+        return getattr(ff, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# int64 entries per block of partial contractions in the batched fibre solve
 _CHUNK_ENTRIES = 1 << 16
 # complex entries per stacked array of the ALS restarts advanced together: a
 # 64 KB stack stays in cache, and peak memory stays near a lone restart's
@@ -37,73 +52,15 @@ _ALS_BLOCK_ENTRIES = 1 << 12
 # need 64 * 500 * k, the largest benchmarked run (3,3 with 1000 restarts)
 # 10**6; each update is also one float kept in ``AlsResult.histories``.
 ALS_BUDGET = 4 * 10**6
-DEFAULT_PRIME_POOL = (5, 7, 11)
-
-
-def _over_budget(steps: int, budget: int) -> BudgetExceededError:
-    # A step is one fibre solve or one product vector found; ``steps`` is the
-    # fibre count alone when the enumeration is refused before it starts.
-    return BudgetExceededError(
-        steps, budget, "enumeration", "fibre solves and found points"
-    )
-
-
-@dataclass
-class VerificationReport:
-    method: str                 # "finite-field" | "als"
-    params: dict
-    verdict: str                # NO_WITNESS | WITNESS
-    witness: ProductVector | None
-    metrics: dict
-    certified_dims: dict
-
-    def __post_init__(self) -> None:
-        if (self.witness is not None) != (self.verdict == WITNESS):
-            raise ValueError("witness must be present exactly when found")
-
-
-def default_primes(dims: Dims, want: int = 2) -> list[int]:
-    """Primes exceeding the top level, drawn from the default pool.
-
-    The pool extends upward when the top level is large enough to exhaust it;
-    at least ``want`` primes are always returned.
-    """
-    top = dims.max_level
-    out = [p for p in DEFAULT_PRIME_POOL if p > top]
-    q = max(DEFAULT_PRIME_POOL[-1], top) + 1
-    while len(out) < want:
-        if is_prime(q):
-            out.append(q)
-        q += 1
-    return out
-
-
-def _integer_rows(generators, dims: Dims) -> list[StateVector]:
-    if isinstance(generators, Subspace):
-        if generators.dims != dims:
-            raise TypeError(f"subspace dims {generators.dims} do not match {dims}")
-        if generators.field == RATIONAL:
-            return integer_generators(generators)
-        return list(generators.rows)
-    return list(generators)
-
-
-def _projective_count(d: int, p: int) -> int:
-    """Number of points of the projective space of F_p^d."""
-    return (p**d - 1) // (p - 1)
-
-
-def candidate_count(dims: Dims, p: int) -> int:
-    """Number of projective product tuples over F_p."""
-    return math.prod(_projective_count(d, p) for d in dims.d)
 
 
 def _site_points(d: int, p: int, pos: np.ndarray) -> np.ndarray:
     """Rows: the projective points of F_p^d at the given positions.
 
-    Each point has first nonzero coordinate 1.  Points are ordered by the
-    position of that leading 1, then by the coordinates after it read as a
-    base-p number; ``_site_index`` is the inverse.
+    Each point has first nonzero coordinate 1.  Points are in the order of
+    ``entspace.ff._projective_points``: by the position of that leading 1,
+    then by the coordinates after it read as a base-p number;
+    ``_site_index`` is the inverse.
     """
     offsets = np.cumsum([0] + [p ** (d - 1 - lead) for lead in range(d - 1)])
     lead = np.searchsorted(offsets, pos, side="right") - 1
@@ -114,38 +71,6 @@ def _site_points(d: int, p: int, pos: np.ndarray) -> np.ndarray:
         rest = rest // p
     out[np.arange(len(pos)), lead] = 1
     return out
-
-
-def _site_index(v, p: int) -> int:
-    """Position of a normalized vector in ``_site_points`` order."""
-    d = len(v)
-    lead = next(i for i, a in enumerate(v) if a)
-    rest = 0
-    for a in v[lead + 1:]:
-        rest = rest * p + a
-    return sum(p ** (d - 1 - i) for i in range(lead)) + rest
-
-
-def _solved_site(dims: Dims) -> int:
-    # solving the largest site leaves the fewest fibres to enumerate
-    return max(range(dims.k), key=lambda r: (dims.d[r], r))
-
-
-def _check_oracle(dims: Dims, p: int, budget: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p <= dims.max_level:
-        raise ValueError(
-            f"prime {p} must exceed the top level {dims.max_level}"
-        )
-    s = _solved_site(dims)
-    fibres = math.prod(
-        _projective_count(d, p) for r, d in enumerate(dims.d) if r != s
-    )
-    if fibres > budget:
-        raise _over_budget(fibres, budget)
-    if max(dims.d) * p * p >= 2**63:
-        raise ValueError(f"prime {p} is too large for int64 residues")
 
 
 def _inverse_mod_p(x: np.ndarray, p: int) -> np.ndarray:
@@ -191,25 +116,6 @@ def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, pivot
 
 
-def _kernel_points(red: np.ndarray, pivot: np.ndarray, p: int):
-    """Projective points of the kernel of one reduced matrix, each scaled so
-    its first nonzero coordinate is 1."""
-    d = len(pivot)
-    pivot_rows = list(zip(red.tolist(), np.flatnonzero(pivot).tolist()))
-    basis = []
-    for j in np.flatnonzero(~pivot).tolist():
-        x = [0] * d
-        x[j] = 1
-        for row, c in pivot_rows:
-            x[c] = -row[j] % p
-        basis.append(x)
-    count = _projective_count(len(basis), p)
-    for coef in _site_points(len(basis), p, np.arange(count)).tolist():
-        v = [sum(a * b[i] for a, b in zip(coef, basis)) % p for i in range(d)]
-        inv = pow(next(a for a in v if a), -1, p)
-        yield [a * inv % p for a in v]
-
-
 def _fibre_stacks(mat: np.ndarray, sites: list[int], p: int):
     """Yield, in fibre order, stacks of the small matrices M of every fibre.
 
@@ -218,6 +124,8 @@ def _fibre_stacks(mat: np.ndarray, sites: list[int], p: int):
     sites still to contract.  A contraction is shared by every fibre below
     it, and no block holds much more than ``_CHUNK_ENTRIES`` entries.
     """
+    from .ff import _projective_count
+
     if not sites:
         yield mat
         return
@@ -233,143 +141,29 @@ def _fibre_stacks(mat: np.ndarray, sites: list[int], p: int):
             yield from _fibre_stacks(out, sites[1:], p)
 
 
-def find_product_vectors_fp(
-    generators, dims: Dims, p: int, budget: int = ENUMERATION_BUDGET
-) -> list[ProductVector]:
-    """All projective product vectors lying in the given subspace over F_p.
-
-    The subspace is spanned from the (integer) generators after reduction
-    mod p; a subspace already over F_p is used as it is.  An empty result is
-    an exact statement about F_p; it supports the complex-field claim only
-    for p above the top level, which is why smaller primes are rejected
-    outright.
-
-    The search is a fibre solve.  A product vector lies in the subspace
-    exactly when every row of the annihilator H contracts to zero with it.
-    Fixing a projective point on every site but the largest one (the solved
-    site) turns that into a small linear system on the solved site, whose
-    projective kernel points are the hits of that fibre.  Hits come in
-    lexicographic order of their per-site positions in ``_site_points``
-    order, every factor scaled to first nonzero coordinate 1.
-
-    ``budget`` bounds the fibre solves plus the points found; the fibre
-    count is checked before any work.
-    """
-    _check_oracle(dims, p, budget)
-    rows = _integer_rows(generators, dims)  # also checks a subspace's dims
-    fld = prime_field(p)
-    if isinstance(generators, Subspace) and generators.field == fld:
-        reduced = generators
-    else:
-        reduced = reduce_mod_p(rows, dims, p)
-    annihilator = orthocomplement(reduced)
+def _batched_hit_fibres(h: list[list[int]], dims: Dims, p: int):
+    """Yield (positions, points, rows, pivots) for every fibre with a hit,
+    as ``entspace.ff._hit_fibres`` does, from stacks of fibres reduced at
+    once: the kernel for enumerations too large for the plain-int walk."""
+    from .ff import _projective_count, _solved_site
 
     s = _solved_site(dims)
     sites = [d for r, d in enumerate(dims.d) if r != s]
     shape = tuple(_projective_count(d, p) for d in sites)
-    h = np.array(
-        [[c.value for c in row.coeffs] for row in annihilator.rows],
-        dtype=np.int64,
-    ).reshape((annihilator.dim,) + dims.d)
+    h = np.array(h, dtype=np.int64).reshape((len(h),) + dims.d)
     h = np.moveaxis(h, s + 1, -1)
-
-    steps = math.prod(shape)
     first = 0
-    hits = []
     for stack in _fibre_stacks(h[None], sites, p):
         idx = np.unravel_index(np.arange(first, first + len(stack)), shape)
         first += len(stack)
         red, pivot = _rref_stack(stack, p)
         hit = np.flatnonzero(~pivot.all(axis=1))
-        fixed = [_site_points(d, p, i[hit]).tolist() for d, i in zip(sites, idx)]
-        for n, f in enumerate(hit):
-            steps += _projective_count(dims.d[s] - int(pivot[f].sum()), p)
-            if steps > budget:
-                raise _over_budget(steps, budget)
-            pos = [int(i[f]) for i in idx]
-            factors = [pts[n] for pts in fixed]
-            for x in _kernel_points(red[f], pivot[f], p):
-                key = pos[:s] + [_site_index(x, p)] + pos[s:]
-                hits.append((key, factors[:s] + [x] + factors[s:]))
-    hits.sort(key=lambda hit: hit[0])
-    return [
-        ProductVector(dims, fld, tuple(tuple(Fp(a, p) for a in f) for f in combo))
-        for _, combo in hits
-    ]
-
-
-def ff_verify(
-    generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
-) -> list[VerificationReport]:
-    """One finite-field report per prime; witness recorded where found."""
-    if primes is None:
-        primes = default_primes(dims)
-    rows = _integer_rows(generators, dims)
-    rational_dim = None
-    if rows and rows[0].field == RATIONAL:
-        if isinstance(generators, Subspace):
-            rational_dim = generators.dim  # already a reduced echelon basis
-        else:
-            rational_dim = span(rows, dims=dims, field=RATIONAL).dim
-    reports = []
-    for p in primes:
-        _check_oracle(dims, p, budget)  # before reducing: refuse at once
-        reduced = reduce_mod_p(rows, dims, p)
-        found = find_product_vectors_fp(reduced, dims, p, budget)
-        certified = {f"fp({p})": reduced.dim}
-        if rational_dim is not None:
-            certified["rational"] = rational_dim
-        reports.append(VerificationReport(
-            method="finite-field",
-            params={"p": p},
-            verdict=WITNESS if found else NO_WITNESS,
-            witness=found[0] if found else None,
-            metrics={"tests": candidate_count(dims, p), "found": len(found)},
-            certified_dims=certified,
-        ))
-    return reports
-
-
-@dataclass
-class ClassifyReport:
-    dims: Dims
-    p: int
-    passed: bool
-    expected_count: int
-    found: list[ProductVector]
-    missing: list[ProductVector]
-    extraneous: list[ProductVector]
-
-
-def _factor_key(pv: ProductVector):
-    return tuple(tuple(c.value for c in f) for f in pv.factors)
-
-
-def classify_product_vectors_fp(
-    dims: Dims, p: int, budget: int = ENUMERATION_BUDGET
-) -> ClassifyReport:
-    """Check that the product vectors in the entangled complement over F_p
-    are exactly the p+1 projective Vandermonde points (one per field element
-    plus the point at infinity)."""
-    # level sums have 0/1 coefficients, so reduction mod p is exact
-    gens = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
-    found = find_product_vectors_fp(gens, dims, p, budget)
-    fld = prime_field(p)
-    expected = {}
-    for lam in range(p):
-        pv = vandermonde_vector(dims, lam, fld)
-        expected[_factor_key(pv)] = pv
-    inf = vandermonde_vector(dims, INFINITY, fld)
-    expected[_factor_key(inf)] = inf
-
-    found_keys = {_factor_key(pv): pv for pv in found}
-    missing = [pv for key, pv in expected.items() if key not in found_keys]
-    extraneous = [pv for key, pv in found_keys.items() if key not in expected]
-    passed = not missing and not extraneous
-    return ClassifyReport(
-        dims=dims, p=p, passed=passed, expected_count=p + 1,
-        found=found, missing=missing, extraneous=extraneous,
-    )
+        fixed = [list(map(tuple, _site_points(d, p, i[hit]).tolist()))
+                 for d, i in zip(sites, idx)]
+        for n, f in enumerate(hit.tolist()):
+            pivots = np.flatnonzero(pivot[f]).tolist()
+            yield ([int(i[f]) for i in idx], [pts[n] for pts in fixed],
+                   red[f][:len(pivots)].tolist(), pivots)
 
 
 def orthonormal_basis(s: Subspace) -> np.ndarray:
@@ -734,79 +528,3 @@ def nearest_vandermonde(witness: ProductVector, dims: Dims):
         if dist < best_dist:
             best_pt, best_dist = pt, dist
     return best_pt, best_dist
-
-
-@dataclass
-class UpbReport:
-    size: int
-    span_dim: int
-    independent: bool
-    meets_min_size: bool
-    complement_dim: int
-    complement_in_entangled: bool
-    ff_reports: list[VerificationReport] = dataclass_field(default_factory=list)
-    als_report: VerificationReport | None = None
-    is_upb: bool = False
-    witness: ProductVector | None = None
-
-
-def verify_upb(
-    vectors: list[ProductVector],
-    dims: Dims,
-    primes=None,
-    use_als: bool = False,
-    restarts: int = DEFAULT_RESTARTS,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    budget: int = ENUMERATION_BUDGET,
-) -> UpbReport:
-    """Full audit of a claimed unextendible product basis.
-
-    Checks exact linear independence, the minimal-size bound, and then hunts
-    for a product vector in the orthocomplement of the span.  Size below the
-    minimum already disqualifies the set, but the oracle still runs so a
-    failure comes with an explicit witness.
-    """
-    if not vectors:
-        raise ValueError("empty product-vector set")
-    for v in vectors:
-        if v.dims != dims:
-            raise TypeError(f"vector dims {v.dims} do not match {dims}")
-    fld = vectors[0].field
-    if not fld.exact:
-        raise TypeError("exact coefficients required for the rank audit")
-    expansions = [v.expand() for v in vectors]
-    spanned = span(expansions, dims=dims, field=fld)
-    independent = spanned.dim == len(vectors)
-    meets_min = spanned.dim >= dims.max_level + 1
-    complement = orthocomplement(spanned)
-    entangled = entangled_subspace(dims, fld)
-    inside = all(entangled.contains(row) for row in complement.rows)
-
-    report = UpbReport(
-        size=len(vectors),
-        span_dim=spanned.dim,
-        independent=independent,
-        meets_min_size=meets_min,
-        complement_dim=complement.dim,
-        complement_in_entangled=inside,
-    )
-    witness = None
-    if complement.dim > 0:
-        if fld == RATIONAL:
-            report.ff_reports = ff_verify(complement, dims, primes, budget)
-            for rep in report.ff_reports:
-                if rep.verdict == WITNESS and witness is None:
-                    witness = rep.witness
-        if use_als:
-            als = max_product_overlap(
-                orthonormal_basis(complement), dims,
-                restarts=restarts, max_sweeps=max_sweeps, tol=tol, seed=seed,
-            )
-            report.als_report = als.report
-            if als.report.verdict == WITNESS and witness is None:
-                witness = als.report.witness
-    report.witness = witness
-    report.is_upb = independent and meets_min and witness is None
-    return report

@@ -300,17 +300,53 @@ def quiet(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return entspace.cli.main(list(argv))
 
+def loaded():
+    return [name for name in ("numpy", "entspace.verify") if name in sys.modules]
+
 assert quiet("dims", "--dims", "3,3") == 0
 assert quiet("construct", "--dims", "3,3", "--space", "S") == 0
 assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
 assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
-for name in ("numpy", "entspace.verify"):
-    assert name not in sys.modules, name + " loaded by dims, construct or onb"
+assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
+
+from entspace.ff import _BATCH_FIBRES
+from entspace.fields import is_prime
+
+# the finite-field oracle on plain ints: 2,2 at p has p + 1 fibres, so the
+# largest prime at the cut stays numpy-free
+at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
+assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut)) == 0
+assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
+assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
+assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
+assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
+assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
+import entspace
+assert entspace.ff_verify is entspace.ff.ff_verify
+assert entspace.UpbReport is entspace.ff.UpbReport
+assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
+
+# just past the cut the batched kernel loads
+past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
+assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(past_cut)) == 0
+assert loaded() == ["numpy", "entspace.verify"], loaded()
+assert entspace.ff_verify is entspace.verify.ff_verify
+"""
+
+ALS_PROBE = """
+import contextlib, io, sys
+import entspace.cli
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return entspace.cli.main(list(argv))
 
 assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
              "--restarts", "2") == 0
-assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
-assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
+for name in ("numpy", "entspace.verify"):
+    assert name in sys.modules, name + " not loaded by verify --method als"
+assert "entspace.ff" not in sys.modules, "entspace.ff loaded by verify --method als"
 
 import entspace
 names = {}
@@ -318,7 +354,9 @@ exec("from entspace import *", names)
 missing = [n for n in entspace.__all__ if n not in names]
 assert not missing, missing
 assert entspace.max_product_overlap is entspace.verify.max_product_overlap
-assert "max_product_overlap" in dir(entspace)
+assert entspace.verify_upb is entspace.verify.verify_upb
+assert entspace.verify.VerificationReport is entspace.ff.VerificationReport
+assert "max_product_overlap" in dir(entspace) and "ff_verify" in dir(entspace)
 try:
     entspace.no_such_name
 except AttributeError as exc:
@@ -331,10 +369,36 @@ else:
 def test_dims_and_construct_start_without_numpy():
     src = str(Path(entspace_cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for probe in (STARTUP_PROBE, ALS_PROBE):
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_flushes_output_and_keeps_exit_codes(capsys, tmp_path):
+    # ``python -m entspace.cli`` exits through ``run``, which freezes the
+    # collector first: stdout, ``--out`` files and exit codes must survive it
+    src = str(Path(entspace_cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "entspace.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    argv = ("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
+            "--restarts", "2")
+    want = run(capsys, *argv)
+    proc = cli(*argv)
+    assert (proc.returncode, proc.stdout) == want[:2]
+    out = tmp_path / "s.csv"
+    assert cli("construct", "--dims", "6,6", "--space", "S", "--format", "csv",
+               "--out", str(out)).returncode == 0
+    assert out.read_text() == run(capsys, "construct", "--dims", "6,6", "--space", "S",
+                                  "--format", "csv")[1]
+    proc = cli("verify", "--dims", "3,3", "--space", "S", "--primes", "3")
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -66,6 +66,15 @@ def test_fp_mixed_modulus_rejected():
         Fp(1, 5) / Fp(0, 5)
 
 
+def test_fp_is_slotted_and_frozen():
+    # an enumeration over a large prime holds millions of residues
+    x = Fp(12, 5)
+    assert not hasattr(x, "__dict__") and x.value == 2
+    assert x == Fp(2, 5) and hash(x) == hash(Fp(2, 5))
+    with pytest.raises(AttributeError):
+        x.value = 3
+
+
 def test_field_labels_roundtrip():
     for f in (RATIONAL, GAUSSIAN, COMPLEX, prime_field(5), prime_field(11)):
         assert parse_field(f.label) == f

@@ -1,7 +1,9 @@
 """Verification: finite-field enumeration and alternating product-overlap search."""
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,13 +35,17 @@ from entspace import (
     max_product_overlap,
     minimal_upb,
     nearest_vandermonde,
+    orthocomplement,
     orthonormal_basis,
     reduce_mod_p,
     span,
+    split_antidiagonal_spaces,
     standard_product_vector,
+    upb_of_size,
     vandermonde_vector,
     verify_upb,
 )
+import entspace.ff as ff_module
 import entspace.verify as verify_module
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
@@ -133,6 +139,7 @@ def test_site_points_order(d, p):
             for rest in itertools.product(range(p), repeat=d - lead - 1)]
     got = [tuple(v) for v in _site_points(d, p, np.arange(len(want))).tolist()]
     assert got == want
+    assert list(ff_module._projective_points(d, p)) == want
     assert [_site_index(v, p) for v in want] == list(range(len(want)))
 
 
@@ -174,6 +181,7 @@ def test_fibre_solve_matches_brute_force_on_named_spaces(dims, p):
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_fibre_solve_is_independent_of_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(ff_module, "_BATCH_FIBRES", 0)  # the batched kernel
     monkeypatch.setattr(verify_module, "_CHUNK_ENTRIES", chunk)
     dims = Dims((2, 2, 3))
     full = [StateVector.basis_vector(dims, RATIONAL, idx)
@@ -201,6 +209,95 @@ def test_fibre_solve_matches_brute_force_on_random_subspaces(data):
     assert _factor_values(found) == brute_force_product_vectors(gens, dims, p)
 
 
+@contextlib.contextmanager
+def fibre_path(batched):
+    # every enumeration above _BATCH_FIBRES fibres takes the batched kernel
+    with mock.patch.object(ff_module, "_BATCH_FIBRES", 0 if batched else 10**12):
+        yield
+
+
+def assert_paths_agree(gens, dims, p):
+    """Both fibre solves give the same list, and the same refusal one step
+    short of the budget the enumeration needs."""
+    results = []
+    for batched in (False, True):
+        with fibre_path(batched):
+            results.append(find_product_vectors_fp(gens, dims, p))
+    plain, batched_found = results
+    assert plain == batched_found
+    # a budget one short of fibres plus found points
+    needed = ff_module._check_oracle(dims, p, ff_module.ENUMERATION_BUDGET) + len(plain)
+    estimates = []
+    for batched in (False, True):
+        with fibre_path(batched), pytest.raises(BudgetExceededError) as exc:
+            find_product_vectors_fp(gens, dims, p, budget=needed - 1)
+        estimates.append(exc.value.estimate)
+    assert estimates[0] == estimates[1] == needed
+    return plain
+
+
+CROSS_CHECK_SHAPES = [(Dims((2, 2)), (5, 7, 11, 13)), (Dims((2, 3)), (5, 7, 11, 13)),
+                      (Dims((3, 3)), (5, 7, 11, 13)), (Dims((3, 4)), (7, 11, 13)),
+                      (Dims((2, 2, 2)), (5, 7, 11, 13)), (Dims((2, 2, 3)), (5, 7, 13))]
+
+
+@pytest.mark.parametrize("dims,primes", CROSS_CHECK_SHAPES, ids=str)
+def test_fibre_paths_agree_on_named_spaces(dims, primes):
+    spaces = [entangled_subspace(dims), entangled_complement(dims)]
+    spaces += [entangled_level(dims, n) for n in range(1, dims.max_level)]
+    if dims.k == 2:
+        spaces.append(antidiagonal_zero_space(*dims.d))
+    for p in primes:
+        for i, space in enumerate(spaces):
+            found = assert_paths_agree(space, dims, p)
+            assert len(found) == (p + 1 if i == 1 else 0)  # Sperp's p+1 points
+
+
+def test_fibre_paths_agree_on_example2():
+    dims = Dims((4, 4))
+    ex = split_antidiagonal_spaces()
+    spanning = span([pv.expand() for pv in ex.spanning_set])
+    for p in (7, 11, 13):
+        assert assert_paths_agree(ex.m_space, dims, p) == []
+        assert len(assert_paths_agree(spanning, dims, p)) == p + 1
+
+
+@pytest.mark.parametrize("dims,sizes", [(Dims((2, 3)), range(4, 7)),
+                                        (Dims((3, 3)), range(5, 10)),
+                                        (Dims((3, 4)), range(6, 13, 2))], ids=str)
+def test_fibre_paths_agree_on_upb_complements(dims, sizes):
+    for m in sizes:
+        _, vectors = upb_of_size(dims, m)
+        complement = orthocomplement(span([v.expand() for v in vectors]))
+        for p in (7, 11):
+            # a UPB's complement holds no product vector
+            assert assert_paths_agree(complement, dims, p) == []
+    complement = orthocomplement(span([v.expand() for v in minimal_upb(Dims((2, 2, 2)))]))
+    assert assert_paths_agree(complement, Dims((2, 2, 2)), 5) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fibre_paths_agree_on_random_subspaces(data):
+    dims = data.draw(st.sampled_from(SMALL_DIMS + [Dims((2, 2, 3))]))
+    p = data.draw(st.sampled_from([5, 7, 11, 13]))
+    rank = data.draw(st.integers(0, dims.total))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dims.total, max_size=dims.total),
+        min_size=rank, max_size=rank,
+    ))
+    assert_paths_agree([StateVector.from_values(dims, RATIONAL, r) for r in rows], dims, p)
+
+
+def test_fibre_paths_refuse_the_same_fibre_count():
+    # refused before either solve starts
+    dims = Dims((2, 2, 2))
+    for batched in (False, True):
+        with fibre_path(batched), pytest.raises(BudgetExceededError) as exc:
+            find_product_vectors_fp(entangled_subspace(dims), dims, 5, budget=35)
+        assert exc.value.estimate == 36
+
+
 def test_ff_verify_reports():
     dims = Dims((2, 3))
     reports = ff_verify(entangled_subspace(dims), dims)
@@ -221,7 +318,7 @@ def test_ff_verify_reports():
 
 def test_ff_verify_reduces_once_per_prime(monkeypatch):
     calls = []
-    real_reduce = verify_module.reduce_mod_p
+    real_reduce = ff_module.reduce_mod_p
 
     def counting_reduce(vectors, dims, p):
         calls.append(p)
@@ -230,8 +327,8 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
     def no_span(*args, **kwargs):
         raise AssertionError("a reduced echelon input needs no second span")
 
-    monkeypatch.setattr(verify_module, "reduce_mod_p", counting_reduce)
-    monkeypatch.setattr(verify_module, "span", no_span)
+    monkeypatch.setattr(ff_module, "reduce_mod_p", counting_reduce)
+    monkeypatch.setattr(ff_module, "span", no_span)
     dims = Dims((2, 3))
     reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
     assert calls == [5, 7]
@@ -248,6 +345,33 @@ def test_classify_vandermonde_points():
         assert rep.expected_count == p + 1
         assert len(rep.found) == p + 1
         assert rep.missing == [] and rep.extraneous == []
+
+
+@pytest.mark.parametrize("dims,p", [(Dims((2, 3)), 5), (Dims((3, 4)), 7),
+                                    (Dims((2, 3, 4)), 11)], ids=str)
+def test_vandermonde_points_match_the_constructions(dims, p):
+    fld = ff_module.prime_field(p)
+    want = [_factor_values([vandermonde_vector(dims, pt, fld)])[0]
+            for pt in [*range(p), INFINITY]]
+    assert ff_module._vandermonde_points(dims, p) == want
+
+
+def test_classify_reports_missing_and_extraneous_points(monkeypatch):
+    dims, p = Dims((2, 3)), 5
+    real = ff_module._product_points
+
+    def tampered(generators, dims, p, budget):
+        found = real(generators, dims, p, budget)
+        return found[1:] + [((1, 2), (1, 1, 1))]  # drop one, add one
+
+    want = classify_product_vectors_fp(dims, p).found
+    monkeypatch.setattr(ff_module, "_product_points", tampered)
+    rep = classify_product_vectors_fp(dims, p)
+    assert not rep.passed and rep.expected_count == p + 1
+    assert rep.found == want[1:] + rep.extraneous
+    assert rep.missing == [want[0]]
+    assert [_factor_values([pv])[0] for pv in rep.extraneous] == [((1, 2), (1, 1, 1))]
+    assert rep.missing[0] == vandermonde_vector(dims, 0, ff_module.prime_field(p))
 
 
 def test_orthonormal_basis():
