@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .construct import (
@@ -55,38 +54,6 @@ from .serialize import (
 # numpy loads only for ALS and for enumerations too large for plain ints.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs, resolved from flags once."""
-
-    dims: Dims
-    command: str
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = 0
-    primes: tuple[int, ...] | None = None
-    restarts: int = DEFAULT_RESTARTS
-    tol: float = DEFAULT_TOL
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        primes = None
-        if getattr(args, "primes", None):
-            primes = tuple(int(p) for p in args.primes.split(","))
-        return RunConfig(
-            dims=parse_dims(args.dims),
-            command=args.command,
-            fmt=getattr(args, "format", "json"),
-            out=getattr(args, "out", None),
-            seed=getattr(args, "seed", 0),
-            primes=primes,
-            restarts=getattr(args, "restarts", DEFAULT_RESTARTS),
-            tol=getattr(args, "tol", DEFAULT_TOL),
-            max_sweeps=getattr(args, "max_sweeps", DEFAULT_MAX_SWEEPS),
-        )
 
 
 def _write(text: str, out: str | None) -> None:
@@ -188,9 +155,16 @@ def non_negative_int(text: str) -> int:
     return n
 
 
+def prime_list(text: str) -> tuple[int, ...]:
+    """Comma-separated oracle primes, each once; the oracle checks primality."""
+    primes = tuple(int(p) for p in text.split(","))
+    if len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError(f"repeated prime in {text}")
+    return primes
+
+
 def cmd_dims(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    d = cfg.dims
+    d = parse_dims(args.dims)
     counts = level_counts(d)
     lines = [
         f"dims: {','.join(str(x) for x in d.d)}",
@@ -203,106 +177,105 @@ def cmd_dims(args: argparse.Namespace) -> int:
     for n, a in enumerate(counts):
         run += a
         lines.append(f"{n:>4} {a:>6} {a - 1:>6} {run:>11}")
-    _write("\n".join(lines) + "\n", cfg.out)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    target, _ = _resolve_space(cfg.dims, args.space)
+    dims = parse_dims(args.dims)
+    target, _ = _resolve_space(dims, args.space)
     if isinstance(target, list):  # product vectors (example2-R)
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             expansions = [pv.expand() for pv in target]
-            _write(csv_matrices(expansions, cfg.dims), cfg.out)
+            _write(csv_matrices(expansions, dims), args.out)
         else:
             doc = product_vectors_document(
-                cfg.dims, RATIONAL, target, {"space": args.space}
+                dims, RATIONAL, target, {"space": args.space}
             )
-            _write(json_dumps(doc), cfg.out)
+            _write(json_dumps(doc), args.out)
         return 0
-    if cfg.fmt == "csv":
-        if cfg.dims.k != 2:
+    if args.format == "csv":
+        if dims.k != 2:
             raise ValueError("csv output needs exactly two factors")
-        _write(csv_matrices(list(target.rows), cfg.dims), cfg.out)
+        _write(csv_matrices(list(target.rows), dims), args.out)
     else:
-        _write(json_dumps(subspace_document(target, {"space": args.space})), cfg.out)
+        _write(json_dumps(subspace_document(target, {"space": args.space})), args.out)
     return 0
 
 
 def cmd_upb(args: argparse.Namespace) -> int:
     from .ff import verify_upb
 
-    cfg = RunConfig.from_args(args)
-    points = _parse_points(args.lambdas) if args.lambdas else None
+    dims = parse_dims(args.dims)
+    points = None if args.lambdas is None else _parse_points(args.lambdas)
     if args.min:
-        vectors = minimal_upb(cfg.dims, points)
+        vectors = minimal_upb(dims, points)
         recipe_entry = {
             "size": len(vectors),
             "levels": [],
             "points": [
                 "inf" if p is INFINITY else str(RATIONAL.coerce(p))
-                for p in (points or [Fraction(t) for t in range(cfg.dims.max_level + 1)])
+                for p in (points or [Fraction(t) for t in range(dims.max_level + 1)])
             ],
             "dropped": [],
         }
     else:
-        record, vectors = upb_of_size(cfg.dims, args.size, points)
+        record, vectors = upb_of_size(dims, args.size, points)
         recipe_entry = encode_upb_recipe(record, RATIONAL)
-    report = verify_upb(vectors, cfg.dims, primes=cfg.primes, seed=cfg.seed)
+    report = verify_upb(vectors, dims, primes=args.primes)
     doc = product_vectors_document(
-        cfg.dims, RATIONAL, vectors,
+        dims, RATIONAL, vectors,
         {"upb": recipe_entry, "report": encode_upb_report(report)},
     )
-    _write(json_dumps(doc), cfg.out)
+    _write(json_dumps(doc), args.out)
     return 0 if report.is_upb else 3
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+    dims = parse_dims(args.dims)
     if args.method == "ff":
         from .ff import ff_verify
 
-        target, expected = _resolve_space(cfg.dims, args.space)
+        target, expected = _resolve_space(dims, args.space)
         if isinstance(target, list):
             target = span([pv.expand() for pv in target])
-        reports = ff_verify(target, cfg.dims, cfg.primes)
+        reports = ff_verify(target, dims, args.primes)
     else:
         from .verify import max_product_overlap
 
-        space, expected = _als_space(cfg.dims, args.space)
+        space, expected = _als_space(dims, args.space)
         result = max_product_overlap(
-            space, cfg.dims,
-            restarts=cfg.restarts, max_sweeps=cfg.max_sweeps,
-            tol=cfg.tol, seed=cfg.seed,
+            space, dims,
+            restarts=args.restarts, max_sweeps=args.max_sweeps,
+            tol=args.tol, seed=args.seed,
         )
         reports = [result.report]
     verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
     doc = {
-        "dims": list(cfg.dims.d),
+        "dims": list(dims.d),
         "space": args.space,
         "method": args.method,
         "verdict": verdict,
         "expected": expected,
         "reports": [encode_report(r) for r in reports],
     }
-    _write(json_dumps(doc), cfg.out)
+    _write(json_dumps(doc), args.out)
     return 0 if verdict == expected else 3
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     from .ff import classify_product_vectors_fp
 
-    cfg = RunConfig.from_args(args)
-    report = classify_product_vectors_fp(cfg.dims, args.prime)
-    _write(json_dumps(encode_classify_report(report)), cfg.out)
+    report = classify_product_vectors_fp(parse_dims(args.dims), args.prime)
+    _write(json_dumps(encode_classify_report(report)), args.out)
     return 0 if report.passed else 3
 
 
 def cmd_onb(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    basis = character_basis(cfg.dims, args.level)
-    doc = vectors_document(cfg.dims, COMPLEX, basis, {"level": args.level})
-    _write(json_dumps(doc), cfg.out)
+    dims = parse_dims(args.dims)
+    basis = character_basis(dims, args.level)
+    doc = vectors_document(dims, COMPLEX, basis, {"level": args.level})
+    _write(json_dumps(doc), args.out)
     return 0
 
 
@@ -336,14 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--size", type=int, help="requested size (two factors only)")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated parameter points, rationals or inf")
-    p.add_argument("--primes", default=None, help="comma-separated oracle primes")
+    p.add_argument("--primes", type=prime_list, default=None,
+                   help="comma-separated oracle primes")
     p.set_defaults(func=cmd_upb)
 
     p = sub.add_parser("verify", help="hunt for product vectors in a named space")
     add_common(p)
     p.add_argument("--space", required=True, help=f"one of {SPACES}")
     p.add_argument("--method", choices=("ff", "als"), default="ff")
-    p.add_argument("--primes", default=None)
+    p.add_argument("--primes", type=prime_list, default=None,
+                   help="comma-separated oracle primes")
     p.add_argument("--restarts", type=positive_int, default=DEFAULT_RESTARTS)
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=positive_int,

@@ -1,10 +1,16 @@
 """The finite-field oracle: every projective product vector of a subspace
 over F_p, and the exact checks built on it.
 
+The oracle runs on plain ints mod p from the generators to the hits.  One
+reduction of the generators gives the rank mod p, and the free-column
+read-off of that reduction gives the annihilator: the rows whose
+contraction with a product vector vanishes exactly when the vector lies in
+the subspace.  ``Fp`` objects are made only for the output.
+
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
-depth-first fibre solve on plain ints mod p; one with more than
-``_BATCH_FIBRES`` fibres loads the batched numpy kernel in ``verify``.
+depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
+fibres loads the batched numpy kernel in ``verify``.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ from itertools import product
 from .construct import ProductVector, entangled_subspace, level_sum_vector
 from .fields import Fp, RATIONAL, is_prime, prime_field
 from .grading import Dims
-from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
-    NO_WITNESS, WITNESS, BudgetExceededError, StateVector, Subspace, \
-    VerificationReport, integer_generators, orthocomplement, reduce_mod_p, \
-    span
+from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
+    VerificationReport, _as_int, check_elimination_cost, integer_generators, \
+    orthocomplement, span
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
 # projective product tuples needs fewer fibres (the most: 537,824 for 2^6
@@ -59,14 +64,22 @@ def default_primes(dims: Dims, want: int = 2) -> list[int]:
     return out
 
 
-def _integer_rows(generators, dims: Dims) -> list[StateVector]:
+def _integer_rows(generators, dims: Dims) -> tuple[list[list[int]], int | None]:
+    """The generators as rows of ints, and the prime they are residues
+    modulo: that of a subspace over F_p, None for integer generators."""
     if isinstance(generators, Subspace):
         if generators.dims != dims:
             raise TypeError(f"subspace dims {generators.dims} do not match {dims}")
-        if generators.field == RATIONAL:
-            return integer_generators(generators)
-        return list(generators.rows)
-    return list(generators)
+        fld = generators.field
+        if fld.kind == "fp":
+            return [[c.value for c in row.coeffs] for row in generators.rows], fld.p
+        vectors = integer_generators(generators) if fld == RATIONAL else generators.rows
+    else:
+        vectors = generators
+        for v in vectors:
+            if v.dims != dims:
+                raise TypeError(f"vector dims {v.dims} do not match {dims}")
+    return [[_as_int(c) for c in v.coeffs] for v in vectors], None
 
 
 def _projective_count(d: int, p: int) -> int:
@@ -127,28 +140,37 @@ def _check_oracle(dims: Dims, p: int, budget: int) -> int:
     return fibres
 
 
-def _kernel_points(rows: list[list[int]], pivots: list[int], d: int, p: int):
-    """Projective points of the kernel of a reduced matrix, each scaled so its
-    first nonzero coordinate is 1.  Row i of ``rows`` carries the pivot
-    ``pivots[i]`` and is zero in every other pivot column."""
+def _kernel_basis(rows: list[list[int]], pivots: list[int], d: int,
+                  p: int) -> list[list[int]]:
+    """A basis of the kernel of a reduced matrix, one vector per free column
+    (1 there, 0 in the other free columns).  Row i of ``rows`` carries the
+    pivot ``pivots[i]`` and is zero in every other pivot column."""
     basis = []
+    pivot_set = set(pivots)
     for j in range(d):
-        if j in pivots:
+        if j in pivot_set:
             continue
         x = [0] * d
         x[j] = 1
         for row, c in zip(rows, pivots):
             x[c] = -row[j] % p
         basis.append(x)
+    return basis
+
+
+def _kernel_points(rows: list[list[int]], pivots: list[int], d: int, p: int):
+    """Projective points of the kernel of a reduced matrix, each scaled so its
+    first nonzero coordinate is 1."""
+    basis = _kernel_basis(rows, pivots, d, p)
     for coef in _projective_points(len(basis), p):
         v = [sum(a * b[i] for a, b in zip(coef, basis)) % p for i in range(d)]
         inv = pow(next(a for a in v if a), -1, p)
         yield tuple(a * inv % p for a in v)
 
 
-def _reduce_rows(rows, d: int, p: int):
-    """Reduced echelon rows and pivots of the matrix ``rows`` (width ``d``),
-    or None as soon as its rank reaches ``d``: a fibre without hits."""
+def _reduce_rows(rows, d: int, p: int, stop: int | None = None):
+    """Reduced echelon rows and pivots of the matrix ``rows`` (width ``d``,
+    entries in range(p)), or None as soon as its rank reaches ``stop``."""
     basis: list[list[int]] = []
     pivots: list[int] = []
     for row in rows:
@@ -161,7 +183,7 @@ def _reduce_rows(rows, d: int, p: int):
                 break
         else:  # a zero row
             continue
-        if len(basis) == d - 1:
+        if len(basis) + 1 == stop:
             return None
         inv = pow(a, -1, p)
         basis.append([x * inv % p for x in row])
@@ -231,24 +253,38 @@ def _hit_fibres(h: list[list[int]], dims: Dims, p: int):
         # per row of h, its d_s entries in every slice
         by_row = [[sl[j * d_s:(j + 1) * d_s] for sl in slices] for j in range(m)]
         for n, (x, lead, terms) in enumerate(points[depth]):
+            # a fibre of full rank has no hits
             reduced = _reduce_rows(
-                (_combine(parts, lead, terms, p) for parts in by_row), d_s, p)
+                (_combine(parts, lead, terms, p) for parts in by_row), d_s, p, d_s)
             if reduced is not None:
                 yield (pos + [n], fixed + [x], *reduced)
 
     yield from walk(tensor, 0, [], [])
 
 
-def _product_points(generators, dims: Dims, p: int, budget: int) -> list[tuple]:
-    """The oracle's hits as int tuples, one per site, in output order."""
+def _annihilator(rows: list[list[int]], modulus: int | None, dims: Dims,
+                 p: int) -> tuple[int, list[list[int]]]:
+    """Rank mod p of the integer rows, and a basis of their annihilator: the
+    rows whose contraction with a vector vanishes exactly when the vector
+    lies in their span mod p.  ``modulus`` is the prime the rows are
+    residues modulo, if any."""
+    if modulus not in (None, p):
+        raise ValueError(f"subspace over F_{modulus} searched over F_{p}")
+    total = dims.total
+    check_elimination_cost(len(rows), total)
+    basis, pivots = _reduce_rows([[a % p for a in row] for row in rows], total, p)
+    # every fibre contracts the annihilator: refuse one that elimination on
+    # it would refuse, as span() would
+    check_elimination_cost(total - len(basis), total)
+    return len(basis), _kernel_basis(basis, pivots, total, p)
+
+
+def _rank_and_points(rows: list[list[int]], modulus: int | None, dims: Dims,
+                     p: int, budget: int) -> tuple[int, list[tuple]]:
+    """Rank mod p of the integer rows, and the oracle's hits in their span as
+    int tuples, one per site, in output order."""
     fibres = _check_oracle(dims, p, budget)
-    rows = _integer_rows(generators, dims)  # also checks a subspace's dims
-    if isinstance(generators, Subspace) and generators.field == prime_field(p):
-        reduced = generators
-    else:
-        reduced = reduce_mod_p(rows, dims, p)
-    annihilator = orthocomplement(reduced)
-    h = [[c.value for c in row.coeffs] for row in annihilator.rows]
+    rank, h = _annihilator(rows, modulus, dims, p)
     if fibres > _BATCH_FIBRES:
         from .verify import _batched_hit_fibres as hit_fibres
     else:
@@ -266,7 +302,12 @@ def _product_points(generators, dims: Dims, p: int, budget: int) -> list[tuple]:
             key = pos[:s] + [_site_index(x, p)] + pos[s:]
             hits.append((key, tuple(fixed[:s]) + (x,) + tuple(fixed[s:])))
     hits.sort(key=lambda hit: hit[0])
-    return [combo for _, combo in hits]
+    return rank, [combo for _, combo in hits]
+
+
+def _product_points(generators, dims: Dims, p: int, budget: int) -> list[tuple]:
+    """The oracle's hits as int tuples, one per site, in output order."""
+    return _rank_and_points(*_integer_rows(generators, dims), dims, p, budget)[1]
 
 
 def find_product_vectors_fp(
@@ -275,10 +316,10 @@ def find_product_vectors_fp(
     """All projective product vectors lying in the given subspace over F_p.
 
     The subspace is spanned from the (integer) generators after reduction
-    mod p; a subspace already over F_p is used as it is.  An empty result is
-    an exact statement about F_p; it supports the complex-field claim only
-    for p above the top level, which is why smaller primes are rejected
-    outright.
+    mod p; a subspace already over F_p is used as it is, and one over another
+    prime is refused with ``ValueError``.  An empty result is an exact
+    statement about F_p; it supports the complex-field claim only for p above
+    the top level, which is why smaller primes are rejected outright.
 
     The search is a fibre solve.  A product vector lies in the subspace
     exactly when every row of the annihilator H contracts to zero with it.
@@ -318,19 +359,20 @@ def ff_verify(
     """One finite-field report per prime; witness recorded where found."""
     if primes is None:
         primes = default_primes(dims)
-    rows = _integer_rows(generators, dims)
     rational_dim = None
-    if rows and rows[0].field == RATIONAL:
-        if isinstance(generators, Subspace):
+    if isinstance(generators, Subspace):
+        if generators.field == RATIONAL:
             rational_dim = generators.dim  # already a reduced echelon basis
-        else:
-            rational_dim = span(rows, dims=dims, field=RATIONAL).dim
+    else:
+        generators = list(generators)
+        if generators and generators[0].field == RATIONAL:
+            rational_dim = span(generators, dims=dims, field=RATIONAL).dim
+    rows, modulus = _integer_rows(generators, dims)
     reports = []
     for p in primes:
-        _check_oracle(dims, p, budget)  # before reducing: refuse at once
-        reduced = reduce_mod_p(rows, dims, p)
-        found = find_product_vectors_fp(reduced, dims, p, budget)
-        certified = {f"fp({p})": reduced.dim}
+        rank, combos = _rank_and_points(rows, modulus, dims, p, budget)
+        found = _product_vectors(dims, p, combos)
+        certified = {f"fp({p})": rank}
         if rational_dim is not None:
             certified["rational"] = rational_dim
         reports.append(VerificationReport(
@@ -376,13 +418,13 @@ def classify_product_vectors_fp(
     plus the point at infinity)."""
     # level sums have 0/1 coefficients, so reduction mod p is exact
     gens = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
-    found = find_product_vectors_fp(gens, dims, p, budget)
-    found_keys = [tuple(tuple(c.value for c in f) for f in pv.factors) for pv in found]
+    combos = _product_points(gens, dims, p, budget)
+    found = _product_vectors(dims, p, combos)
     expected = _vandermonde_points(dims, p)
-    expected_set, found_set = set(expected), set(found_keys)
+    expected_set, found_set = set(expected), set(combos)
     missing = _product_vectors(
         dims, p, [combo for combo in expected if combo not in found_set])
-    extraneous = [pv for key, pv in zip(found_keys, found) if key not in expected_set]
+    extraneous = [pv for combo, pv in zip(combos, found) if combo not in expected_set]
     return ClassifyReport(
         dims=dims, p=p, passed=not missing and not extraneous,
         expected_count=p + 1, found=found, missing=missing,
@@ -399,7 +441,6 @@ class UpbReport:
     complement_dim: int
     complement_in_entangled: bool
     ff_reports: list[VerificationReport] = dataclass_field(default_factory=list)
-    als_report: VerificationReport | None = None
     is_upb: bool = False
     witness: ProductVector | None = None
 
@@ -408,20 +449,14 @@ def verify_upb(
     vectors: list[ProductVector],
     dims: Dims,
     primes=None,
-    use_als: bool = False,
-    restarts: int = DEFAULT_RESTARTS,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
     budget: int = ENUMERATION_BUDGET,
 ) -> UpbReport:
     """Full audit of a claimed unextendible product basis.
 
-    Checks exact linear independence, the minimal-size bound, and then hunts
-    for a product vector in the orthocomplement of the span.  Size below the
-    minimum already disqualifies the set, but the oracle still runs so a
-    failure comes with an explicit witness.  ``use_als`` adds the numerical
-    search, which loads numpy.
+    Checks exact linear independence, the minimal-size bound, and then runs
+    the finite-field oracle on the orthocomplement of the span (rational
+    input only).  Size below the minimum already disqualifies the set, but
+    the oracle still runs so a failure comes with an explicit witness.
     """
     if not vectors:
         raise ValueError("empty product-vector set")
@@ -447,23 +482,9 @@ def verify_upb(
         complement_dim=complement.dim,
         complement_in_entangled=inside,
     )
-    witness = None
-    if complement.dim > 0:
-        if fld == RATIONAL:
-            report.ff_reports = ff_verify(complement, dims, primes, budget)
-            for rep in report.ff_reports:
-                if rep.verdict == WITNESS and witness is None:
-                    witness = rep.witness
-        if use_als:
-            from .verify import max_product_overlap, orthonormal_basis
-
-            als = max_product_overlap(
-                orthonormal_basis(complement), dims,
-                restarts=restarts, max_sweeps=max_sweeps, tol=tol, seed=seed,
-            )
-            report.als_report = als.report
-            if als.report.verdict == WITNESS and witness is None:
-                witness = als.report.witness
-    report.witness = witness
-    report.is_upb = independent and meets_min and witness is None
+    if complement.dim > 0 and fld == RATIONAL:
+        report.ff_reports = ff_verify(complement, dims, primes, budget)
+        report.witness = next(
+            (rep.witness for rep in report.ff_reports if rep.verdict == WITNESS), None)
+    report.is_upb = independent and meets_min and report.witness is None
     return report

@@ -197,7 +197,7 @@ def encode_upb_report(rep: UpbReport) -> dict:
         "complement_dim": rep.complement_dim,
         "complement_in_entangled": rep.complement_in_entangled,
         "ff_reports": [encode_report(r) for r in rep.ff_reports],
-        "als_report": encode_report(rep.als_report) if rep.als_report else None,
+        "als_report": None,  # the audit runs no ALS search; kept for the format
         "is_upb": rep.is_upb,
         "witness": encode_witness(rep.witness) if rep.witness else None,
     }

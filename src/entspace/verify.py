@@ -1,12 +1,12 @@
 """Two independent verifiers for complete entanglement.
 
-The finite-field route (``entspace.ff``, re-exported here) enumerates every
-projective product vector of the subspace reduced mod p, giving a
-definitive statement about the reduced subspace; this module holds its
-batched numpy kernel for large enumerations.  The numerical route runs
-alternating single-site maximization of the product overlap over complex
-floats and reports a margin; it can certify the presence of a product
-vector (overlap near 1) but never the absence.
+The finite-field route (``entspace.ff``, whose public names are re-exported
+here) enumerates every projective product vector of the subspace reduced
+mod p, giving a definitive statement about the reduced subspace; this
+module holds its batched numpy kernel for large enumerations.  The
+numerical route runs alternating single-site maximization of the product
+overlap over complex floats and reports a margin; it can certify the
+presence of a product vector (overlap near 1) but never the absence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 # never loads ``entspace.ff``, whose compile and import cost about 15 ms.
 _FF_NAMES = frozenset({
     "DEFAULT_PRIME_POOL", "ENUMERATION_BUDGET", "ClassifyReport", "UpbReport",
-    "_check_oracle", "_projective_count", "_site_index", "_solved_site",
     "candidate_count", "classify_product_vectors_fp", "default_primes",
     "ff_verify", "find_product_vectors_fp", "verify_upb",
 })

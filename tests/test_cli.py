@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -414,6 +415,23 @@ def test_negative_seed_rejected(capsys, argv, seed):
     assert f"argument --seed: must be at least 0, got {seed}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dims", "3,3", "--space", "S", "--primes="),
+    ("verify", "--dims", "3,3", "--space", "S", "--primes", "7,7"),
+    ("upb", "--dims", "3,3", "--min", "--primes", "5,7,5"),
+    ("upb", "--dims", "3,3", "--min", "--lambdas="),
+], ids=" ".join)
+def test_empty_or_repeated_lists_rejected(capsys, argv):
+    # an empty list is not the default, and a repeated prime is not a second run
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error" in captured.err
+
+
 def test_verify_bad_prime(capsys):
     code, _, err = run(capsys, "verify", "--dims", "3,3", "--space", "S",
                        "--primes", "3")
@@ -458,6 +476,41 @@ def test_byte_determinism(tmp_path, capsys):
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_bytes().endswith(b"\n")
+
+
+# stdout sha256 and exit code of oracle commands, pinned from the oracle
+# that reduced on Fp objects; the plain-int reduction must not change a byte.
+# Both fibre paths are covered: the last two verify runs take the batched one.
+ORACLE_GOLDEN = {
+    "verify --method ff --dims 3,3 --space S":
+        ("0986f32889c02c910f0c797cac39f68c7c902c9e7651e8a8c569ebb76c36390b", 0),
+    "verify --method ff --dims 3,3 --space Sperp":
+        ("229b41d10d9a1ed89e7f34432dddc1a54fc868627d26d414f3d400851f4270db", 0),
+    "verify --method ff --dims 2,3,4 --space level:3":
+        ("9e51bbade89bb75de46363bad3546736535d63cb1471ac6196ed11f8cf658529", 0),
+    "verify --method ff --dims 3,4 --space example1 --primes 7,11":
+        ("1d124546ed943806f8932d24de5c60a9f3ea9bf2174b1ecc3e7780e13fa54532", 0),
+    "verify --method ff --dims 4,4 --space example2-M":
+        ("522e15cf0ddb97562b3826ebf670784c122ad38cff77a7a3ebc8bae72fdf5bfa", 0),
+    "verify --method ff --dims 4,4 --space example2-R":
+        ("e64c389f2146da5f7aa8986c81760001d3333b2f6f11d6ad1e6fecbf222b15ec", 0),
+    "verify --dims 2,2 --space S --primes 6007":
+        ("cb9785b0d3219afd555975d2230886e6fc109ad67a8d8bc0803f5da6a7e9a34a", 0),
+    "verify --dims 2,2,2 --space Sperp --primes 79":
+        ("000951986710e82d256155c0fcf2565aaa19d1d6d5ae5fa1c13a015a48159584", 0),
+    "upb --dims 3,3 --min":
+        ("9e80f3b1260f97e82f7ff761c2990c9b6f27939c1cfe54eb91ec355a4ca73231", 0),
+    "upb --dims 3,4 --size 9 --primes 7,11":
+        ("25fbcc0eae35dfac2c0d90aa9ffbd0ba2f21653c1b11f396e4ac2ac6c36aad11", 0),
+    "classify --dims 3,3 --prime 7":
+        ("c419bf20997733887ca27668e64725b0f7c51bb6e7054208e2fa3d4429a25183", 0),
+}
+
+
+@pytest.mark.parametrize("argv", list(ORACLE_GOLDEN))
+def test_oracle_output_matches_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == ORACLE_GOLDEN[argv]
 
 
 def test_exit_codes_partition(capsys):

@@ -143,7 +143,7 @@ def test_csv_rejects_vectors_of_other_dims():
 def test_product_and_complex_documents_match_reference():
     dims = Dims((2, 3))
     vectors = minimal_upb(dims)
-    report = verify_upb(vectors, dims, primes=[5], use_als=True, restarts=4, seed=1)
+    report = verify_upb(vectors, dims, primes=[5])
     assert_same_json(product_vectors_document(
         dims, RATIONAL, vectors, {"report": encode_upb_report(report)}))
     # complex-float witnesses and metrics from the ALS search

@@ -32,6 +32,7 @@ from entspace import (
     entangled_subspace,
     ff_verify,
     find_product_vectors_fp,
+    level_sum_vector,
     max_product_overlap,
     minimal_upb,
     nearest_vandermonde,
@@ -47,9 +48,10 @@ from entspace import (
 )
 import entspace.ff as ff_module
 import entspace.verify as verify_module
+from entspace.ff import _site_index
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
-from entspace.verify import _fix_phases, _site_index, _site_points, \
+from entspace.verify import _fix_phases, _site_points, \
     _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
@@ -318,22 +320,149 @@ def test_ff_verify_reports():
 
 def test_ff_verify_reduces_once_per_prime(monkeypatch):
     calls = []
-    real_reduce = ff_module.reduce_mod_p
+    real_reduce = ff_module._reduce_rows
 
-    def counting_reduce(vectors, dims, p):
-        calls.append(p)
-        return real_reduce(vectors, dims, p)
+    def counting_reduce(rows, d, p, stop=None):
+        if stop is None:  # the generators' reduction, not a fibre's
+            calls.append(p)
+        return real_reduce(rows, d, p, stop)
 
     def no_span(*args, **kwargs):
         raise AssertionError("a reduced echelon input needs no second span")
 
-    monkeypatch.setattr(ff_module, "reduce_mod_p", counting_reduce)
+    monkeypatch.setattr(ff_module, "_reduce_rows", counting_reduce)
     monkeypatch.setattr(ff_module, "span", no_span)
     dims = Dims((2, 3))
     reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
     assert calls == [5, 7]
     assert [r.certified_dims for r in reports] == [
         {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
+
+
+def fp_annihilator(generators, dims, p):
+    """The oracle's rank mod p and its annihilator, as a subspace over F_p."""
+    rank, h = ff_module._annihilator(*ff_module._integer_rows(generators, dims), dims, p)
+    fld = ff_module.prime_field(p)
+    rows = [StateVector.from_values(dims, fld, row) for row in h]
+    return rank, span(rows, dims=dims, field=fld)
+
+
+def assert_annihilator_matches_elimination(space, dims, p):
+    """On integer generators, on a rational subspace and on a subspace over
+    F_p, the plain-int rank and annihilator equal the generic elimination's
+    on Fp objects."""
+    gens = integer_generators(space) if isinstance(space, Subspace) else space
+    reduced = reduce_mod_p(gens, dims, p)
+    want = (reduced.dim, orthocomplement(reduced))
+    for generators in (gens, space, reduced):
+        assert fp_annihilator(generators, dims, p) == want
+
+
+ANNIHILATOR_SHAPES = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((3, 4)),
+                      Dims((2, 2, 2)), Dims((2, 2, 3))]
+
+
+@pytest.mark.parametrize("dims", ANNIHILATOR_SHAPES, ids=str)
+def test_annihilator_matches_elimination_on_named_spaces(dims):
+    spaces = [entangled_subspace(dims), entangled_complement(dims)]
+    spaces += [entangled_level(dims, n) for n in range(dims.max_level + 1)]
+    if dims.k == 2:
+        spaces.append(antidiagonal_zero_space(*dims.d))
+    for p in (5, 7, 11, 13):
+        for space in spaces:
+            assert_annihilator_matches_elimination(space, dims, p)
+
+
+def test_annihilator_matches_elimination_on_example2():
+    dims = Dims((4, 4))
+    ex = split_antidiagonal_spaces()
+    for p in (5, 7, 11, 13):
+        assert_annihilator_matches_elimination(ex.m_space, dims, p)
+        assert_annihilator_matches_elimination(
+            [pv.expand() for pv in ex.spanning_set], dims, p)
+
+
+def test_annihilator_matches_elimination_on_upb_complements():
+    cases = [(dims, upb_of_size(dims, m)[1]) for dims, sizes in
+             ((Dims((2, 3)), (4, 6)), (Dims((3, 3)), (5, 7, 9)), (Dims((3, 4)), (6, 12)))
+             for m in sizes]
+    cases.append((Dims((2, 2, 2)), minimal_upb(Dims((2, 2, 2)))))
+    for dims, vectors in cases:
+        complement = orthocomplement(span([v.expand() for v in vectors]))
+        for p in (5, 7, 11, 13):
+            assert_annihilator_matches_elimination(complement, dims, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_annihilator_matches_elimination_on_random_subspaces(data):
+    dims = data.draw(st.sampled_from(ANNIHILATOR_SHAPES))
+    p = data.draw(st.sampled_from([5, 7, 11, 13]))
+    rank = data.draw(st.integers(0, dims.total))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-30, 30), min_size=dims.total, max_size=dims.total),
+        min_size=rank, max_size=rank,
+    ))
+    gens = [StateVector.from_values(dims, RATIONAL, r) for r in rows]
+    assert_annihilator_matches_elimination(gens, dims, p)
+    assert_annihilator_matches_elimination(span(gens, dims=dims, field=RATIONAL), dims, p)
+
+
+def test_oracle_refuses_other_primes_and_dims():
+    dims = Dims((2, 3))
+    over_5 = reduce_mod_p(integer_generators(entangled_subspace(dims)), dims, 5)
+    assert find_product_vectors_fp(over_5, dims, 5) == []
+    assert ff_verify(over_5, dims, primes=[5])[0].certified_dims == {"fp(5)": 2}
+    with pytest.raises(ValueError, match="F_5"):
+        find_product_vectors_fp(over_5, dims, 7)
+    with pytest.raises(ValueError, match="F_5"):
+        ff_verify(over_5, dims, primes=[5, 7])
+    other = Dims((3, 2))  # the same total, other sites
+    for gens in (entangled_subspace(other), integer_generators(entangled_subspace(other)),
+                 reduce_mod_p(integer_generators(entangled_subspace(other)), other, 7)):
+        with pytest.raises(TypeError):
+            find_product_vectors_fp(gens, dims, 7)
+        with pytest.raises(TypeError):
+            ff_verify(gens, dims, primes=[7])
+
+
+def test_oracle_refuses_oversized_eliminations():
+    # span()'s refusals, on the generators and on their annihilator, before
+    # any fibre is solved
+    dims = Dims((2, 300))
+    gens = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
+    for rows, estimate in ((gens, 301 * 600 * 301), (gens[:1], 599 * 600 * 599)):
+        with pytest.raises(BudgetExceededError) as exc:
+            find_product_vectors_fp(rows, dims, 307)
+        assert exc.value.estimate == estimate
+
+
+def test_oracle_runs_no_fp_elimination(monkeypatch):
+    # Fp objects appear only in the output: no elimination runs on them
+    import entspace.linalg as linalg_module
+
+    real = linalg_module._rref
+    eliminated = []
+
+    def rational_only(rows):
+        if any(isinstance(c, ff_module.Fp) for row in rows for c in row):
+            raise AssertionError("the oracle eliminated on Fp objects")
+        eliminated.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg_module, "_rref", rational_only)
+    dims = Dims((2, 3))
+    assert [r.verdict for r in ff_verify(entangled_subspace(dims), dims)] == [NO_WITNESS] * 3
+    gens = [pv.expand() for pv in split_antidiagonal_spaces().spanning_set]
+    reports = ff_verify(gens, Dims((4, 4)), primes=[7])  # a list: one rational span
+    assert reports[0].certified_dims == {"fp(7)": 7, "rational": 7}
+    for batched in (False, True):
+        with fibre_path(batched):
+            report = ff_verify(entangled_complement(dims), dims, [5])[0]
+            assert report.metrics["found"] == 6  # p + 1 points, on either path
+    assert classify_product_vectors_fp(dims, 7).passed
+    assert verify_upb(minimal_upb(dims), dims).is_upb
+    assert eliminated  # the guard was in place: rational spans ran through it
 
 
 def test_classify_vandermonde_points():
@@ -759,16 +888,6 @@ def test_verify_upb_accepts_minimal_construction():
         assert len(report.ff_reports) >= 2
         for rep in report.ff_reports:
             assert rep.verdict == NO_WITNESS
-
-
-def test_verify_upb_with_als():
-    dims = Dims((2, 3))
-    report = verify_upb(minimal_upb(dims), dims, use_als=True,
-                        restarts=16, seed=5)
-    assert report.is_upb
-    assert report.als_report is not None
-    assert report.als_report.verdict == NO_WITNESS
-    assert report.als_report.metrics["best_overlap"] < 1 - 1e-3
 
 
 def test_verify_upb_rejects_extendible_set():
