@@ -16,11 +16,9 @@ from .grading import (
 )
 from .fields import (
     COMPLEX,
-    GAUSSIAN,
     RATIONAL,
     Field,
     Fp,
-    GaussianRational,
     parse_field,
     prime_field,
 )
@@ -34,7 +32,6 @@ from .linalg import (
     StateVector,
     Subspace,
     intersect,
-    member,
     orthocomplement,
     reduce_mod_p,
     span,
@@ -110,16 +107,13 @@ __all__ = [
     "level_count_closed_form",
     "Field",
     "Fp",
-    "GaussianRational",
     "RATIONAL",
-    "GAUSSIAN",
     "COMPLEX",
     "prime_field",
     "parse_field",
     "StateVector",
     "Subspace",
     "span",
-    "member",
     "orthocomplement",
     "intersect",
     "subspace_sum",

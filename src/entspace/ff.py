@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
-from .construct import ProductVector, entangled_subspace, level_sum_vector
+from .construct import ProductVector, level_sum_vector
 from .fields import Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims
+from .grading import Dims, enumerate_level
 from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
     VerificationReport, _as_int, check_elimination_cost, integer_generators, \
     orthocomplement, span
@@ -357,8 +357,7 @@ def ff_verify(
     generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
 ) -> list[VerificationReport]:
     """One finite-field report per prime; witness recorded where found."""
-    if primes is None:
-        primes = default_primes(dims)
+    primes = default_primes(dims) if primes is None else list(primes)
     rational_dim = None
     if isinstance(generators, Subspace):
         if generators.field == RATIONAL:
@@ -367,6 +366,13 @@ def ff_verify(
         generators = list(generators)
         if generators and generators[0].field == RATIONAL:
             rational_dim = span(generators, dims=dims, field=RATIONAL).dim
+    if primes:
+        # the first prime's checks, before converting a generator: an
+        # oversized input is refused at once
+        _check_oracle(dims, primes[0], budget)
+        check_elimination_cost(
+            generators.dim if isinstance(generators, Subspace) else len(generators),
+            dims.total)
     rows, modulus = _integer_rows(generators, dims)
     reports = []
     for p in primes:
@@ -471,8 +477,12 @@ def verify_upb(
     independent = spanned.dim == len(vectors)
     meets_min = spanned.dim >= dims.max_level + 1
     complement = orthocomplement(spanned)
-    entangled = entangled_subspace(dims, fld)
-    inside = all(entangled.contains(row) for row in complement.rows)
+    # S is the annihilator of the level sums: a row lies in S when its
+    # entries on every level sum to zero
+    levels = [[dims.position(idx) for idx in enumerate_level(dims, n)]
+              for n in range(dims.max_level + 1)]
+    inside = all(not sum(row.coeffs[i] for i in level) for row in complement.rows
+                 for level in levels)
 
     report = UpbReport(
         size=len(vectors),

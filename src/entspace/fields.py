@@ -1,10 +1,10 @@
-"""Scalar arithmetic for the four coefficient fields.
+"""Scalar arithmetic for the three coefficient fields.
 
-Exact work happens over the rationals (stdlib ``Fraction``), Gaussian
-rationals, or a prime field; complex floats exist only as a target for
-explicit conversion (the numerical verifier).  All scalar types support
-``+ - * /``, truthiness as a zero test, and ``.conjugate()``, so the linear
-algebra layer never branches on the field kind.
+Exact work happens over the rationals (stdlib ``Fraction``) or a prime
+field; complex floats exist only as a target for explicit conversion (the
+numerical verifier).  All scalar types support ``+ - * /``, truthiness as a
+zero test, and ``.conjugate()``, so the linear algebra layer never branches
+on the field kind.
 """
 
 from __future__ import annotations
@@ -27,87 +27,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    @staticmethod
-    def _coerce(x: object) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(o.re / norm, -o.im / norm)
-
-    def __rtruediv__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,18 +107,18 @@ class Fp:
         return str(self.value)
 
 
-Scalar = Union[Fraction, GaussianRational, Fp, complex]
+Scalar = Union[Fraction, Fp, complex]
 
 
 @dataclass(frozen=True)
 class Field:
     """Tag identifying the coefficient field of a vector or subspace."""
 
-    kind: str  # "rational" | "gaussian" | "fp" | "complex"
+    kind: str  # "rational" | "fp" | "complex"
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rational", "gaussian", "fp", "complex"):
+        if self.kind not in ("rational", "fp", "complex"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if (self.kind == "fp") != (self.p is not None):
             raise ValueError("prime fields and only prime fields carry a modulus")
@@ -229,11 +148,6 @@ class Field:
                 return x
             if isinstance(x, (int, str)):
                 return Fraction(x)
-        elif self.kind == "gaussian":
-            if isinstance(x, GaussianRational):
-                return x
-            if isinstance(x, (int, Fraction)):
-                return GaussianRational(Fraction(x))
         elif self.kind == "fp":
             assert self.p is not None
             if isinstance(x, Fp):
@@ -251,13 +165,10 @@ class Field:
                 return complex(x)
             if isinstance(x, Fraction):
                 return complex(float(x))
-            if isinstance(x, GaussianRational):
-                return complex(x)
         raise TypeError(f"cannot coerce {x!r} into {self.label}")
 
 
 RATIONAL = Field("rational")
-GAUSSIAN = Field("gaussian")
 COMPLEX = Field("complex")
 
 
@@ -271,8 +182,6 @@ def parse_field(label: str) -> Field:
     """Inverse of ``Field.label`` for the exact fields, plus the float tag."""
     if label == "rational":
         return RATIONAL
-    if label == "gaussian":
-        return GAUSSIAN
     # older documents label the same complex128 floats "complex64-approx"
     if label in ("complex128-approx", "complex64-approx"):
         return COMPLEX

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .fields import COMPLEX, Field, Fp, GaussianRational, Scalar, prime_field
+from .fields import Field, Fp, Scalar, prime_field
 from .grading import Dims, MultiIndex
 
 if TYPE_CHECKING:
@@ -153,12 +153,6 @@ class StateVector:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def to_complex(self) -> "StateVector":
-        """Convert an exact vector to complex floats for the numerical verifier."""
-        if self.field.kind == "fp":
-            raise TypeError("prime-field vectors have no complex embedding")
-        return StateVector.from_values(self.dims, COMPLEX, self.coeffs)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -246,16 +240,11 @@ def span(vectors, *, dims: Dims | None = None, field: Field | None = None) -> Su
     return Subspace(head.dims, head.field, rows)
 
 
-def member(s: Subspace, v: StateVector) -> bool:
-    return s.contains(v)
-
-
 def orthocomplement(s: Subspace) -> Subspace:
-    """Orthogonal complement under the standard sesquilinear form.
+    """Orthogonal complement under the plain bilinear form.
 
-    Exact fields only.  Conjugation is the identity except over the
-    Gaussian rationals, so over the rationals and prime fields this is the
-    plain bilinear-form complement.
+    Exact fields only: over the rationals and prime fields conjugation is
+    the identity, so this is also the sesquilinear complement.
     """
     if not s.field.exact:
         raise TypeError("orthocomplement is defined for exact fields only")
@@ -266,12 +255,8 @@ def orthocomplement(s: Subspace) -> Subspace:
             for p in range(total)
         ]
         return span(basis)
-    # Conjugating a reduced echelon matrix keeps it reduced (pivots are 1),
-    # so the kernel can be read off directly.
-    a = [[c.conjugate() for c in row.coeffs] for row in s.rows]
-    pivots = []
-    for row in a:
-        pivots.append(next(i for i, c in enumerate(row) if c))
+    # The rows are reduced (pivots are 1), so the kernel is read off directly.
+    pivots = s.pivots()
     pivot_set = set(pivots)
     zero = s.field.zero()
     kernel: list[StateVector] = []
@@ -280,8 +265,8 @@ def orthocomplement(s: Subspace) -> Subspace:
             continue
         w = [zero] * total
         w[f] = s.field.one()
-        for j, pj in enumerate(pivots):
-            w[pj] = -a[j][f]
+        for row, pj in zip(s.rows, pivots):
+            w[pj] = -row.coeffs[f]
         kernel.append(StateVector(s.dims, s.field, tuple(w)))
     return span(kernel, dims=s.dims, field=s.field)
 
@@ -323,10 +308,6 @@ def _as_int(c: Scalar) -> int:
         if c.denominator != 1:
             raise ValueError(f"coefficient {c} is not an integer")
         return c.numerator
-    if isinstance(c, GaussianRational):
-        if c.im:
-            raise ValueError(f"coefficient {c} is not a rational integer")
-        return _as_int(c.re)
     raise ValueError(f"coefficient {c!r} is not an integer")
 
 

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .construct import INFINITY, ProductVector, UpbRecipe
-from .fields import COMPLEX, Field, Fp, GaussianRational, parse_field
+from .fields import COMPLEX, Field, Fp, parse_field
 from .grading import Dims
 from .linalg import StateVector, Subspace
 
@@ -93,8 +93,6 @@ def _scalar_encoder(field: Field):
     """The function that encodes one scalar of ``field``, to map over vectors."""
     if field.kind == "rational":
         return str
-    if field.kind == "gaussian":
-        return lambda c: {"re": str(c.re), "im": str(c.im)}
     if field.kind == "fp":
         return lambda c: str(c.value)
     return _complex_entry
@@ -107,8 +105,6 @@ def encode_scalar(c, field: Field):
 def decode_scalar(raw, field: Field):
     if field.kind == "rational":
         return Fraction(raw)
-    if field.kind == "gaussian":
-        return GaussianRational(Fraction(raw["re"]), Fraction(raw["im"]))
     if field.kind == "fp":
         return Fp(int(raw), field.p)
     return complex(raw["re"], raw["im"])

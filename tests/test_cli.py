@@ -25,6 +25,7 @@ from entspace import (
     span,
 )
 import entspace.cli as entspace_cli
+import entspace.ff as ff_module
 import entspace.verify as verify_module
 from entspace.cli import main
 from entspace.serialize import document_product_vectors, document_vectors, parse_csv
@@ -100,6 +101,14 @@ def test_construct_round_trip_exact(capsys):
         from entspace.cli import _resolve_space
         target, _ = _resolve_space(dims, space)
         assert span(vecs, dims=dims, field=field) == target
+
+
+def test_document_with_gaussian_field_is_refused(capsys):
+    code, out, _ = run(capsys, "construct", "--dims", "2,2", "--space", "Sperp")
+    doc = json.loads(out)
+    doc["field"] = "gaussian"
+    with pytest.raises(ValueError, match="unknown field label"):
+        document_vectors(doc)
 
 
 def test_construct_example2_product_list(capsys):
@@ -192,6 +201,23 @@ def test_upb_oversized_elimination_fails_fast(capsys):
     code, out, err = run(capsys, "upb", "--dims", "64,64", "--size", "200")
     assert code == 2 and out == ""
     assert "error: elimination needs at least" in err
+
+
+@pytest.mark.parametrize("prime, message", [
+    ("1009", "error: elimination needs at least 1996002000 multiply-adds"),
+    ("4", "error: 4 is not prime"),
+])
+def test_oversized_ff_verify_fails_before_converting(capsys, monkeypatch, prime, message):
+    # S on 2,1000 has 999 rows of 2,000 entries: the first prime's checks
+    # refuse it before any generator is converted to ints
+    def no_conversion(*args):
+        raise AssertionError("generators converted before the checks")
+
+    monkeypatch.setattr(ff_module, "_integer_rows", no_conversion)
+    code, out, err = run(capsys, "verify", "--dims", "2,1000", "--space", "S",
+                         "--primes", prime)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
 
 
 def test_verify_expected_verdicts(capsys):
@@ -478,10 +504,31 @@ def test_byte_determinism(tmp_path, capsys):
         assert f1.read_bytes().endswith(b"\n")
 
 
-# stdout sha256 and exit code of oracle commands, pinned from the oracle
-# that reduced on Fp objects; the plain-int reduction must not change a byte.
-# Both fibre paths are covered: the last two verify runs take the batched one.
-ORACLE_GOLDEN = {
+# stdout sha256 and exit code of the exact-output commands.  The oracle
+# entries were pinned from the oracle that reduced on Fp objects; the
+# plain-int reduction must not change a byte.  Both fibre paths are covered:
+# the last two verify runs take the batched one.  ALS and onb are left out:
+# their floats depend on LAPACK and libm.
+GOLDEN = {
+    "dims --dims 3,3":
+        ("42c08e68bddf32af21da9dd203c848bba154b3b7c457f3a4ac607887b421310d", 0),
+    "construct --dims 3,4 --space S":
+        ("ba585d693e933a4e36b9c8b99323b32093ef43cdb7d619a96030c517c9822aac", 0),
+    "construct --dims 3,4 --space Sperp":
+        ("3b6400d072d7859e2d6a275433eaff4c25e36f9d68eb251c76a2abdb01edd745", 0),
+    "construct --dims 2,3,4 --space level:2":
+        ("8e0bf2cab5b9c3d2a67f04147ed8881a89737b40120e10868f1b836d7db31f42", 0),
+    "construct --dims 3,4 --space example1":
+        ("79c30382f441060859a017caad02c557520f39de3681a1412f3681af4c6660d6", 0),
+    "construct --dims 4,4 --space example2-M":
+        ("975a557761c1fcbc4915a1fb39aa2f71b66ddf43facc1155c0e3324c5a8fd361", 0),
+    "construct --dims 4,4 --space example2-R":
+        ("e8075cc4897d4c17df5bf133c211fc20437d955c4bdd736005d151f7bc0510fc", 0),
+    "construct --dims 4,5 --space S --format csv":
+        ("2be0dc7e8a4dd98ab6b6a5882317933f62187c1261702989ca637b4766c20d35", 0),
+    # on two factors example1 is S, so the same CSV as S at 3,4
+    "construct --dims 3,4 --space example1 --format csv":
+        ("27def5070a85646b4114bf0357b043461e28d8b9ebd4cdca1384bfb2c5f83389", 0),
     "verify --method ff --dims 3,3 --space S":
         ("0986f32889c02c910f0c797cac39f68c7c902c9e7651e8a8c569ebb76c36390b", 0),
     "verify --method ff --dims 3,3 --space Sperp":
@@ -507,10 +554,10 @@ ORACLE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", list(ORACLE_GOLDEN))
+@pytest.mark.parametrize("argv", list(GOLDEN))
 def test_oracle_output_matches_golden_digest(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == ORACLE_GOLDEN[argv]
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == GOLDEN[argv]
 
 
 def test_exit_codes_partition(capsys):

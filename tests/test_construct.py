@@ -216,7 +216,7 @@ def test_character_basis_unitary():
                     want = 1.0 if i == j else 0.0
                     assert abs(vi.inner(vj) - want) < 1e-12
             # first member is the normalized level sum
-            u = level_sum_vector(dims, n).to_complex()
+            u = StateVector.from_values(dims, COMPLEX, level_sum_vector(dims, n).coeffs)
             diff = max(
                 abs(a - b / math.sqrt(a_n))
                 for a, b in zip(basis[0].coeffs, u.coeffs)
