@@ -55,6 +55,11 @@ from .serialize import (
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
+# Largest ``dims`` table, as factors * levels: the level counts take one
+# pass of prefix sums per factor, and the table has a line per level.
+# 2,999999 is at the budget: about 3 s for a 33 MB table.
+TABLE_BUDGET = 2 * 10**6
+
 
 def _write(text: str, out: str | None) -> None:
     if out:
@@ -103,11 +108,14 @@ def _als_space(dims: Dims, name: str):
     A graded space goes in unbuilt, as its ``LevelSums`` form; the example2
     spaces are built exactly and go in as orthonormal rows.
     """
-    from .verify import LevelSums, orthonormal_basis
+    from .verify import LevelSums, check_form_size, orthonormal_basis
 
-    every = tuple(range(dims.max_level + 1))
     if name == "example1":
         _check_example1(dims)
+    if name in ("S", "Sperp", "example1") or name.startswith("level:"):
+        # refused before the list of levels is written down
+        check_form_size(dims, dims.max_level + 1)
+    every = tuple(range(dims.max_level + 1))
     if name in ("S", "example1"):
         return LevelSums(every), NO_WITNESS
     if name == "Sperp":
@@ -165,6 +173,9 @@ def prime_list(text: str) -> tuple[int, ...]:
 
 def cmd_dims(args: argparse.Namespace) -> int:
     d = parse_dims(args.dims)
+    steps = d.k * (d.max_level + 1)
+    if steps > TABLE_BUDGET:
+        raise BudgetExceededError(steps, TABLE_BUDGET, "level table", "factors * levels")
     counts = level_counts(d)
     lines = [
         f"dims: {','.join(str(x) for x in d.d)}",

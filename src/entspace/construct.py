@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .fields import COMPLEX, Field, RATIONAL, Scalar
-from .grading import Dims, MultiIndex, enumerate_level, level_counts
+from .grading import Dims, MultiIndex, Value, enumerate_level, level_counts
 from .linalg import (
     StateVector, Subspace, check_dense_size, check_elimination_cost,
     orthocomplement, span,
@@ -42,27 +41,31 @@ class _InfinityPoint:
 INFINITY = _InfinityPoint()
 
 
-@dataclass(frozen=True)
-class ProductVector:
+class ProductVector(Value):
     """One factor vector per tensor slot; the tensor expansion is dense.
 
     Zero factors are rejected: they would collapse the whole product to zero
     and silently break rank arguments downstream.
     """
 
+    __slots__ = ("dims", "field", "factors")
     dims: Dims
     field: Field
     factors: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.factors) != self.dims.k:
+    def __init__(self, dims: Dims, field: Field,
+                 factors: tuple[tuple[Scalar, ...], ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "factors", factors)
+        if len(factors) != dims.k:
             raise ValueError(
-                f"expected {self.dims.k} factors, got {len(self.factors)}"
+                f"expected {dims.k} factors, got {len(factors)}"
             )
-        for r, f in enumerate(self.factors):
-            if len(f) != self.dims.d[r]:
+        for r, f in enumerate(factors):
+            if len(f) != dims.d[r]:
                 raise ValueError(
-                    f"factor {r} has length {len(f)}, expected {self.dims.d[r]}"
+                    f"factor {r} has length {len(f)}, expected {dims.d[r]}"
                 )
             if not any(f):
                 raise ValueError(f"factor {r} is zero")
@@ -238,12 +241,12 @@ def minimal_upb(
     failure here is a bug, not bad input.
     """
     n_points = dims.max_level + 1
+    check_elimination_cost(n_points, dims.total)  # before any point is made
     if points is None:
         points = [Fraction(t) for t in range(n_points)]
     points = _distinct_points(points, field)
     if len(points) != n_points:
         raise ValueError(f"need exactly {n_points} points, got {len(points)}")
-    check_elimination_cost(n_points, dims.total)  # before the expansions
     vectors = [vandermonde_vector(dims, pt, field) for pt in points]
     spanned = span([v.expand() for v in vectors])
     if spanned.dim != n_points or spanned != entangled_complement(dims, field):
@@ -300,10 +303,11 @@ def upb_of_size(
     lo, hi = top + 1, dims.total
     if not lo <= m <= hi:
         raise ValueError(f"size {m} outside [{lo}, {hi}] for dims {dims}")
+    # first, so that an oversized shape is refused before the level choice
+    base = minimal_upb(dims, points, field)
     weights = [c - 1 for c in level_counts(dims)]
     chosen = _choose_levels(weights, m - lo)
 
-    base = minimal_upb(dims, points, field)
     used_points = (
         tuple(Fraction(t) for t in range(lo)) if points is None else tuple(points)
     )

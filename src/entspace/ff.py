@@ -16,12 +16,11 @@ fibres loads the batched numpy kernel in ``verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
 from .construct import ProductVector, level_sum_vector
 from .fields import Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims, enumerate_level
+from .grading import Dims, Record, enumerate_level
 from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
     VerificationReport, _as_int, check_elimination_cost, integer_generators, \
     orthocomplement, span
@@ -392,15 +391,20 @@ def ff_verify(
     return reports
 
 
-@dataclass
-class ClassifyReport:
-    dims: Dims
-    p: int
-    passed: bool
-    expected_count: int
-    found: list[ProductVector]
-    missing: list[ProductVector]
-    extraneous: list[ProductVector]
+class ClassifyReport(Record):
+    __slots__ = ("dims", "p", "passed", "expected_count", "found", "missing",
+                 "extraneous")
+
+    def __init__(self, dims: Dims, p: int, passed: bool, expected_count: int,
+                 found: list[ProductVector], missing: list[ProductVector],
+                 extraneous: list[ProductVector]) -> None:
+        self.dims = dims
+        self.p = p
+        self.passed = passed
+        self.expected_count = expected_count
+        self.found = found
+        self.missing = missing
+        self.extraneous = extraneous
 
 
 def _vandermonde_points(dims: Dims, p: int) -> list[tuple]:
@@ -422,6 +426,7 @@ def classify_product_vectors_fp(
     """Check that the product vectors in the entangled complement over F_p
     are exactly the p+1 projective Vandermonde points (one per field element
     plus the point at infinity)."""
+    _check_oracle(dims, p, budget)  # before the N + 1 level sums are built
     # level sums have 0/1 coefficients, so reduction mod p is exact
     gens = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
     combos = _product_points(gens, dims, p, budget)
@@ -438,17 +443,25 @@ def classify_product_vectors_fp(
     )
 
 
-@dataclass
-class UpbReport:
-    size: int
-    span_dim: int
-    independent: bool
-    meets_min_size: bool
-    complement_dim: int
-    complement_in_entangled: bool
-    ff_reports: list[VerificationReport] = dataclass_field(default_factory=list)
-    is_upb: bool = False
-    witness: ProductVector | None = None
+class UpbReport(Record):
+    __slots__ = ("size", "span_dim", "independent", "meets_min_size",
+                 "complement_dim", "complement_in_entangled", "ff_reports",
+                 "is_upb", "witness")
+
+    def __init__(self, size: int, span_dim: int, independent: bool,
+                 meets_min_size: bool, complement_dim: int,
+                 complement_in_entangled: bool,
+                 ff_reports: list[VerificationReport] | None = None,
+                 is_upb: bool = False, witness: ProductVector | None = None) -> None:
+        self.size = size
+        self.span_dim = span_dim
+        self.independent = independent
+        self.meets_min_size = meets_min_size
+        self.complement_dim = complement_dim
+        self.complement_in_entangled = complement_in_entangled
+        self.ff_reports = [] if ff_reports is None else ff_reports
+        self.is_upb = is_upb
+        self.witness = witness
 
 
 def verify_upb(

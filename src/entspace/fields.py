@@ -9,9 +9,10 @@ on the field kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .grading import Value
 
 
 def is_prime(n: int) -> bool:
@@ -29,19 +30,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Fp:
+class Fp(Value):
     """Residue modulo a prime, carrying its modulus.
 
     Arithmetic between residues with different moduli is a ``TypeError``;
     plain ints are coerced into the operand's field.
     """
 
+    __slots__ = ("value", "p")
     value: int
     p: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, value: int, p: int) -> None:
+        object.__setattr__(self, "value", value % p)
+        object.__setattr__(self, "p", p)
+
+    # residues are compared and hashed in bulk: no generic field walk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.p))
 
     def _coerce(self, x: object) -> "Fp":
         if isinstance(x, Fp):
@@ -110,18 +121,22 @@ class Fp:
 Scalar = Union[Fraction, Fp, complex]
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Value):
     """Tag identifying the coefficient field of a vector or subspace."""
 
+    __slots__ = ("kind", "p")
     kind: str  # "rational" | "fp" | "complex"
-    p: int | None = None
+    p: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("rational", "fp", "complex"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if (self.kind == "fp") != (self.p is not None):
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        if kind not in ("rational", "fp", "complex"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if (kind == "fp") != (p is not None):
             raise ValueError("prime fields and only prime fields carry a modulus")
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
 
     @property
     def exact(self) -> bool:
@@ -173,8 +188,6 @@ COMPLEX = Field("complex")
 
 
 def prime_field(p: int) -> Field:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return Field("fp", p)
 
 

@@ -11,25 +11,82 @@ level inherits that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import attrgetter, index
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Dims:
+class Record:
+    """Base of the mutable report types: a repr ``Name(field=value, ...)``
+    and equality field by field.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    sets them in its own ``__init__``.  Nothing is generated at import, so
+    start-up loads no code generator (nor the ``inspect``, ``ast`` and
+    ``tokenize`` one would pull in).
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Value(Record):
+    """Base of the immutable value types: a ``Record`` that hashes by its
+    fields and refuses assignment.  ``__init__`` sets each field once with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dims(Value):
     """Local dimensions (d_1, ..., d_k) of a k-fold tensor product space."""
 
+    __slots__ = ("d",)
     d: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if self.k < 2:
-            raise ValueError(f"need at least 2 tensor factors, got {self.k}")
-        if any(x < 2 for x in self.d):
-            raise ValueError(f"every local dimension must be >= 2, got {self.d}")
+    def __init__(self, d) -> None:
+        d = tuple(map(index, d))  # int() would take 2.7 as 2 and "33" as 3,3
+        object.__setattr__(self, "d", d)
+        if len(d) < 2:
+            raise ValueError(f"need at least 2 tensor factors, got {len(d)}")
+        if any(x < 2 for x in d):
+            raise ValueError(f"every local dimension must be >= 2, got {d}")
+
+    # Dims is compared on every vector operation: no generic field walk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.d)
 
     @property
     def k(self) -> int:
@@ -119,15 +176,13 @@ def level_counts(dims: Dims) -> list[int]:
     """Dimension of every level, computed by exact integer convolution.
 
     Entry n is the number of multi-indices with index sum n, i.e. the
-    coefficient of x^n in prod_r (1 + x + ... + x^(d_r - 1)).
+    coefficient of x^n in prod_r (1 + x + ... + x^(d_r - 1)).  Each factor
+    is a window sum, so it costs one pass of prefix sums, not d_r passes.
     """
     coeffs = [1]
     for dr in dims.d:
-        out = [0] * (len(coeffs) + dr - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(dr):
-                out[i + j] += c
-        coeffs = out
+        prefix = list(accumulate(coeffs + [0] * (dr - 1)))
+        coeffs = [a - b for a, b in zip(prefix, [0] * dr + prefix)]
     return coeffs
 
 

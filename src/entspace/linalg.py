@@ -10,12 +10,11 @@ elimination here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fields import Field, Fp, Scalar, prime_field
-from .grading import Dims, MultiIndex
+from .grading import Dims, MultiIndex, Record, Value
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -42,17 +41,23 @@ NO_WITNESS = "no-product-vector-found"
 WITNESS = "witness-found"
 
 
-@dataclass
-class VerificationReport:
-    method: str                 # "finite-field" | "als"
-    params: dict
-    verdict: str                # NO_WITNESS | WITNESS
-    witness: ProductVector | None
-    metrics: dict
-    certified_dims: dict
+class VerificationReport(Record):
+    __slots__ = ("method", "params", "verdict", "witness", "metrics",
+                 "certified_dims")
 
-    def __post_init__(self) -> None:
-        if (self.witness is not None) != (self.verdict == WITNESS):
+    def __init__(self,
+                 method: str,       # "finite-field" | "als"
+                 params: dict,
+                 verdict: str,      # NO_WITNESS | WITNESS
+                 witness: ProductVector | None, metrics: dict,
+                 certified_dims: dict) -> None:
+        self.method = method
+        self.params = params
+        self.verdict = verdict
+        self.witness = witness
+        self.metrics = metrics
+        self.certified_dims = certified_dims
+        if (witness is not None) != (verdict == WITNESS):
             raise ValueError("witness must be present exactly when found")
 
 
@@ -86,18 +91,21 @@ def check_dense_size(rows: int, cols: int) -> None:
         raise BudgetExceededError(entries, DENSE_BUDGET, "dense basis", "entries")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Value):
     """Coefficient vector over the global lexicographic product basis."""
 
+    __slots__ = ("dims", "field", "coeffs")
     dims: Dims
     field: Field
     coeffs: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.dims.total:
+    def __init__(self, dims: Dims, field: Field, coeffs: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != dims.total:
             raise ValueError(
-                f"expected {self.dims.total} coefficients, got {len(self.coeffs)}"
+                f"expected {dims.total} coefficients, got {len(coeffs)}"
             )
 
     @staticmethod
@@ -154,13 +162,18 @@ class StateVector:
         return not any(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Subspace held as a reduced row-echelon basis (canonical form)."""
 
+    __slots__ = ("dims", "field", "rows")
     dims: Dims
     field: Field
     rows: tuple[StateVector, ...]
+
+    def __init__(self, dims: Dims, field: Field, rows: tuple[StateVector, ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:

@@ -12,14 +12,13 @@ presence of a product vector (overlap near 1) but never the absence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # The package modules load before numpy: a module compiled from source after
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from .construct import INFINITY, ProductVector, vandermonde_vector
 from .fields import COMPLEX
-from .grading import Dims, level_counts
+from .grading import Dims, Record, level_counts
 from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
     NO_WITNESS, WITNESS, BudgetExceededError, Subspace, VerificationReport
 
@@ -51,6 +50,21 @@ _ALS_BLOCK_ENTRIES = 1 << 12
 # need 64 * 500 * k, the largest benchmarked run (3,3 with 1000 restarts)
 # 10**6; each update is also one float kept in ``AlsResult.histories``.
 ALS_BUDGET = 4 * 10**6
+# Largest ALS site form of one restart, as rows * d_r complex entries (its
+# factor c or T; the eigenproblem is d_r * d_r).  A graded space has one row
+# per level, so 2,1000000 would need 10**12 entries; 2e6 entries are 32 MB.
+ALS_FORM_BUDGET = 2 * 10**6
+
+
+def check_form_size(dims: Dims, rows: int) -> int:
+    """Refuse an ALS site form of ``rows`` rows over ``ALS_FORM_BUDGET``
+    before anything is built; return its entries per restart."""
+    width = max(dims.d)
+    entries = width * max(rows, width)
+    if entries > ALS_FORM_BUDGET:
+        raise BudgetExceededError(entries, ALS_FORM_BUDGET, "ALS site form",
+                                  "entries per restart")
+    return entries
 
 
 def _site_points(d: int, p: int, pos: np.ndarray) -> np.ndarray:
@@ -212,7 +226,7 @@ def _dense_form(basis, dims: Dims):
     """Site form of the span of orthonormal rows w_j: c^H c, where c holds
     the overlaps <w_j, x> as linear maps of site r's factor.
 
-    Returns (form, shift, dim, rows): ``rows`` is the height of c.
+    Returns (form, shift, dim).
     """
     basis = np.asarray(basis, dtype=complex)
     m = basis.shape[0]
@@ -226,7 +240,7 @@ def _dense_form(basis, dims: Dims):
         c = _site_update_matrices(w_conj, factors, r)
         return c.conj().transpose(0, 2, 1) @ c
 
-    return form, 0.0, m, m
+    return form, 0.0, m
 
 
 def _product_polynomial(factors: list[np.ndarray], skip: int) -> np.ndarray:
@@ -267,7 +281,7 @@ def _level_sum_form(space: LevelSums, dims: Dims):
     plus the shift 1, so the gap 1 - overlap is the bottom eigenvalue of M
     rather than a difference of two numbers near 1.
 
-    Returns (form, shift, dim, rows): ``rows`` is the height of T.
+    Returns (form, shift, dim); T has one row per level.
     """
     for n in space.levels:
         if not 0 <= n <= dims.max_level:
@@ -294,7 +308,7 @@ def _level_sum_form(space: LevelSums, dims: Dims):
 
     shift = 1.0 if every and not space.sums else 0.0
     dim = len(levels) if space.sums else sum(counts[n] - 1 for n in levels)
-    return form, shift, dim, dims.max_level + 1
+    return form, shift, dim
 
 
 def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]:
@@ -382,12 +396,15 @@ def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
     return final, factors, [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
-@dataclass
-class AlsResult:
-    best_overlap: float
-    witness: ProductVector | None
-    histories: list[list[float]]
-    report: VerificationReport
+class AlsResult(Record):
+    __slots__ = ("best_overlap", "witness", "histories", "report")
+
+    def __init__(self, best_overlap: float, witness: ProductVector | None,
+                 histories: list[list[float]], report: VerificationReport) -> None:
+        self.best_overlap = best_overlap
+        self.witness = witness
+        self.histories = histories
+        self.report = report
 
     def __iter__(self):
         return iter((self.best_overlap, self.witness, self.report))
@@ -423,8 +440,9 @@ def max_product_overlap(
     sites; the optimal single-site update is the top eigenvector of a small
     Hermitian matrix, so the overlap never decreases.  A restart stops after
     a sweep that gains less than ``tol``, or after ``max_sweeps`` sweeps.
-    A search that could take more than ``ALS_BUDGET`` site updates raises
-    ``BudgetExceededError`` before any work.
+    A search that could take more than ``ALS_BUDGET`` site updates, or
+    whose site form holds more than ``ALS_FORM_BUDGET`` entries per restart,
+    raises ``BudgetExceededError`` before any work.
 
     Restarts advance together in blocks: each site update is one batched
     site form and one batched eigensolve over every unconverged restart of
@@ -447,12 +465,14 @@ def max_product_overlap(
     if updates > ALS_BUDGET:
         raise BudgetExceededError(updates, ALS_BUDGET, "ALS search",
                                   "site updates (restarts * max_sweeps * sites)")
+    graded = isinstance(basis, LevelSums)
+    per_restart = check_form_size(dims, dims.max_level + 1 if graded else len(basis))
     params = {"restarts": restarts, "max_sweeps": max_sweeps,
               "tol": tol, "seed": seed}
-    if isinstance(basis, LevelSums):
-        form, shift, m, rows = _level_sum_form(basis, dims)
+    if graded:
+        form, shift, m = _level_sum_form(basis, dims)
     else:
-        form, shift, m, rows = _dense_form(basis, dims)
+        form, shift, m = _dense_form(basis, dims)
     if m == 0:
         report = VerificationReport(
             method="als", params=params,
@@ -461,10 +481,7 @@ def max_product_overlap(
             certified_dims={"complex": 0},
         )
         return AlsResult(0.0, None, [], report)
-    # per restart, the site form's factor (c or T) holds rows * d_r entries
-    # and the eigenproblem d_r * d_r
-    width = max(dims.d)
-    block = max(1, _ALS_BLOCK_ENTRIES // (width * max(rows, width)))
+    block = max(1, _ALS_BLOCK_ENTRIES // per_restart)
     best = -1.0
     best_factors: list[np.ndarray] | None = None
     best_restart = -1
