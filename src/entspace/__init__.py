@@ -5,157 +5,65 @@ complement, unextendible product bases, and two independent verifiers: a
 finite-field enumeration oracle and a numerical product-overlap maximizer.
 """
 
-from .grading import (
-    Dims,
-    enumerate_level,
-    level,
-    level_count,
-    level_count_closed_form,
-    level_counts,
-    parse_dims,
-)
-from .fields import (
-    COMPLEX,
-    RATIONAL,
-    Field,
-    Fp,
-    parse_field,
-    prime_field,
-)
-from .linalg import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_RESTARTS,
-    DEFAULT_TOL,
-    NO_WITNESS,
-    WITNESS,
-    BudgetExceededError,
-    StateVector,
-    Subspace,
-    intersect,
-    orthocomplement,
-    reduce_mod_p,
-    span,
-    subspace_sum,
-)
-from .construct import (
-    INFINITY,
-    ProductVector,
-    UpbRecipe,
-    antidiagonal_zero_space,
-    character_basis,
-    entangled_complement,
-    entangled_level,
-    entangled_subspace,
-    gram_matrix,
-    level_sum_line,
-    level_sum_vector,
-    minimal_upb,
-    split_antidiagonal_spaces,
-    standard_product_vector,
-    upb_of_size,
-    vandermonde_vector,
-)
-
-# The verifiers load on first access (PEP 562), so ``dims`` and
-# ``construct`` import neither; the finite-field oracle needs no numpy, the
-# ALS search does.
-_FF_NAMES = frozenset({
-    "ClassifyReport",
-    "ENUMERATION_BUDGET",
-    "UpbReport",
-    "VerificationReport",
-    "candidate_count",
-    "classify_product_vectors_fp",
-    "default_primes",
-    "ff_verify",
-    "find_product_vectors_fp",
-    "verify_upb",
-})
-_VERIFY_NAMES = frozenset({
-    "ALS_BUDGET",
-    "AlsResult",
-    "LevelSums",
-    "max_product_overlap",
-    "nearest_vandermonde",
-    "orthonormal_basis",
-})
+from importlib import import_module
 
 
-def __getattr__(name: str):
-    if name in _FF_NAMES:
-        from . import ff
+def _lazy_getattr(module: str, homes: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) that resolves each name of
+    ``homes`` in the package module named there, importing it on first
+    access: a process compiles only the modules it uses."""
 
-        return getattr(ff, name)
-    if name in _VERIFY_NAMES:
-        from . import verify
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f"{__name__}.{home}"), name)
 
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return __getattr__
+
+
+# Every public name, by the module that defines it.
+_HOMES = {
+    **dict.fromkeys((
+        "Dims", "parse_dims", "level", "enumerate_level", "level_count",
+        "level_counts", "level_count_closed_form"), "grading"),
+    **dict.fromkeys((
+        "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
+        "fields"),
+    **dict.fromkeys((
+        "StateVector", "Subspace", "BudgetExceededError", "VerificationReport",
+        "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS", "DEFAULT_TOL", "NO_WITNESS",
+        "WITNESS"), "linalg"),
+    **dict.fromkeys((
+        "span", "orthocomplement", "intersect", "subspace_sum", "reduce_mod_p"),
+        "elimination"),
+    **dict.fromkeys((
+        "INFINITY", "ProductVector", "standard_product_vector",
+        "level_sum_vector", "vandermonde_vector", "entangled_subspace",
+        "entangled_complement", "entangled_level", "level_sum_line",
+        "antidiagonal_zero_space"), "construct"),
+    **dict.fromkeys((
+        "UpbRecipe", "minimal_upb", "upb_of_size", "UpbReport", "verify_upb"),
+        "upb"),
+    **dict.fromkeys((
+        "character_basis", "split_antidiagonal_spaces", "gram_matrix"),
+        "examples"),
+    **dict.fromkeys((
+        "ClassifyReport", "ENUMERATION_BUDGET", "candidate_count",
+        "classify_product_vectors_fp", "default_primes", "ff_verify",
+        "find_product_vectors_fp"), "ff"),
+    **dict.fromkeys((
+        "ALS_BUDGET", "AlsResult", "LevelSums", "max_product_overlap",
+        "nearest_vandermonde", "orthonormal_basis"), "verify"),
+}
+
+__getattr__ = _lazy_getattr(__name__, _HOMES)
+
+__all__ = list(_HOMES)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _FF_NAMES | _VERIFY_NAMES)
+    return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "Dims",
-    "parse_dims",
-    "level",
-    "enumerate_level",
-    "level_count",
-    "level_counts",
-    "level_count_closed_form",
-    "Field",
-    "Fp",
-    "RATIONAL",
-    "COMPLEX",
-    "prime_field",
-    "parse_field",
-    "StateVector",
-    "Subspace",
-    "span",
-    "orthocomplement",
-    "intersect",
-    "subspace_sum",
-    "reduce_mod_p",
-    "INFINITY",
-    "ProductVector",
-    "UpbRecipe",
-    "standard_product_vector",
-    "level_sum_vector",
-    "vandermonde_vector",
-    "entangled_subspace",
-    "entangled_complement",
-    "entangled_level",
-    "level_sum_line",
-    "character_basis",
-    "minimal_upb",
-    "upb_of_size",
-    "antidiagonal_zero_space",
-    "split_antidiagonal_spaces",
-    "gram_matrix",
-    "ALS_BUDGET",
-    "AlsResult",
-    "BudgetExceededError",
-    "ClassifyReport",
-    "DEFAULT_MAX_SWEEPS",
-    "DEFAULT_RESTARTS",
-    "DEFAULT_TOL",
-    "ENUMERATION_BUDGET",
-    "LevelSums",
-    "NO_WITNESS",
-    "UpbReport",
-    "VerificationReport",
-    "WITNESS",
-    "candidate_count",
-    "classify_product_vectors_fp",
-    "default_primes",
-    "ff_verify",
-    "find_product_vectors_fp",
-    "max_product_overlap",
-    "nearest_vandermonde",
-    "orthonormal_basis",
-    "verify_upb",
-]
 
 __version__ = "0.1.0"

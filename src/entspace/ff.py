@@ -10,7 +10,9 @@ the subspace.  ``Fp`` objects are made only for the output.
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
 depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
-fibres loads the batched numpy kernel in ``verify``.
+fibres loads the batched numpy kernel in ``entspace.ffkernel``.  The UPB
+audit built on the oracle is ``entspace.upb.verify_upb``; it and its
+``UpbReport`` still resolve here, loading ``upb`` on first access.
 """
 
 from __future__ import annotations
@@ -18,19 +20,21 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from . import _lazy_getattr
 from .construct import ProductVector, level_sum_vector
 from .fields import Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims, Record, enumerate_level
+from .grading import Dims, Record
 from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
-    VerificationReport, _as_int, check_elimination_cost, integer_generators, \
-    orthocomplement, span
+    VerificationReport, _as_int, check_elimination_cost, integer_generators
+
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys(("UpbReport", "verify_upb"), "upb"))
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
 # projective product tuples needs fewer fibres (the most: 537,824 for 2^6
 # at p = 13), and each found point is held in memory as a ProductVector.
 ENUMERATION_BUDGET = 10**6
 # Above this many fibres the fibre solve runs on the batched numpy kernel in
-# ``verify``, which wins once it has paid for loading numpy and ``verify``
+# ``ffkernel``, which wins once it has paid for loading numpy and the kernel
 # (about 0.145 s).  The measured break-even grows as the solved site shrinks:
 # about 3,700 fibres on 5,5, 5,000-5,800 on 3,4 and 4,4, 8,000-10,000 on 3,3
 # and 3,3,3, and 15,000-23,000 on shapes of 2s.  At 6,000 neither side of the
@@ -285,7 +289,7 @@ def _rank_and_points(rows: list[list[int]], modulus: int | None, dims: Dims,
     fibres = _check_oracle(dims, p, budget)
     rank, h = _annihilator(rows, modulus, dims, p)
     if fibres > _BATCH_FIBRES:
-        from .verify import _batched_hit_fibres as hit_fibres
+        from .ffkernel import _batched_hit_fibres as hit_fibres
     else:
         hit_fibres = _hit_fibres
 
@@ -364,6 +368,8 @@ def ff_verify(
     else:
         generators = list(generators)
         if generators and generators[0].field == RATIONAL:
+            from .elimination import span
+
             rational_dim = span(generators, dims=dims, field=RATIONAL).dim
     if primes:
         # the first prime's checks, before converting a generator: an
@@ -441,73 +447,3 @@ def classify_product_vectors_fp(
         expected_count=p + 1, found=found, missing=missing,
         extraneous=extraneous,
     )
-
-
-class UpbReport(Record):
-    __slots__ = ("size", "span_dim", "independent", "meets_min_size",
-                 "complement_dim", "complement_in_entangled", "ff_reports",
-                 "is_upb", "witness")
-
-    def __init__(self, size: int, span_dim: int, independent: bool,
-                 meets_min_size: bool, complement_dim: int,
-                 complement_in_entangled: bool,
-                 ff_reports: list[VerificationReport] | None = None,
-                 is_upb: bool = False, witness: ProductVector | None = None) -> None:
-        self.size = size
-        self.span_dim = span_dim
-        self.independent = independent
-        self.meets_min_size = meets_min_size
-        self.complement_dim = complement_dim
-        self.complement_in_entangled = complement_in_entangled
-        self.ff_reports = [] if ff_reports is None else ff_reports
-        self.is_upb = is_upb
-        self.witness = witness
-
-
-def verify_upb(
-    vectors: list[ProductVector],
-    dims: Dims,
-    primes=None,
-    budget: int = ENUMERATION_BUDGET,
-) -> UpbReport:
-    """Full audit of a claimed unextendible product basis.
-
-    Checks exact linear independence, the minimal-size bound, and then runs
-    the finite-field oracle on the orthocomplement of the span (rational
-    input only).  Size below the minimum already disqualifies the set, but
-    the oracle still runs so a failure comes with an explicit witness.
-    """
-    if not vectors:
-        raise ValueError("empty product-vector set")
-    for v in vectors:
-        if v.dims != dims:
-            raise TypeError(f"vector dims {v.dims} do not match {dims}")
-    fld = vectors[0].field
-    if not fld.exact:
-        raise TypeError("exact coefficients required for the rank audit")
-    expansions = [v.expand() for v in vectors]
-    spanned = span(expansions, dims=dims, field=fld)
-    independent = spanned.dim == len(vectors)
-    meets_min = spanned.dim >= dims.max_level + 1
-    complement = orthocomplement(spanned)
-    # S is the annihilator of the level sums: a row lies in S when its
-    # entries on every level sum to zero
-    levels = [[dims.position(idx) for idx in enumerate_level(dims, n)]
-              for n in range(dims.max_level + 1)]
-    inside = all(not sum(row.coeffs[i] for i in level) for row in complement.rows
-                 for level in levels)
-
-    report = UpbReport(
-        size=len(vectors),
-        span_dim=spanned.dim,
-        independent=independent,
-        meets_min_size=meets_min,
-        complement_dim=complement.dim,
-        complement_in_entangled=inside,
-    )
-    if complement.dim > 0 and fld == RATIONAL:
-        report.ff_reports = ff_verify(complement, dims, primes, budget)
-        report.witness = next(
-            (rep.witness for rep in report.ff_reports if rep.verdict == WITNESS), None)
-    report.is_upb = independent and meets_min and report.witness is None
-    return report

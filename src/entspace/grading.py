@@ -154,22 +154,31 @@ def enumerate_level(dims: Dims, n: int) -> list[MultiIndex]:
     for r in range(dims.k - 1, -1, -1):
         suffix_max[r] = suffix_max[r + 1] + dims.d[r] - 1
 
-    out: list[MultiIndex] = []
-    prefix: list[int] = []
+    top = [x - 1 for x in dims.d]
+    idx = [0] * dims.k
 
-    def rec(r: int, remaining: int) -> None:
-        if r == dims.k:
-            out.append(tuple(prefix))
-            return
-        lo = max(0, remaining - suffix_max[r + 1])
-        hi = min(dims.d[r] - 1, remaining)
-        for i in range(lo, hi + 1):
-            prefix.append(i)
-            rec(r + 1, remaining - i)
-            prefix.pop()
+    def fill(r: int, remaining: int) -> None:
+        # the smallest tail idx[r:] that sums to ``remaining``
+        for j in range(r, dims.k):
+            idx[j] = max(0, remaining - suffix_max[j + 1])
+            remaining -= idx[j]
 
-    rec(0, n)
-    return out
+    # A lexicographic odometer, with no recursion to bound the number of
+    # factors: each step raises the rightmost factor that can still grow
+    # while its tail gives up one unit, then makes that tail the smallest.
+    fill(0, n)
+    out: list[MultiIndex] = [tuple(idx)]
+    while True:
+        tail = 0
+        for r in range(dims.k - 2, -1, -1):
+            tail += idx[r + 1]
+            if tail and idx[r] < top[r]:
+                break
+        else:
+            return out
+        idx[r] += 1
+        fill(r + 1, tail - 1)
+        out.append(tuple(idx))
 
 
 def level_counts(dims: Dims) -> list[int]:

@@ -12,13 +12,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .construct import INFINITY, ProductVector, UpbRecipe
-from .fields import COMPLEX, Field, Fp, parse_field
+from .construct import INFINITY, ProductVector
+from .fields import Field, Fp, parse_field
 from .grading import Dims
 from .linalg import StateVector, Subspace
 
-if TYPE_CHECKING:  # dims and construct never need the oracle's report classes
-    from .ff import ClassifyReport, UpbReport, VerificationReport
+if TYPE_CHECKING:  # each command loads only the layers it runs
+    from .ff import ClassifyReport
+    from .linalg import VerificationReport
+    from .upb import UpbRecipe, UpbReport
 
 
 def _fmt_float(x: float) -> str:

@@ -356,14 +356,23 @@ def quiet(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return entspace.cli.main(list(argv))
 
-def loaded():
+def loaded(names=("numpy", "entspace.verify", "dataclasses", "inspect")):
     # the value types are plain classes: start-up needs no code generator
-    return [name for name in ("numpy", "entspace.verify", "dataclasses", "inspect")
-            if name in sys.modules]
+    return [name for name in names if name in sys.modules]
+
+# the parser needs no construction, output layer or verifier
+assert not loaded(("entspace.construct", "entspace.serialize", "entspace.ff",
+                   "entspace.verify")), "loaded by import entspace.cli"
+
+# the closed forms need no elimination, UPB, example or verifier
+for space in ("S", "Sperp", "example1"):
+    assert quiet("construct", "--dims", "3,3", "--space", space) == 0
+assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
+closed_form = ("entspace.elimination", "entspace.upb", "entspace.examples", "entspace.ff",
+               "entspace.verify")
+assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct"
 
 assert quiet("dims", "--dims", "3,3") == 0
-assert quiet("construct", "--dims", "3,3", "--space", "S") == 0
-assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
 assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
 
@@ -375,6 +384,8 @@ from entspace.fields import is_prime
 at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
 assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut)) == 0
 assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
+oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel")
+assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
 assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
 assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
@@ -382,14 +393,14 @@ assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
 assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
 import entspace
 assert entspace.ff_verify is entspace.ff.ff_verify
-assert entspace.UpbReport is entspace.ff.UpbReport
+assert entspace.UpbReport is entspace.upb.UpbReport
 assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
 
-# just past the cut the batched kernel loads
+# just past the cut the batched kernel loads, and the ALS search does not
 past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
 assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(past_cut)) == 0
-assert loaded()[:2] == ["numpy", "entspace.verify"], loaded()  # numpy loads inspect
-assert entspace.ff_verify is entspace.verify.ff_verify
+kernel = loaded(("numpy", "entspace.ffkernel", "entspace.verify"))
+assert kernel == ["numpy", "entspace.ffkernel"], kernel
 """
 
 ALS_PROBE = """
@@ -404,7 +415,11 @@ assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
              "--restarts", "2") == 0
 for name in ("numpy", "entspace.verify"):
     assert name in sys.modules, name + " not loaded by verify --method als"
-assert "entspace.ff" not in sys.modules, "entspace.ff loaded by verify --method als"
+for name in ("entspace.ff", "entspace.ffkernel"):
+    assert name not in sys.modules, name + " loaded by verify --method als"
+# a module compiled after numpy raises the peak RSS
+order = list(sys.modules)
+assert order.index("entspace.serialize") < order.index("numpy")
 
 import entspace
 names = {}
@@ -435,8 +450,9 @@ def test_dims_and_construct_start_without_numpy():
 
 
 def test_module_entry_point_flushes_output_and_keeps_exit_codes(capsys, tmp_path):
-    # ``python -m entspace.cli`` exits through ``run``, which freezes the
-    # collector first: stdout, ``--out`` files and exit codes must survive it
+    # ``python -m entspace.cli`` exits through ``run``, which flushes the
+    # streams itself and skips the interpreter's teardown: stdout, ``--out``
+    # files and exit codes must survive it
     src = str(Path(entspace_cli.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -457,6 +473,80 @@ def test_module_entry_point_flushes_output_and_keeps_exit_codes(capsys, tmp_path
                                   "--format", "csv")[1]
     proc = cli("verify", "--dims", "3,3", "--space", "S", "--primes", "3")
     assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+
+def _cli_env(**changes):
+    """The environment of a ``python -m entspace.cli`` subprocess that
+    imports this source tree; a ``None`` value removes a variable."""
+    src = str(Path(entspace_cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["construct --dims 2,2 --space S", "--help"])
+def test_failed_final_flush_exits_2(argv):
+    # with buffered stdout the output is written only by the final flush,
+    # also when argparse ends the run
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entspace.cli", *argv.split()],
+            env=_cli_env(PYTHONUNBUFFERED=None), stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_thousand_factor_shapes_exit_cleanly():
+    # 1,100 factors of 2 once overflowed the recursion limit in
+    # enumerate_level and the float range in the ALS level weights
+    dims = ",".join(["2"] * 1100)
+    for argv in (["construct", "--dims", dims, "--space", "S"],
+                 ["onb", "--dims", dims, "--level", "1"],
+                 ["verify", "--dims", dims, "--space", "S", "--method", "als",
+                  "--restarts", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "entspace.cli", *argv],
+                              env=_cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# name -> (the module that defined it before, the module that defines it now)
+MOVED_NAMES = {
+    **{name: ("construct", "upb") for name in ("UpbRecipe", "minimal_upb", "upb_of_size")},
+    **{name: ("construct", "examples") for name in (
+        "SplitAntidiagonalExample", "split_antidiagonal_spaces", "gram_matrix",
+        "character_basis")},
+    **{name: ("linalg", "elimination") for name in (
+        "span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p")},
+    **{name: ("ff", "upb") for name in ("UpbReport", "verify_upb")},
+}
+
+
+def test_moved_names_resolve_in_their_old_modules():
+    import importlib
+
+    import entspace
+
+    for name in entspace.__all__:
+        getattr(entspace, name)
+        assert name in dir(entspace), name
+    for name, (old, new) in MOVED_NAMES.items():
+        old_module = importlib.import_module(f"entspace.{old}")
+        new_module = importlib.import_module(f"entspace.{new}")
+        assert getattr(old_module, name) is getattr(new_module, name), name
+    assert entspace.verify.verify_upb is entspace.upb.verify_upb
+    assert entspace.verify.UpbReport is entspace.upb.UpbReport
+    # construct no longer eliminates, but perfbench's tracer test looks span up there
+    assert entspace.construct.span is entspace.elimination.span
+    with pytest.raises(AttributeError, match="no_such_name"):
+        entspace.construct.no_such_name
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,6 +48,9 @@ def test_enumerate_level_examples():
     assert enumerate_level(Dims((2, 3)), 2) == [(0, 2), (1, 1)]
     assert enumerate_level(Dims((2, 3)), 0) == [(0, 0)]
     assert enumerate_level(Dims((2, 2, 2)), 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # no recursion bounds the number of factors
+    many = enumerate_level(Dims((2,) * 1100), 1)
+    assert len(many) == 1100 and many[0] == (0,) * 1099 + (1,) and many[-1] == (1,) + (0,) * 1099
 
 
 def test_enumerate_level_range_errors():

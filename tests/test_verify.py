@@ -46,13 +46,15 @@ from entspace import (
     vandermonde_vector,
     verify_upb,
 )
+import entspace.elimination as elimination_module
 import entspace.ff as ff_module
+import entspace.ffkernel as ffkernel_module
 import entspace.verify as verify_module
 from entspace.ff import _site_index
+from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
-from entspace.verify import _fix_phases, _site_points, \
-    _start_factors, _top_eigvec
+from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -184,7 +186,7 @@ def test_fibre_solve_matches_brute_force_on_named_spaces(dims, p):
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_fibre_solve_is_independent_of_block_size(monkeypatch, chunk):
     monkeypatch.setattr(ff_module, "_BATCH_FIBRES", 0)  # the batched kernel
-    monkeypatch.setattr(verify_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(ffkernel_module, "_CHUNK_ENTRIES", chunk)
     dims = Dims((2, 2, 3))
     full = [StateVector.basis_vector(dims, RATIONAL, idx)
             for idx in dims.all_indices()]
@@ -331,7 +333,7 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
         raise AssertionError("a reduced echelon input needs no second span")
 
     monkeypatch.setattr(ff_module, "_reduce_rows", counting_reduce)
-    monkeypatch.setattr(ff_module, "span", no_span)
+    monkeypatch.setattr(elimination_module, "span", no_span)
     dims = Dims((2, 3))
     reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
     assert calls == [5, 7]
@@ -439,9 +441,7 @@ def test_oracle_refuses_oversized_eliminations():
 
 def test_oracle_runs_no_fp_elimination(monkeypatch):
     # Fp objects appear only in the output: no elimination runs on them
-    import entspace.linalg as linalg_module
-
-    real = linalg_module._rref
+    real = elimination_module._rref
     eliminated = []
 
     def rational_only(rows):
@@ -450,7 +450,7 @@ def test_oracle_runs_no_fp_elimination(monkeypatch):
         eliminated.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(linalg_module, "_rref", rational_only)
+    monkeypatch.setattr(elimination_module, "_rref", rational_only)
     dims = Dims((2, 3))
     assert [r.verdict for r in ff_verify(entangled_subspace(dims), dims)] == [NO_WITNESS] * 3
     gens = [pv.expand() for pv in split_antidiagonal_spaces().spanning_set]
