@@ -39,9 +39,9 @@ _HOMES = {
         "elimination"),
     **dict.fromkeys((
         "INFINITY", "ProductVector", "standard_product_vector",
-        "level_sum_vector", "vandermonde_vector", "entangled_subspace",
-        "entangled_complement", "entangled_level", "level_sum_line",
-        "antidiagonal_zero_space"), "construct"),
+        "level_sum_vector", "vandermonde_vector", "LevelSums",
+        "entangled_subspace", "entangled_complement", "entangled_level",
+        "level_sum_line", "antidiagonal_zero_space"), "construct"),
     **dict.fromkeys((
         "UpbRecipe", "minimal_upb", "upb_of_size", "UpbReport", "verify_upb"),
         "upb"),
@@ -53,7 +53,7 @@ _HOMES = {
         "classify_product_vectors_fp", "default_primes", "ff_verify",
         "find_product_vectors_fp"), "ff"),
     **dict.fromkeys((
-        "ALS_BUDGET", "AlsResult", "LevelSums", "max_product_overlap",
+        "ALS_BUDGET", "AlsResult", "max_product_overlap",
         "nearest_vandermonde", "orthonormal_basis"), "verify"),
 }
 

@@ -23,13 +23,14 @@ from .linalg import (
     NO_WITNESS,
     WITNESS,
     BudgetExceededError,
+    Subspace,
 )
 
 # The parser and ``main`` need only the names above.  Each command imports
 # the layers it runs, so a process loads (and, with bytecode caching off,
 # compiles) no other: numpy loads only for ALS and for enumerations too
-# large for plain ints, and exact elimination only for ``upb`` and
-# ``example2``.
+# large for plain ints, and exact elimination only for ``upb`` and a
+# ``verify`` of example2-R, which spans its product vectors.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -54,27 +55,25 @@ def _level_selector(name: str) -> int:
         raise ValueError(f"bad level selector {name!r}") from None
 
 
-def _check_example1(dims: Dims) -> None:
-    if dims.k != 2:
-        raise ValueError("example1 needs exactly two factors")
+def _named_space(dims: Dims, name: str):
+    """Named space -> (space, expected verdict).
 
+    A graded space comes back unbuilt, as its ``LevelSums``; example2-M as
+    its exact subspace and example2-R as its product-vector list.
+    """
+    from .construct import LevelSums
 
-def _resolve_space(dims: Dims, name: str):
-    """Named space -> (subspace or product-vector list, expected verdict)."""
-    from .construct import (
-        antidiagonal_zero_space, entangled_complement, entangled_level,
-        entangled_subspace,
-    )
-
+    every = range(dims.max_level + 1)
     if name == "S":
-        return entangled_subspace(dims), NO_WITNESS
+        return LevelSums(every), NO_WITNESS
     if name == "Sperp":
-        return entangled_complement(dims), WITNESS
+        return LevelSums(every, sums=True), WITNESS
     if name.startswith("level:"):
-        return entangled_level(dims, _level_selector(name)), NO_WITNESS
+        return LevelSums((_level_selector(name),)), NO_WITNESS
     if name == "example1":
-        _check_example1(dims)
-        return antidiagonal_zero_space(dims.d[0], dims.d[1]), NO_WITNESS
+        if dims.k != 2:
+            raise ValueError("example1 needs exactly two factors")
+        return LevelSums(every), NO_WITNESS
     if name in ("example2-M", "example2-R"):
         if dims.d != (4, 4):
             raise ValueError("example2 is defined for dims 4,4")
@@ -87,6 +86,16 @@ def _resolve_space(dims: Dims, name: str):
     raise ValueError(f"unknown space {name!r}; choose from {SPACES}")
 
 
+def _resolve_space(dims: Dims, name: str):
+    """Named space -> (subspace or product-vector list, expected verdict)."""
+    from .construct import LevelSums, _level_rows
+
+    space, expected = _named_space(dims, name)
+    if isinstance(space, LevelSums):
+        space = _level_rows(dims, space)
+    return space, expected
+
+
 def _as_subspace(target):
     """A subspace as it is, or the span of a product-vector list."""
     if isinstance(target, list):
@@ -94,33 +103,6 @@ def _as_subspace(target):
 
         return span([pv.expand() for pv in target])
     return target
-
-
-def _als_space(dims: Dims, name: str):
-    """Named space -> (``max_product_overlap`` input, expected verdict).
-
-    A graded space goes in unbuilt, as its ``LevelSums`` form; the example2
-    spaces are built exactly, before numpy loads, and go in as orthonormal
-    rows.
-    """
-    if name in ("S", "Sperp", "example1") or name.startswith("level:"):
-        from .verify import LevelSums, check_form_size
-
-        if name == "example1":
-            _check_example1(dims)
-        # refused before the list of levels is written down
-        check_form_size(dims, dims.max_level + 1)
-        every = tuple(range(dims.max_level + 1))
-        if name == "Sperp":
-            return LevelSums(every, sums=True), WITNESS
-        if name.startswith("level:"):
-            return LevelSums((_level_selector(name),)), NO_WITNESS
-        return LevelSums(every), NO_WITNESS
-    target, expected = _resolve_space(dims, name)
-    target = _as_subspace(target)
-    from .verify import orthonormal_basis
-
-    return orthonormal_basis(target), expected
 
 
 def _parse_points(text: str) -> list:
@@ -217,33 +199,20 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_upb(args: argparse.Namespace) -> int:
-    from .construct import INFINITY
     from .fields import RATIONAL
     from .serialize import (
         encode_upb_recipe, encode_upb_report, json_dumps, product_vectors_document,
     )
-    from .upb import minimal_upb, upb_of_size, verify_upb
+    from .upb import upb_of_size, verify_upb
 
     dims = parse_dims(args.dims)
     points = None if args.lambdas is None else _parse_points(args.lambdas)
-    if args.min:
-        vectors = minimal_upb(dims, points)
-        recipe_entry = {
-            "size": len(vectors),
-            "levels": [],
-            "points": [
-                "inf" if p is INFINITY else str(RATIONAL.coerce(p))
-                for p in (points or [Fraction(t) for t in range(dims.max_level + 1)])
-            ],
-            "dropped": [],
-        }
-    else:
-        record, vectors = upb_of_size(dims, args.size, points)
-        recipe_entry = encode_upb_recipe(record, RATIONAL)
+    size = dims.max_level + 1 if args.min else args.size
+    record, vectors = upb_of_size(dims, size, points)
     report = verify_upb(vectors, dims, primes=args.primes)
     doc = product_vectors_document(
         dims, RATIONAL, vectors,
-        {"upb": recipe_entry, "report": encode_upb_report(report)},
+        {"upb": encode_upb_recipe(record, RATIONAL), "report": encode_upb_report(report)},
     )
     _write(json_dumps(doc), args.out)
     return 0 if report.is_upb else 3
@@ -261,9 +230,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         target, expected = _resolve_space(dims, args.space)
         reports = ff_verify(_as_subspace(target), dims, args.primes)
     else:
-        from .verify import max_product_overlap
+        # example2 is built, and example2-R spanned, before numpy loads
+        space, expected = _named_space(dims, args.space)
+        space = _as_subspace(space)
+        from .verify import max_product_overlap, orthonormal_basis
 
-        space, expected = _als_space(dims, args.space)
+        if isinstance(space, Subspace):
+            space = orthonormal_basis(space)
         result = max_product_overlap(
             space, dims,
             restarts=args.restarts, max_sweeps=args.max_sweeps,
@@ -331,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--min", action="store_true", help="minimal size N+1")
-    group.add_argument("--size", type=int, help="requested size (two factors only)")
+    group.add_argument("--size", type=int,
+                       help="requested size (above N+1, two factors only)")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated parameter points, rationals or inf")
     p.add_argument("--primes", type=prime_list, default=None,
@@ -368,10 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,15 +2,18 @@
 
 Everything here is exact: the completely entangled subspace spanned by
 equal-level differences, its product-vector orthocomplement spanned by the
-level sums (both written down in reduced echelon form, with no
-elimination), and the Vandermonde product vectors that exhaust that
-complement.  The unextendible product bases built from them are in
-``entspace.upb``, and the character bases and the 4x4 matrix-space example
-in ``entspace.examples``; their names still resolve here, loading that
-module on first access.
+level sums (both named by a ``LevelSums`` and written down in reduced
+echelon form, with no elimination), and the Vandermonde product vectors
+that exhaust that complement.  The unextendible product bases built from
+them are in ``entspace.upb``, and the character bases and the 4x4
+matrix-space example in ``entspace.examples``; their names still resolve
+here, loading that module on first access.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from . import _lazy_getattr
 from .fields import Field, RATIONAL, Scalar
@@ -145,23 +148,40 @@ def vandermonde_vector(dims: Dims, point, field: Field = RATIONAL) -> ProductVec
     return ProductVector(dims, field, tuple(factors))
 
 
-def _graded_rows(dims: Dims, field: Field, levels, sums: bool = False) -> Subspace:
-    """Reduced echelon basis of a graded space, written down without elimination.
+class LevelSums(NamedTuple):
+    """A graded space named by its levels and described by their sums u_n.
 
-    Per level the rows are either the level sum u_n, pivot at the level's
-    first position, or e_i - e_last for every position i of the level but
-    its last (lexicographically largest).  Levels have disjoint supports, so
-    the rows of all requested levels, sorted by pivot, are already reduced.
-    Levels are counted before their rows are built, so an oversized basis is
-    refused after building at most ``DENSE_BUDGET`` entries.
+    With ``sums`` the space is spanned by the level sums u_n of ``levels``;
+    without, it is the part of those levels orthogonal to their u_n.  So S
+    (and example1, which is S on two factors) is every level without sums,
+    Sperp every level with sums, and ``level:n`` the level n without sums.
+    ``levels`` is any sequence of distinct levels, a range included.
+    ``max_product_overlap`` searches such a space as it is, with no basis;
+    the ``entangled_*`` builders here write its exact basis down.
+    """
+
+    levels: Sequence[int]
+    sums: bool = False
+
+
+def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspace:
+    """Reduced echelon basis of a space cut out by group sums, written down
+    without elimination.
+
+    ``groups`` are disjoint runs of ascending positions.  Per group the rows
+    are either the group sum, pivot at the group's first position, or
+    e_i - e_last for every position i of the group but its last: the part of
+    the group orthogonal to its sum.  Groups have disjoint supports, so the
+    rows of all groups, sorted by pivot, are already reduced.  Groups are
+    counted before their rows are built, so an oversized basis is refused
+    after building at most ``DENSE_BUDGET`` entries.
     """
     if not field.exact:
         raise TypeError("echelon bases need an exact field; convert floats upstream")
     zero, one = field.zero(), field.one()
     minus_one = -one
     pivoted: list[tuple[int, list[Scalar]]] = []
-    for n in levels:
-        positions = [dims.position(idx) for idx in enumerate_level(dims, n)]
+    for positions in groups:
         check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), dims.total)
         if sums:
             coeffs = [zero] * dims.total
@@ -180,27 +200,47 @@ def _graded_rows(dims: Dims, field: Field, levels, sums: bool = False) -> Subspa
     return Subspace(dims, field, rows)
 
 
+def _level_rows(dims: Dims, space: LevelSums, field: Field = RATIONAL) -> Subspace:
+    """Reduced echelon basis of a ``LevelSums`` space: one group per level.
+
+    Refused first from row counts that need no enumeration: total - (N+1)
+    for every level without sums, one row per level with sums, and at least
+    one for each level 0 < n < N, which holds two indices or more.
+    """
+    top = dims.max_level
+    if space.sums:
+        rows = len(space.levels)
+    elif len(space.levels) == top + 1:
+        rows = dims.total - (top + 1)
+    else:
+        rows = sum(0 < n < top for n in space.levels)
+    check_dense_size(rows, dims.total)
+    groups = ([dims.position(idx) for idx in enumerate_level(dims, n)]
+              for n in space.levels)
+    return _group_rows(dims, field, groups, space.sums)
+
+
 def entangled_subspace(dims: Dims, field: Field = RATIONAL) -> Subspace:
     """The maximal completely entangled subspace: per level, the vectors whose
     coefficients sum to zero.  Its dimension is total - (max_level + 1).
 
     Written down in reduced echelon form; the tests check it against the
     span of same-level differences by elimination."""
-    return _graded_rows(dims, field, range(dims.max_level + 1))
+    return _level_rows(dims, LevelSums(range(dims.max_level + 1)), field)
 
 
 def entangled_complement(dims: Dims, field: Field = RATIONAL) -> Subspace:
     """Orthocomplement of the entangled subspace: span of the level sums."""
-    return _graded_rows(dims, field, range(dims.max_level + 1), sums=True)
+    return _level_rows(dims, LevelSums(range(dims.max_level + 1), sums=True), field)
 
 
 def entangled_level(dims: Dims, n: int, field: Field = RATIONAL) -> Subspace:
     """Slice of the entangled subspace inside a single level; dim a_n - 1."""
-    return _graded_rows(dims, field, [n])
+    return _level_rows(dims, LevelSums((n,)), field)
 
 
 def level_sum_line(dims: Dims, n: int, field: Field = RATIONAL) -> Subspace:
-    return _graded_rows(dims, field, [n], sums=True)
+    return _level_rows(dims, LevelSums((n,), sums=True), field)
 
 
 def antidiagonal_zero_space(d1: int, d2: int, field: Field = RATIONAL) -> Subspace:

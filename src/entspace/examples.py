@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .construct import INFINITY, ProductVector, vandermonde_vector
+from .construct import INFINITY, ProductVector, _group_rows, vandermonde_vector
 from .fields import COMPLEX, Field, RATIONAL, Scalar
 from .grading import Dims, enumerate_level
 from .linalg import StateVector, Subspace, check_dense_size
@@ -24,6 +24,7 @@ def character_basis(dims: Dims, n: int) -> list[StateVector]:
     Entry 0 is the normalized level sum; entries 1.. span the entangled slice
     of the level.  The Gram matrix is the identity up to float roundoff.
     """
+    check_dense_size(1, dims.total)  # before the level is enumerated
     idxs = enumerate_level(dims, n)
     a = len(idxs)
     check_dense_size(a, dims.total)
@@ -47,14 +48,14 @@ def split_antidiagonal_spaces(field: Field = RATIONAL) -> SplitAntidiagonalExamp
     """4x4 matrix-space example where a natural rank-one family undershoots.
 
     The middle anti-diagonal constraint is split into two shorter runs, so
-    m_space has eight constraints and dimension 8, strictly inside the
-    entangled subspace.  The returned rank-one family (Vandermonde points
+    m_space has eight constraints, the sums of eight disjoint groups, and
+    dimension 8, strictly inside the entangled subspace.  Both m_space and
+    its complement m_perp, the span of those group sums, are written down in
+    closed form.  The returned rank-one family (Vandermonde points
     0..6 plus the top corner matrix) spans only a 7-dimensional part of the
     8-dimensional orthocomplement of m_space, yet its own orthocomplement is
     already completely entangled.
     """
-    from .elimination import orthocomplement, span  # onb needs no elimination
-
     dims = Dims((4, 4))
     groups = [
         [(0, 0)],
@@ -66,14 +67,9 @@ def split_antidiagonal_spaces(field: Field = RATIONAL) -> SplitAntidiagonalExamp
         [(2, 3), (3, 2)],
         [(3, 3)],
     ]
-    funcs = []
-    for g in groups:
-        coeffs = [field.zero()] * dims.total
-        for idx in g:
-            coeffs[dims.position(idx)] = field.one()
-        funcs.append(StateVector(dims, field, tuple(coeffs)))
-    m_space = orthocomplement(span(funcs))
-    m_perp = orthocomplement(m_space)
+    positions = [[dims.position(idx) for idx in g] for g in groups]
+    m_space = _group_rows(dims, field, positions)
+    m_perp = _group_rows(dims, field, positions, sums=True)
     pts = [Fraction(t) for t in range(7)] + [INFINITY]
     family = [vandermonde_vector(dims, pt, field) for pt in pts]
     return SplitAntidiagonalExample(m_space, m_perp, family)

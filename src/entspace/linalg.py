@@ -77,9 +77,11 @@ class BudgetExceededError(RuntimeError):
                  unit: str = "multiply-adds"):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(
-            f"{task} needs at least {estimate} {unit}, budget is {budget}"
-        )
+        # past 30 digits, the power of two at or below the estimate: still a
+        # lower bound, and clear of the interpreter's limit on the digits of
+        # an int converted to text
+        shown = estimate if estimate < 10**30 else f"2**{estimate.bit_length() - 1}"
+        super().__init__(f"{task} needs at least {shown} {unit}, budget is {budget}")
 
 
 def check_elimination_cost(rows: int, cols: int) -> None:

@@ -91,7 +91,8 @@ def _choose_levels(weights: list[int], target: int) -> list[int]:
 def upb_of_size(
     dims: Dims, m: int, points=None, field: Field = RATIONAL
 ) -> tuple[UpbRecipe, list[ProductVector]]:
-    """Bipartite unextendible product basis with exactly m elements.
+    """Unextendible product basis with exactly m elements: any number of
+    factors at the minimal size max_level + 1, exactly two above it.
 
     Starts from a minimal UPB and, for each chosen level, adds every standard
     basis product vector of that level except the lexicographically last.
@@ -100,10 +101,10 @@ def upb_of_size(
     Nothing is eliminated here: ``verify_upb`` audits rank and
     complement exactly.
     """
-    if dims.k != 2:
-        raise ValueError("sizes above the minimum need exactly two factors")
     top = dims.max_level
     lo, hi = top + 1, dims.total
+    if dims.k != 2 and m != lo:
+        raise ValueError("sizes above the minimum need exactly two factors")
     if not lo <= m <= hi:
         raise ValueError(f"size {m} outside [{lo}, {hi}] for dims {dims}")
     # first, so that an oversized shape is refused before the level choice

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 # The package modules load before numpy: a module compiled from source after
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from . import _lazy_getattr
-from .construct import INFINITY, ProductVector, vandermonde_vector
+from .construct import INFINITY, LevelSums, ProductVector, vandermonde_vector
 from .fields import COMPLEX
 from .grading import Dims, Record, level_counts
 from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
@@ -51,17 +50,6 @@ ALS_BUDGET = 4 * 10**6
 ALS_FORM_BUDGET = 2 * 10**6
 
 
-def check_form_size(dims: Dims, rows: int) -> int:
-    """Refuse an ALS site form of ``rows`` rows over ``ALS_FORM_BUDGET``
-    before anything is built; return its entries per restart."""
-    width = max(dims.d)
-    entries = width * max(rows, width)
-    if entries > ALS_FORM_BUDGET:
-        raise BudgetExceededError(entries, ALS_FORM_BUDGET, "ALS site form",
-                                  "entries per restart")
-    return entries
-
-
 def orthonormal_basis(s: Subspace) -> np.ndarray:
     """Complex-float orthonormal rows spanning the same subspace.
 
@@ -77,20 +65,6 @@ def orthonormal_basis(s: Subspace) -> np.ndarray:
     if not np.all(np.abs(np.diagonal(r)) >= 1e-12):  # also rejects nan
         raise ValueError("input rows are numerically dependent")
     return np.ascontiguousarray(q.T)
-
-
-class LevelSums(NamedTuple):
-    """A graded space named by its levels, for ``max_product_overlap``.
-
-    With ``sums`` the space is spanned by the level sums u_n of ``levels``;
-    without, it is the part of those levels orthogonal to their u_n.  So S
-    (and example1, which is S on two factors) is every level without sums,
-    Sperp every level with sums, and ``level:n`` the level n without sums:
-    the spaces ``construct`` writes down exactly.
-    """
-
-    levels: tuple[int, ...]
-    sums: bool = False
 
 
 def _site_update_matrices(w_conj: np.ndarray, factors: list[np.ndarray], r: int) -> np.ndarray:
@@ -355,7 +329,11 @@ def max_product_overlap(
         raise BudgetExceededError(updates, ALS_BUDGET, "ALS search",
                                   "site updates (restarts * max_sweeps * sites)")
     graded = isinstance(basis, LevelSums)
-    per_restart = check_form_size(dims, dims.max_level + 1 if graded else len(basis))
+    width = max(dims.d)
+    per_restart = width * max(dims.max_level + 1 if graded else len(basis), width)
+    if per_restart > ALS_FORM_BUDGET:
+        raise BudgetExceededError(per_restart, ALS_FORM_BUDGET, "ALS site form",
+                                  "entries per restart")
     params = {"restarts": restarts, "max_sweeps": max_sweeps,
               "tol": tol, "seed": seed}
     if graded:

@@ -348,6 +348,38 @@ def test_oversized_shapes_are_refused_before_anything_is_built(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "construct --dims {twos} --space S",
+    "construct --dims {twos} --space Sperp",
+    "construct --dims {twos} --space level:1",
+    "construct --dims 2,3000000 --space example1",
+    "verify --dims {twos} --space S --method ff",
+    "onb --dims {twos} --level 1",
+], ids=lambda argv: argv.replace("{twos}", "3000x2"))
+def test_huge_shapes_are_refused_before_a_level_is_enumerated(capsys, monkeypatch, argv):
+    # the row counts of S, Sperp and a level slice need no enumeration
+    def no_enumeration(dims, n):
+        raise AssertionError(f"level {n} enumerated")
+
+    import entspace.construct
+    import entspace.examples
+
+    for module in (entspace.construct, entspace.examples):
+        monkeypatch.setattr(module, "enumerate_level", no_enumeration)
+    code, out, err = run(capsys, *argv.format(twos=",".join(["2"] * 3000)).split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: dense basis needs at least ") and err.count("\n") == 1, err
+
+
+def test_huge_estimates_print_as_powers_of_two(capsys):
+    # the fibre count has about 6,600 digits, past the interpreter's limit
+    # on converting an int to text
+    code, out, err = run(capsys, "classify", "--dims", ",".join(["2"] * 2000),
+                         "--prime", "2003")
+    assert code == 2 and out == ""
+    assert err.startswith("error: enumeration needs at least 2**") and err.count("\n") == 1, err
+
+
 STARTUP_PROBE = """
 import contextlib, io, sys
 import entspace.cli
@@ -371,6 +403,12 @@ assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") ==
 closed_form = ("entspace.elimination", "entspace.upb", "entspace.examples", "entspace.ff",
                "entspace.verify")
 assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct"
+
+# so is example2, also under the oracle
+for space in ("example2-M", "example2-R"):
+    assert quiet("construct", "--dims", "4,4", "--space", space) == 0
+assert quiet("verify", "--dims", "4,4", "--space", "example2-M", "--method", "ff") == 0
+assert not loaded(("entspace.elimination",)), "elimination loaded by example2"
 
 assert quiet("dims", "--dims", "3,3") == 0
 assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
@@ -411,6 +449,9 @@ def quiet(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return entspace.cli.main(list(argv))
 
+# example2-R is built and spanned before numpy loads
+assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
+             "--restarts", "4") == 0
 assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
              "--restarts", "2") == 0
 for name in ("numpy", "entspace.verify"):
@@ -420,6 +461,7 @@ for name in ("entspace.ff", "entspace.ffkernel"):
 # a module compiled after numpy raises the peak RSS
 order = list(sys.modules)
 assert order.index("entspace.serialize") < order.index("numpy")
+assert order.index("entspace.elimination") < order.index("numpy")
 
 import entspace
 names = {}
@@ -526,6 +568,7 @@ MOVED_NAMES = {
     **{name: ("linalg", "elimination") for name in (
         "span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p")},
     **{name: ("ff", "upb") for name in ("UpbReport", "verify_upb")},
+    "LevelSums": ("verify", "construct"),
 }
 
 
@@ -645,6 +688,8 @@ GOLDEN = {
         ("975a557761c1fcbc4915a1fb39aa2f71b66ddf43facc1155c0e3324c5a8fd361", 0),
     "construct --dims 4,4 --space example2-R":
         ("e8075cc4897d4c17df5bf133c211fc20437d955c4bdd736005d151f7bc0510fc", 0),
+    "construct --dims 4,4 --space example2-M --format csv":
+        ("687b357e0d4af4a49057080cc8d2d6075b0b110840f080cbfc51578ecb106141", 0),
     "construct --dims 4,5 --space S --format csv":
         ("2be0dc7e8a4dd98ab6b6a5882317933f62187c1261702989ca637b4766c20d35", 0),
     # on two factors example1 is S, so the same CSV as S at 3,4
@@ -668,6 +713,10 @@ GOLDEN = {
         ("000951986710e82d256155c0fcf2565aaa19d1d6d5ae5fa1c13a015a48159584", 0),
     "upb --dims 3,3 --min":
         ("9e80f3b1260f97e82f7ff761c2990c9b6f27939c1cfe54eb91ec355a4ca73231", 0),
+    "upb --dims 2,2,2 --min --primes 5":
+        ("a8cc1b3b3ff79f702ffa1a3c3112e424f5f7c4544acdb2882d1904023d2d67d1", 0),
+    "upb --dims 2,3,4 --min --lambdas 0,1/2,2,3,4,5,inf --primes 11":
+        ("9439a7c93770378c302c707f8e539a21af48401b4c99f220dea8830a0c431bad", 0),
     "upb --dims 3,4 --size 9 --primes 7,11":
         ("25fbcc0eae35dfac2c0d90aa9ffbd0ba2f21653c1b11f396e4ac2ac6c36aad11", 0),
     "classify --dims 3,3 --prime 7":

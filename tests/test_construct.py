@@ -363,6 +363,23 @@ def test_split_antidiagonal_example():
     assert orthocomplement(r_span) == s
 
 
+@pytest.mark.parametrize("field", [RATIONAL, prime_field(7)], ids=lambda f: f.label)
+def test_split_antidiagonal_closed_forms_match_elimination(field):
+    # m_space and m_perp are written down from the eight group sums: every
+    # level of the 4x4 grid, with level 3 split into two runs
+    ex = split_antidiagonal_spaces(field)
+    d44 = Dims((4, 4))
+
+    def e(idx):
+        return StateVector.basis_vector(d44, field, idx)
+
+    sums = [level_sum_vector(d44, n, field) for n in (0, 1, 2, 4, 5, 6)]
+    sums += [e((0, 3)) + e((1, 2)), e((2, 1)) + e((3, 0))]
+    m_space = orthocomplement(span(sums))
+    assert ex.m_space == m_space
+    assert ex.m_perp == orthocomplement(m_space)
+
+
 def test_gram_values():
     for dims in (Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))):
         z0 = vandermonde_vector(dims, 0)
