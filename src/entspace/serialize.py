@@ -7,9 +7,7 @@ always printed with 17 significant digits, exact scalars always as strings.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .construct import INFINITY, ProductVector
@@ -27,6 +25,16 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _quote(s: str) -> str:
+    """``json.dumps(s)``: printable ASCII with no quote or backslash needs no
+    escape, and only a string that does loads the ``json`` package."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
 def _scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -35,7 +43,7 @@ def _scalar(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)  # what json.dumps does for a str
+        return _quote(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -51,7 +59,7 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
             out.append("  " * (indent + 1))
-            out.append(json.dumps(k))
+            out.append(_quote(k))
             out.append(": ")
             _emit(v, indent + 1, out)
             out.append(",\n" if i < len(items) - 1 else "\n")
@@ -64,7 +72,7 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         # a flat list is one line; exact coefficients are all strings
         types = set(map(type, seq))
         if types == {str}:
-            out.append("[" + ", ".join(map(encode_basestring_ascii, seq)) + "]")
+            out.append("[" + ", ".join(map(_quote, seq)) + "]")
             return
         if not any(issubclass(t, (dict, list, tuple)) for t in types):
             out.append("[" + ", ".join(map(_scalar, seq)) + "]")

@@ -371,6 +371,20 @@ def test_huge_shapes_are_refused_before_a_level_is_enumerated(capsys, monkeypatc
     assert err.startswith("error: dense basis needs at least ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("space", ["S", "Sperp"])
+def test_huge_als_forms_are_refused_before_the_level_counts(capsys, monkeypatch, space):
+    # some level of 3,000 factors of 2 holds at least 2**3000 / 3001 indices
+    def no_counts(dims):
+        raise AssertionError("level counts computed")
+
+    monkeypatch.setattr(verify_module, "level_counts", no_counts)
+    code, out, err = run(capsys, "verify", "--dims", ",".join(["2"] * 3000), "--space", space,
+                         "--method", "als", "--restarts", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: the largest level has at least a 2989-bit dimension, "
+                   "past the float range of the ALS search\n"), err
+
+
 def test_huge_estimates_print_as_powers_of_two(capsys):
     # the fibre count has about 6,600 digits, past the interpreter's limit
     # on converting an int to text
@@ -413,6 +427,8 @@ assert not loaded(("entspace.elimination",)), "elimination loaded by example2"
 assert quiet("dims", "--dims", "3,3") == 0
 assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
+# the JSON writer quotes the documents' strings itself
+assert not loaded(("json",)), "json loaded by construct"
 
 from entspace.ff import _BATCH_FIBRES
 from entspace.fields import is_prime
@@ -422,7 +438,7 @@ from entspace.fields import is_prime
 at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
 assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut)) == 0
 assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
-oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel")
+oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel", "json")
 assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
 assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
@@ -456,7 +472,7 @@ assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
              "--restarts", "2") == 0
 for name in ("numpy", "entspace.verify"):
     assert name in sys.modules, name + " not loaded by verify --method als"
-for name in ("entspace.ff", "entspace.ffkernel"):
+for name in ("entspace.ff", "entspace.ffkernel", "json"):
     assert name not in sys.modules, name + " loaded by verify --method als"
 # a module compiled after numpy raises the peak RSS
 order = list(sys.modules)

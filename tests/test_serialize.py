@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from entspace import (
     COMPLEX,
@@ -180,3 +180,17 @@ json_like = st.recursive(
 @given(json_like)
 def test_json_writer_matches_reference_on_json_like_values(doc):
     assert_same_json(doc)
+
+
+@given(st.text(), st.text())
+@example('"', "\\")
+@example("\n\x00\x1f", "\x7f ~")
+@example("\u00e9\u2603", "\ud800\udfff")
+@example("", "plain text, 3/4")
+def test_strings_are_quoted_as_json_quotes_them(key, value):
+    # plain strings are quoted without the json package; the rest go to it
+    pairs = [(json_dumps(value), json.dumps(value)),
+             (json_dumps([value, key]), json.dumps([value, key])),
+             (json_dumps({key: value}), json.dumps({key: value}, indent=2))]
+    for got, want in pairs:
+        assert got.encode("ascii") == (want + "\n").encode("ascii")

@@ -54,7 +54,7 @@ from entspace.ff import _site_index
 from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
-from entspace.verify import _fix_phases, _start_factors, _top_eigvec
+from entspace.verify import _fix_phases, _seed_states, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -755,10 +755,17 @@ def test_level_sum_als_runs_large_shapes_without_a_basis():
     assert 0.0 <= 1.0 - result.best_overlap < 1e-12
 
 
+# seeds of one to four 32-bit words, one of more words than SeedSequence's
+# pool holds, and one of 1,000 bits
+START_SEEDS = (0, 5, 17, 2**31, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**999 + 12345)
+# blocks from restart 0, from a block boundary (273 restarts of 3,3 fill
+# one), and a lone restart
+START_BLOCKS = (range(0, 9), range(3, 11), range(273, 282), range(546, 547))
+
+
 def test_start_factors_match_the_per_site_draw():
-    for dims, seed in ((Dims((2, 2)), 0), (Dims((3, 5)), 17), (Dims((2, 3, 4)), 2**31),
-                       (Dims((2,) * 6), 5)):
-        ts = range(3, 11)
+    shapes = (Dims((2, 2)), Dims((3, 5)), Dims((2, 3, 4)), Dims((2,) * 6))
+    for seed, dims, ts in itertools.product(START_SEEDS, shapes, START_BLOCKS):
         got = _start_factors(dims, ts, seed)
         for i, t in enumerate(ts):
             rng = np.random.default_rng([seed, t])
@@ -766,7 +773,16 @@ def test_start_factors_match_the_per_site_draw():
                 raw = rng.standard_normal((d, 2))
                 x = raw[:, 0] + 1j * raw[:, 1]
                 want = x / np.linalg.norm(x)
-                assert f[i].tobytes() == want.tobytes()
+                assert f[i].tobytes() == want.tobytes(), (seed, dims, t)
+
+
+def test_seed_states_match_seed_sequence():
+    for seed, ts in itertools.product(START_SEEDS, START_BLOCKS):
+        got = _seed_states(seed, ts)
+        assert len(got) == len(ts)
+        for words, t in zip(got, ts):
+            want = np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
+            assert words == want.tolist(), (seed, t)
 
 
 def test_orthonormal_basis_rejects_dependent_rows():
