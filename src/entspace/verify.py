@@ -147,7 +147,7 @@ def _level_sum_form(space: LevelSums, dims: Dims):
     levels = np.array(sorted(set(space.levels)), dtype=np.intp)
     every = len(levels) == top + 1
     # the largest level is at least the average, so a space of every level
-    # is refused before the level counts (1 s on 3,000 factors of 2)
+    # is refused before the level counts, k * (N+1) big-int additions
     if every and dims.total > len(levels) * int(sys.float_info.max):
         raise ValueError(f"the largest level has at least a "
                          f"{(dims.total // len(levels)).bit_length()}-bit dimension, "
@@ -196,92 +196,20 @@ def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]
     return top, vecs[:, -1]
 
 
-# numpy's SeedSequence: its pool of four 32-bit words, the hash constants and
-# multipliers of its entropy mixing and of its output, and its mixing function
-_POOL_WORDS = 4
-_MIX_HASH = (0x43b0d7e5, 0x931e8875)
-_OUT_HASH = (0x8b51f9dd, 0x58f38ded)
-_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
-# the multiplier of PCG64's 128-bit linear congruential step
-_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # (xor, mul) of n successive SeedSequence hash steps, as (n, 1) columns:
-    # each step xors the hash constant in, then multiplies by its next value
-    ks = [init]
-    for _ in range(n):
-        ks.append(ks[-1] * mult & 0xFFFFFFFF)
-    k = np.array(ks, dtype=np.uint32)[:, None]
-    return k[:-1], k[1:]
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
-
-
-def _seed_states(seed: int, ts: range) -> list[list[int]]:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for every t.
-
-    SeedSequence's hash mixing, run on uint32 arrays with one column per
-    restart; its hash constants do not depend on the entropy.  The entropy
-    is the 32-bit words of ``seed``, low first (one word for 0), then t,
-    which is one word: restarts stay far below 2**32.
-    """
-    words = [seed >> i & 0xFFFFFFFF for i in range(0, max(1, seed.bit_length()), 32)]
-    entropy = np.empty((len(words) + 1, len(ts)), dtype=np.uint32)
-    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = ts
-    n = _POOL_WORDS
-    xor, mul = _hash_steps(*_MIX_HASH, n * n + n * max(0, len(entropy) - n))
-    pool = np.zeros((n, len(ts)), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:n]
-    pool = _hashmix(pool, xor[:n], mul[:n])
-    step = n
-    # each word mixes into the others in turn, then each further entropy
-    # word into all of them
-    for s in range(n):
-        others = [d for d in range(n) if d != s]
-        pool[others] = _mix(pool[others], _hashmix(pool[s], xor[step:step + n - 1],
-                                                   mul[step:step + n - 1]))
-        step += n - 1
-    for e in entropy[n:]:
-        pool = _mix(pool, _hashmix(e, xor[step:step + n], mul[step:step + n]))
-        step += n
-    # PCG64 takes four 64-bit words: eight 32-bit ones, cycling over the
-    # pool, paired low word first
-    out = _hashmix(np.tile(pool, (2, 1)), *_hash_steps(*_OUT_HASH, 8))
-    out = out.astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).T.tolist()
-
-
 def _start_factors(dims: Dims, ts: range, seed: int) -> list[np.ndarray]:
     """Unit start factors of the restarts ``ts``, one (B, d_s) array per site.
 
     Restart t draws all its sites at once from ``default_rng([seed, t])``:
     the site vectors in order, each entry a (real, imaginary) pair of
-    standard normals.  The block derives every seed state at once, sets
-    one generator to each in turn, and normalizes each site of every
-    restart in one batched inner product, the ddot of ``np.linalg.norm``.
+    standard normals.  Each restart fills its row of one block array, and
+    each site of every restart is normalized in one batched inner product,
+    the ddot of ``np.linalg.norm``.
     """
     ends = np.cumsum(dims.d).tolist()
     draws = np.empty((len(ts), 2 * ends[-1]))
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for row, (s0, s1, i0, i1) in zip(draws, _seed_states(seed, ts)):
-        # PCG64's seeding from these words, pcg_setseq_128_srandom_r
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=row)
+    for row, t in zip(draws, ts):
+        # default_rng([seed, t]) without its wrapper's overhead
+        np.random.Generator(np.random.PCG64([seed, t])).standard_normal(out=row)
     factors = []
     for a, b in zip([0] + ends, ends):
         z = draws[:, 2 * a:2 * b]
@@ -327,9 +255,6 @@ def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
         log.append((active, overlaps))
         current = overlaps[:, -1]
         done = (current - start < tol) | (sweep == max_sweeps - 1)
-        if not done.any():
-            start = current
-            continue
         for f, x in zip(factors, work):
             f[active[done]] = x[done]
         final[active[done]] = current[done]

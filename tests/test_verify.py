@@ -54,7 +54,7 @@ from entspace.ff import _site_index
 from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.serialize import encode_report, json_dumps
-from entspace.verify import _fix_phases, _seed_states, _start_factors, _top_eigvec
+from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
 
@@ -774,15 +774,6 @@ def test_start_factors_match_the_per_site_draw():
                 x = raw[:, 0] + 1j * raw[:, 1]
                 want = x / np.linalg.norm(x)
                 assert f[i].tobytes() == want.tobytes(), (seed, dims, t)
-
-
-def test_seed_states_match_seed_sequence():
-    for seed, ts in itertools.product(START_SEEDS, START_BLOCKS):
-        got = _seed_states(seed, ts)
-        assert len(got) == len(ts)
-        for words, t in zip(got, ts):
-            want = np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
-            assert words == want.tolist(), (seed, t)
 
 
 def test_orthonormal_basis_rejects_dependent_rows():
