@@ -1,10 +1,13 @@
-"""Exact Gauss-Jordan elimination and the subspace calculus built on it.
+"""Exact elimination and the subspace calculus built on it.
 
 Every result is a ``Subspace`` in reduced row-echelon form, which is
 canonical: two subspaces are equal iff their stored rows are identical, and
 spanning any permutation or rescaling of a generating set reproduces the
 same rows.  All arithmetic is exact; there is deliberately no
-floating-point rank or elimination here.
+floating-point rank or elimination here.  The one row reduction is
+``linalg._reduce_rows`` on ints: residues over F_p, and over Q rows scaled
+to integers and reduced without fractions.  Scalars are made once, for the
+result.
 
 The closed-form constructions and the finite-field oracle need none of
 this, so only the UPB audits, ``example2`` and a span of product vectors
@@ -13,33 +16,26 @@ load it.
 
 from __future__ import annotations
 
-from .fields import Field, Fp, Scalar, prime_field
+from fractions import Fraction
+
+from .fields import Field, Fp, prime_field
 from .grading import Dims
-from .linalg import StateVector, Subspace, _as_int, check_elimination_cost
+from .linalg import StateVector, Subspace, _reduce_rows, check_elimination_cost, \
+    integer_rows
 
 
-def _rref(rows: list[list[Scalar]]) -> list[list[Scalar]]:
-    """In-place Gauss-Jordan elimination; returns the nonzero rows."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r]
+def _subspace(dims: Dims, field: Field, basis: list, pivots: list[int]) -> Subspace:
+    """Reduced int rows as a Subspace, sorted by pivot: over Q each row
+    divided by its pivot, over F_p with one shared ``Fp`` per residue."""
+    pairs = sorted(zip(pivots, basis), key=lambda pair: pair[0])
+    if field.kind == "fp":
+        residues = {a: Fp(a, field.p) for a in set().union(*basis)}
+        rows = [tuple([residues[a] for a in row]) for _, row in pairs]
+    else:
+        zero = Fraction(0)
+        rows = [tuple([Fraction(a, row[c]) if a else zero for a in row])
+                for c, row in pairs]
+    return Subspace(dims, field, tuple(StateVector(dims, field, r) for r in rows))
 
 
 def span(vectors, *, dims: Dims | None = None, field: Field | None = None) -> Subspace:
@@ -64,9 +60,8 @@ def span(vectors, *, dims: Dims | None = None, field: Field | None = None) -> Su
     if not head.field.exact:
         raise TypeError("span requires an exact field; convert floats upstream")
     check_elimination_cost(len(vectors), head.dims.total)
-    reduced = _rref([list(v.coeffs) for v in vectors])
-    rows = tuple(StateVector(head.dims, head.field, tuple(r)) for r in reduced)
-    return Subspace(head.dims, head.field, rows)
+    reduced = _reduce_rows(integer_rows(vectors), head.dims.total, head.field.p)
+    return _subspace(head.dims, head.field, *reduced)
 
 
 def orthocomplement(s: Subspace) -> Subspace:
@@ -78,12 +73,6 @@ def orthocomplement(s: Subspace) -> Subspace:
     if not s.field.exact:
         raise TypeError("orthocomplement is defined for exact fields only")
     total = s.dims.total
-    if s.dim == 0:
-        basis = [
-            StateVector.basis_vector(s.dims, s.field, s.dims.multi_index(p))
-            for p in range(total)
-        ]
-        return span(basis)
     # The rows are reduced (pivots are 1), so the kernel is read off directly.
     pivots = s.pivots()
     pivot_set = set(pivots)
@@ -109,18 +98,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the Zassenhaus block trick (no inner product needed)."""
     _check_same_space(a, b)
     total = a.dims.total
-    zero = a.field.zero()
-    block: list[list[Scalar]] = []
-    for row in a.rows:
-        block.append(list(row.coeffs) + list(row.coeffs))
-    for row in b.rows:
-        block.append(list(row.coeffs) + [zero] * total)
-    reduced = _rref(block)
-    gens = []
-    for row in reduced:
-        if not any(row[:total]):
-            gens.append(StateVector(a.dims, a.field, tuple(row[total:])))
-    return span(gens, dims=a.dims, field=a.field)
+    block = [row + row for row in integer_rows(a.rows)]
+    block += [row + [0] * total for row in integer_rows(b.rows)]
+    basis, pivots = _reduce_rows(block, 2 * total, a.field.p)
+    # the rows pivoted in the second half are zero in the first, and their
+    # second halves are reduced among themselves: a basis of the intersection
+    meet = [i for i, c in enumerate(pivots) if c >= total]
+    return _subspace(a.dims, a.field, [basis[i][total:] for i in meet],
+                     [pivots[i] - total for i in meet])
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -137,11 +122,6 @@ def reduce_mod_p(vectors, dims: Dims, p: int) -> Subspace:
     rational basis, so mod-p rank drops are visible to the caller.
     """
     fld = prime_field(p)
-    reduced = []
-    for v in vectors:
-        if v.dims != dims:
-            raise TypeError(f"vector dims {v.dims} do not match {dims}")
-        reduced.append(
-            StateVector(dims, fld, tuple(Fp(_as_int(c), p) for c in v.coeffs))
-        )
-    return span(reduced, dims=dims, field=fld)
+    rows = [[a % p for a in row] for row in integer_rows(vectors, dims)]
+    check_elimination_cost(len(rows), dims.total)
+    return _subspace(dims, fld, *_reduce_rows(rows, dims.total, p))

@@ -25,7 +25,7 @@ from .construct import ProductVector, level_sum_vector
 from .fields import Fp, RATIONAL, is_prime, prime_field
 from .grading import Dims, Record
 from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
-    VerificationReport, _as_int, check_elimination_cost, integer_generators
+    VerificationReport, _reduce_rows, check_elimination_cost, integer_rows
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(("UpbReport", "verify_upb"), "upb"))
 
@@ -69,20 +69,13 @@ def default_primes(dims: Dims, want: int = 2) -> list[int]:
 
 def _integer_rows(generators, dims: Dims) -> tuple[list[list[int]], int | None]:
     """The generators as rows of ints, and the prime they are residues
-    modulo: that of a subspace over F_p, None for integer generators."""
+    modulo: that of a subspace over F_p, None for a subspace over Q (its rows
+    scaled to integers) or for integer generators."""
     if isinstance(generators, Subspace):
         if generators.dims != dims:
             raise TypeError(f"subspace dims {generators.dims} do not match {dims}")
-        fld = generators.field
-        if fld.kind == "fp":
-            return [[c.value for c in row.coeffs] for row in generators.rows], fld.p
-        vectors = integer_generators(generators) if fld == RATIONAL else generators.rows
-    else:
-        vectors = generators
-        for v in vectors:
-            if v.dims != dims:
-                raise TypeError(f"vector dims {v.dims} do not match {dims}")
-    return [[_as_int(c) for c in v.coeffs] for v in vectors], None
+        return integer_rows(generators.rows), generators.field.p
+    return integer_rows(generators, dims), None
 
 
 def _projective_count(d: int, p: int) -> int:
@@ -169,36 +162,6 @@ def _kernel_points(rows: list[list[int]], pivots: list[int], d: int, p: int):
         v = [sum(a * b[i] for a, b in zip(coef, basis)) % p for i in range(d)]
         inv = pow(next(a for a in v if a), -1, p)
         yield tuple(a * inv % p for a in v)
-
-
-def _reduce_rows(rows, d: int, p: int, stop: int | None = None):
-    """Reduced echelon rows and pivots of the matrix ``rows`` (width ``d``,
-    entries in range(p)), or None as soon as its rank reaches ``stop``."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        for c, b in zip(pivots, basis):
-            f = row[c]
-            if f:
-                row = [(a - f * e) % p for a, e in zip(row, b)]
-        for lead, a in enumerate(row):
-            if a:
-                break
-        else:  # a zero row
-            continue
-        if len(basis) + 1 == stop:
-            return None
-        inv = pow(a, -1, p)
-        basis.append([x * inv % p for x in row])
-        pivots.append(lead)
-    # every row is zero at the pivots of the rows before it; clear the rest
-    for i in range(len(basis) - 1, 0, -1):
-        c, b = pivots[i], basis[i]
-        for j in range(i):
-            f = basis[j][c]
-            if f:
-                basis[j] = [(a - f * e) % p for a, e in zip(basis[j], b)]
-    return basis, pivots
 
 
 def _combine(parts: list[list[int]], lead: int, terms, p: int) -> list[int]:
@@ -361,16 +324,8 @@ def ff_verify(
 ) -> list[VerificationReport]:
     """One finite-field report per prime; witness recorded where found."""
     primes = default_primes(dims) if primes is None else list(primes)
-    rational_dim = None
-    if isinstance(generators, Subspace):
-        if generators.field == RATIONAL:
-            rational_dim = generators.dim  # already a reduced echelon basis
-    else:
+    if not isinstance(generators, Subspace):
         generators = list(generators)
-        if generators and generators[0].field == RATIONAL:
-            from .elimination import span
-
-            rational_dim = span(generators, dims=dims, field=RATIONAL).dim
     if primes:
         # the first prime's checks, before converting a generator: an
         # oversized input is refused at once
@@ -379,6 +334,13 @@ def ff_verify(
             generators.dim if isinstance(generators, Subspace) else len(generators),
             dims.total)
     rows, modulus = _integer_rows(generators, dims)
+    rational_dim = None
+    if isinstance(generators, Subspace):
+        if generators.field == RATIONAL:
+            rational_dim = generators.dim  # already a reduced echelon basis
+    elif generators:  # integer generators over Q: their rank, fraction-free
+        check_elimination_cost(len(rows), dims.total)
+        rational_dim = len(_reduce_rows(rows, dims.total)[0])
     reports = []
     for p in primes:
         rank, combos = _rank_and_points(rows, modulus, dims, p, budget)

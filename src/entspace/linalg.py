@@ -1,10 +1,11 @@
 """Dense vectors over an exact field, subspaces, budgets and reports.
 
 Subspaces are stored as a reduced row-echelon basis, which is canonical:
-two subspaces are equal iff their stored rows are identical.  The
-elimination that makes such a basis from any generating set (``span``,
-``orthocomplement``, ``intersect``, ...) lives in ``entspace.elimination``;
-its names still resolve here, loading it on first access.
+two subspaces are equal iff their stored rows are identical.  The one exact
+row reduction, ``_reduce_rows`` on ints over Q or F_p, is here; the
+subspace calculus built on it (``span``, ``orthocomplement``,
+``intersect``, ...) lives in ``entspace.elimination``, and its names still
+resolve here, loading it on first access.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
     ("span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p"),
     "elimination"))
 
-# Largest elimination span() takes on, as rows * cols * min(rows, cols)
-# (the multiply-adds of Gauss-Jordan).  Generic elimination over Fraction is
-# cubic, so past this an input fails at once instead of running for hours;
-# 16x16 S by elimination (about 1.3e7) is the scale just below it.
+# Largest elimination span() takes on, as rows * cols * min(rows, cols), the
+# order of the entry updates of a reduction: exact elimination is cubic, so
+# past this an input fails at once; 16x16 S (about 1.3e7) is just below it.
 ELIMINATION_BUDGET = 2 * 10**7
 
 # Largest dense basis a construction writes down, as rows * total entries.
@@ -193,40 +193,89 @@ class Subspace(Value):
         return out
 
     def contains(self, v: StateVector) -> bool:
-        """Exact membership, by elimination against the echelon rows."""
+        """Exact membership: the rows and ``v`` stop short of rank dim + 1."""
         if v.dims != self.dims or v.field != self.field:
-            raise TypeError(
-                f"mismatched vector for subspace: {v.dims}/{v.field.label} vs "
-                f"{self.dims}/{self.field.label}"
-            )
-        work = list(v.coeffs)
-        for row, piv in zip(self.rows, self.pivots()):
-            f = work[piv]
-            if f:
-                for i, c in enumerate(row.coeffs):
-                    if c:
-                        work[i] = work[i] - f * c
-        return not any(work)
+            raise TypeError(f"mismatched vector for subspace: {v.dims}/{v.field.label} "
+                            f"vs {self.dims}/{self.field.label}")
+        rows = integer_rows(self.rows + (v,))
+        return _reduce_rows(rows, self.dims.total, self.field.p, len(rows)) is not None
 
 
-def _as_int(c: Scalar) -> int:
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(f"coefficient {c} is not an integer")
-        return c.numerator
-    raise ValueError(f"coefficient {c!r} is not an integer")
+def integer_rows(vectors, dims: Dims | None = None) -> list[list[int]]:
+    """The vectors' coefficients as rows of ints: residues over F_p, and over
+    Q each row times the lcm of its denominators.  Integer generators of
+    ``dims``, if given, are taken as they are: a vector of other dims raises
+    ``TypeError``, one over another field or with a fraction ``ValueError``."""
+    out = []
+    for v in vectors:
+        if dims is not None and v.dims != dims:
+            raise TypeError(f"vector dims {v.dims} do not match {dims}")
+        if v.field.kind == "fp" and dims is None:
+            out.append([c.value for c in v.coeffs])
+            continue
+        if v.field.kind != "rational":
+            raise ValueError(f"coefficients over {v.field.label} are not integers")
+        m = math.lcm(*[c.denominator for c in v.coeffs])
+        if m > 1 and dims is not None:
+            raise ValueError(f"coefficients of denominator lcm {m} are not integers")
+        out.append([c.numerator * (m // c.denominator) for c in v.coeffs])
+    return out
 
 
 def integer_generators(s: Subspace) -> list[StateVector]:
     """Rescale each basis row by its denominator lcm to integer coefficients."""
     if s.field.kind not in ("rational",):
         raise TypeError(f"integer generators undefined over {s.field.label}")
-    out = []
-    for row in s.rows:
-        denom = 1
-        for c in row.coeffs:
-            denom = math.lcm(denom, c.denominator)
-        out.append(row.scale(denom))
-    return out
+    return [StateVector(s.dims, s.field, tuple(map(Fraction, row)))
+            for row in integer_rows(s.rows)]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _clear(row: list[int], b: list[int], c: int, p: int | None) -> list[int]:
+    """``row`` with column c cleared by the reduced row ``b``, pivoted there."""
+    f = row[c]
+    if p is None:
+        return _primitive([b[c] * a - f * e for a, e in zip(row, b)])
+    return [(a - f * e) % p for a, e in zip(row, b)]
+
+
+def _reduce_rows(rows, d: int, p: int | None = None, stop: int | None = None):
+    """Reduced echelon rows and pivots of the int matrix ``rows`` (width
+    ``d``), row i pivoted at ``pivots[i]`` and in input order, or None as
+    soon as the rank reaches ``stop``.  Over F_p (entries in range(p)) every
+    pivot is 1.  With ``p`` None the reduction is over Q without fractions:
+    the pivot c of a row b clears a row as b[c] * row - row[c] * b, and every
+    row is kept primitive (its gcd divided out) with a positive pivot, so a
+    row of the rational reduced echelon form is a row here over its pivot.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        for c, b in zip(pivots, basis):
+            if row[c]:
+                row = _clear(row, b, c, p)
+        for lead, a in enumerate(row):
+            if a:
+                break
+        else:  # a zero row
+            continue
+        if len(basis) + 1 == stop:
+            return None
+        if p is None:
+            row = _primitive(row if a > 0 else [-x for x in row])
+        else:
+            inv = pow(a, -1, p)
+            row = [x * inv % p for x in row]
+        basis.append(row)
+        pivots.append(lead)
+    # every row is zero at the pivots of the rows before it; clear the rest
+    for i in range(len(basis) - 1, 0, -1):
+        c, b = pivots[i], basis[i]
+        for j in range(i):
+            if basis[j][c]:
+                basis[j] = _clear(basis[j], b, c, p)
+    return basis, pivots

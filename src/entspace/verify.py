@@ -44,6 +44,10 @@ _ALS_BLOCK_ENTRIES = 1 << 12
 # need 64 * 500 * k, the largest benchmarked run (3,3 with 1000 restarts)
 # 10**6; each update is also one float kept in ``AlsResult.histories``.
 ALS_BUDGET = 4 * 10**6
+# Worst-case multiply-adds of a graded search, (k - 1) * max d * (N + 1) per
+# site update (the other sites' polynomial product).  The defaults need 1.8e7
+# on 12,12 and 1.1e8 on 12 factors of 2; one restart on 3,000 twos, 2.7e13.
+ALS_POLY_BUDGET = 10**9
 # Largest ALS site form of one restart, as rows * d_r complex entries (its
 # factor c or T; the eigenproblem is d_r * d_r).  A graded space has one row
 # per level, so 2,1000000 would need 10**12 entries; 2e6 entries are 32 MB.
@@ -319,9 +323,10 @@ def max_product_overlap(
     sites; the optimal single-site update is the top eigenvector of a small
     Hermitian matrix, so the overlap never decreases.  A restart stops after
     a sweep that gains less than ``tol``, or after ``max_sweeps`` sweeps.
-    A search that could take more than ``ALS_BUDGET`` site updates, or
-    whose site form holds more than ``ALS_FORM_BUDGET`` entries per restart,
-    raises ``BudgetExceededError`` before any work.
+    A search over ``ALS_BUDGET`` site updates, a graded one over
+    ``ALS_POLY_BUDGET`` polynomial multiply-adds, or one whose site form
+    holds more than ``ALS_FORM_BUDGET`` entries per restart, raises
+    ``BudgetExceededError`` before any sweep.
 
     Restarts advance together in blocks: each site update is one batched
     site form and one batched eigensolve over every unconverged restart of
@@ -354,6 +359,10 @@ def max_product_overlap(
               "tol": tol, "seed": seed}
     if graded:
         form, shift, m = _level_sum_form(basis, dims)
+        work = updates * (dims.k - 1) * width * (dims.max_level + 1)
+        if work > ALS_POLY_BUDGET:
+            raise BudgetExceededError(work, ALS_POLY_BUDGET, "ALS search",
+                                      "polynomial multiply-adds")
     else:
         form, shift, m = _dense_form(basis, dims)
     if m == 0:

@@ -563,12 +563,15 @@ def test_failed_final_flush_exits_2(argv):
 
 def test_thousand_factor_shapes_exit_cleanly():
     # 1,100 factors of 2 once overflowed the recursion limit in
-    # enumerate_level and the float range in the ALS level weights
+    # enumerate_level and the float range in the ALS level weights; the
+    # graded ALS search of a level of 3,000 factors of 2 once ran for minutes
     dims = ",".join(["2"] * 1100)
     for argv in (["construct", "--dims", dims, "--space", "S"],
                  ["onb", "--dims", dims, "--level", "1"],
                  ["verify", "--dims", dims, "--space", "S", "--method", "als",
-                  "--restarts", "1"]):
+                  "--restarts", "1"],
+                 ["verify", "--dims", ",".join(["2"] * 3000), "--space", "level:1",
+                  "--method", "als", "--restarts", "1"]):
         proc = subprocess.run([sys.executable, "-m", "entspace.cli", *argv],
                               env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 2), proc.stderr
@@ -685,10 +688,11 @@ def test_byte_determinism(tmp_path, capsys):
 
 
 # stdout sha256 and exit code of the exact-output commands.  The oracle
-# entries were pinned from the oracle that reduced on Fp objects; the
-# plain-int reduction must not change a byte.  Both fibre paths are covered:
-# the last two verify runs take the batched one.  ALS and onb are left out:
-# their floats depend on LAPACK and libm.
+# entries were pinned from the oracle that reduced on Fp objects, and the
+# last two from the spans that eliminated on Fraction and Fp objects; the
+# reduction on ints must not change a byte.  Both fibre paths are covered:
+# the runs at primes 6007 and 79 take the batched one.  ALS and onb are left
+# out: their floats depend on LAPACK and libm.
 GOLDEN = {
     "dims --dims 3,3":
         ("42c08e68bddf32af21da9dd203c848bba154b3b7c457f3a4ac607887b421310d", 0),
@@ -737,6 +741,12 @@ GOLDEN = {
         ("25fbcc0eae35dfac2c0d90aa9ffbd0ba2f21653c1b11f396e4ac2ac6c36aad11", 0),
     "classify --dims 3,3 --prime 7":
         ("c419bf20997733887ca27668e64725b0f7c51bb6e7054208e2fa3d4429a25183", 0),
+    # negative and fractional points: the audit's spans over Q meet negative
+    # leading entries and denominators
+    "upb --dims 3,3 --min --lambdas=-1/3,0,2/5,inf,7 --primes 11":
+        ("9ac2705b7621ffe86bd22980a3aefacc273d6bd67d0dfb7f3f6042f07df45b96", 0),
+    "verify --dims 4,4 --space example2-R --method ff --primes 7,11":
+        ("e64c389f2146da5f7aa8986c81760001d3333b2f6f11d6ad1e6fecbf222b15ec", 0),
 }
 
 

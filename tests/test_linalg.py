@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entspace import (
     Dims,
@@ -23,7 +23,8 @@ from entspace import (
 )
 from entspace import verify
 from entspace.grading import iter_dims
-from entspace.linalg import ELIMINATION_BUDGET, BudgetExceededError, integer_generators
+from entspace.linalg import ELIMINATION_BUDGET, BudgetExceededError, Subspace, \
+    _reduce_rows, integer_generators, integer_rows
 
 D23 = Dims((2, 3))
 
@@ -212,3 +213,103 @@ def test_span_refuses_oversized_elimination():
     assert exc.value.budget == ELIMINATION_BUDGET
     assert span(rows[:200]).dim == 200  # 200 * 400 * 200 is admitted
     assert verify.BudgetExceededError is BudgetExceededError
+
+
+def reference_rref(rows):
+    """Reference Gauss-Jordan elimination on scalar objects (Fraction or Fp),
+    in place; returns the nonzero rows of the reduced echelon form."""
+    nrows = len(rows)
+    if nrows == 0:
+        return []
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r]
+
+
+def reference_span(vectors, dims, field):
+    rows = reference_rref([list(v.coeffs) for v in vectors])
+    return Subspace(dims, field, tuple(StateVector(dims, field, tuple(r)) for r in rows))
+
+
+def reference_intersect(a, b):
+    """Zassenhaus: the second halves of the reduced rows of [[a, a], [b, 0]]
+    that vanish on the first half, spanned."""
+    total = a.dims.total
+    block = [list(r.coeffs) * 2 for r in a.rows]
+    block += [list(r.coeffs) + [a.field.zero()] * total for r in b.rows]
+    gens = [StateVector(a.dims, a.field, tuple(r[total:]))
+            for r in reference_rref(block) if not any(r[:total])]
+    return reference_span(gens, a.dims, a.field)
+
+
+@st.composite
+def generator_lists(draw, entries):
+    """Rows of one width, with zero rows and scaled repeats mixed in."""
+    dims = draw(st.sampled_from([Dims((2, 2)), D23, Dims((3, 3))]))
+    width = dims.total
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        f = draw(st.sampled_from([1, -1, 3, Fraction(-2, 3)]))
+        rows.append([f * a for a in draw(st.sampled_from(rows))])
+    return dims, rows
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def assert_matches_reference(dims, field, vectors):
+    want = reference_span(vectors, dims, field)
+    got = span(vectors, dims=dims, field=field)
+    assert got == want
+    # scalar types included: a Fraction or an Fp, never a bare int
+    scalar = Fraction if field == RATIONAL else type(field.one())
+    assert all(type(c) is scalar for row in got.rows for c in row.coeffs)
+    # the int rows themselves: over Q each primitive with a positive pivot,
+    # so the reduced row times the lcm of its denominators
+    basis, pivots = _reduce_rows(integer_rows(vectors), dims.total, field.p)
+    assert [row for _, row in sorted(zip(pivots, basis))] == integer_rows(want.rows)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=generator_lists(SMALL_FRACTIONS), b=st.data())
+def test_span_and_intersect_match_reference_rref_over_q(a, b):
+    dims, rows = a
+    vecs = [_vec(dims, r) for r in rows]
+    s = assert_matches_reference(dims, RATIONAL, vecs)
+    other = [_vec(dims, r) for r in b.draw(st.lists(
+        st.lists(SMALL_FRACTIONS, min_size=dims.total, max_size=dims.total), max_size=5))]
+    t = span(other, dims=dims, field=RATIONAL)
+    assert intersect(s, t) == reference_intersect(s, t)
+    assert intersect(t, s) == reference_intersect(t, s)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@settings(max_examples=100, deadline=None)
+@given(a=generator_lists(st.integers(-12, 12)), b=st.data())
+def test_span_and_intersect_match_reference_rref_over_fp(p, a, b):
+    dims, rows = a
+    fld = prime_field(p)
+    vecs = [_vec(dims, [fld.coerce(x) for x in r], fld) for r in rows]
+    s = assert_matches_reference(dims, fld, vecs)
+    other = [_vec(dims, r, fld) for r in b.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=dims.total, max_size=dims.total),
+        max_size=5))]
+    t = span(other, dims=dims, field=fld)
+    assert intersect(s, t) == reference_intersect(s, t)

@@ -324,8 +324,8 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
     calls = []
     real_reduce = ff_module._reduce_rows
 
-    def counting_reduce(rows, d, p, stop=None):
-        if stop is None:  # the generators' reduction, not a fibre's
+    def counting_reduce(rows, d, p=None, stop=None):
+        if stop is None:  # a whole matrix's reduction, not a fibre's
             calls.append(p)
         return real_reduce(rows, d, p, stop)
 
@@ -335,8 +335,16 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
     monkeypatch.setattr(ff_module, "_reduce_rows", counting_reduce)
     monkeypatch.setattr(elimination_module, "span", no_span)
     dims = Dims((2, 3))
+    # a reduced echelon input: one reduction per prime, none over Q (p None)
     reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
     assert calls == [5, 7]
+    assert [r.certified_dims for r in reports] == [
+        {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
+    # a list of generators: its rank over Q read once off the same int rows
+    calls.clear()
+    gens = integer_generators(entangled_subspace(dims))
+    reports = ff_verify(gens + gens[:1], dims, primes=[5, 7])
+    assert calls == [None, 5, 7]
     assert [r.certified_dims for r in reports] == [
         {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
 
@@ -440,17 +448,21 @@ def test_oracle_refuses_oversized_eliminations():
 
 
 def test_oracle_runs_no_fp_elimination(monkeypatch):
-    # Fp objects appear only in the output: no elimination runs on them
-    real = elimination_module._rref
+    # Fp objects appear only in the output: every exact elimination runs on
+    # ints, and none of the subspace calculus runs over F_p
+    real = elimination_module._reduce_rows
     eliminated = []
 
-    def rational_only(rows):
-        if any(isinstance(c, ff_module.Fp) for row in rows for c in row):
-            raise AssertionError("the oracle eliminated on Fp objects")
+    def rational_only(rows, d, p=None, stop=None):
+        rows = list(rows)
+        if p is not None:
+            raise AssertionError(f"the oracle eliminated over F_{p}")
+        if any(type(c) is not int for row in rows for c in row):
+            raise AssertionError("the oracle eliminated on scalar objects")
         eliminated.append(len(rows))
-        return real(rows)
+        return real(rows, d, p, stop)
 
-    monkeypatch.setattr(elimination_module, "_rref", rational_only)
+    monkeypatch.setattr(elimination_module, "_reduce_rows", rational_only)
     dims = Dims((2, 3))
     assert [r.verdict for r in ff_verify(entangled_subspace(dims), dims)] == [NO_WITNESS] * 3
     gens = [pv.expand() for pv in split_antidiagonal_spaces().spanning_set]
@@ -558,6 +570,24 @@ def test_als_work_budget():
     assert 1000 * DEFAULT_MAX_SWEEPS * 2 <= budget
     assert DEFAULT_RESTARTS * DEFAULT_MAX_SWEEPS * 12 <= budget
     assert max_product_overlap([], dims, restarts=budget // 2, max_sweeps=1).best_overlap == 0.0
+
+
+def test_graded_als_work_budget(monkeypatch):
+    # 10**5 site updates on 200 factors of 2 are admitted, but each one
+    # multiplies 199 polynomials: refused before any sweep
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(verify_module, "_als_block", no_sweep)
+    dims = Dims((2,) * 200)
+    with pytest.raises(BudgetExceededError) as exc:
+        max_product_overlap(LevelSums((1,)), dims, restarts=1)
+    assert exc.value.estimate == 500 * 200 * 199 * 2 * 201
+    assert exc.value.budget == verify_module.ALS_POLY_BUDGET
+    assert "polynomial multiply-adds" in str(exc.value)
+    # the defaults on 12 factors of 2 and the largest benchmarked search are admitted
+    assert DEFAULT_RESTARTS * DEFAULT_MAX_SWEEPS * 12 * 11 * 2 * 13 <= exc.value.budget
+    assert 900 * DEFAULT_MAX_SWEEPS * 2 * 1 * 5 * 7 <= exc.value.budget
 
 
 def reference_als(basis, dims, restarts, max_sweeps=500, tol=1e-10, seed=0):
