@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Show what a CLI command imports at start-up, and what each import costs.
+
+Each ARGV is one quoted string, the arguments after ``entspace``.  It runs
+as ``python -m entspace.cli`` in fresh interpreters with ``-X importtime``
+and PYTHONDONTWRITEBYTECODE=1, so no bytecode cache is written and, in a
+checkout without one, every package module compiles from source.  The
+report lists every module the command loads after the interpreter's own
+start-up (``site``): its median self time over the runs, and whether it is
+a package, standard-library or third-party module, then the totals.  With
+no ARGV, one argv per command runs.
+
+    python scripts/startup_report.py
+    python scripts/startup_report.py "verify --dims 3,3 --space S --method ff --primes 13"
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from entspace.cli import positive_int
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# one argv per command
+DEFAULT_ARGVS = (
+    "dims --dims 3,3",
+    "construct --dims 3,3 --space S",
+    "upb --dims 3,3 --min --primes 5",
+    "verify --dims 3,3 --space S --method ff --primes 13",
+    "classify --dims 2,3 --prime 7",
+    "onb --dims 3,3 --level 2",
+)
+
+
+def _kind(module: str) -> str:
+    top = module.split(".")[0]
+    if top == "entspace":
+        return "package"
+    return "stdlib" if top in sys.stdlib_module_names else "third-party"
+
+
+def import_times(argv: str) -> dict[str, int]:
+    """Self time in microseconds of each module one run of ``argv`` loads
+    after ``site``, in load order."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "entspace.cli",
+                           *argv.split()],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=600)
+    times: dict[str, int] = {}
+    for line in proc.stderr.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        self_us, _, name = line[len("import time:"):].split("|")
+        if not self_us.strip().isdigit():  # the header
+            continue
+        module = name.strip()
+        if module == "site" and not name[1:].startswith(" "):  # a top-level import
+            times.clear()  # everything so far is the interpreter's own start-up
+            continue
+        times[module] = times.get(module, 0) + int(self_us)
+    return times
+
+
+def report(argv: str, repeats: int) -> str:
+    runs = [import_times(argv) for _ in range(repeats)]
+    order = list(dict.fromkeys(name for run in runs for name in run))
+    median = {name: statistics.median(run.get(name, 0) for run in runs) for name in order}
+    lines = [f"entspace {argv}  (median of {repeats} runs, self time in ms)"]
+    totals = dict.fromkeys(("package", "stdlib", "third-party"), 0.0)
+    for name in order:
+        kind = _kind(name)
+        totals[kind] += median[name]
+        lines.append(f"  {median[name] / 1000:8.2f}  {kind:<11}  {name}")
+    lines.append("  " + "  ".join(f"{kind} {t / 1000:.2f}" for kind, t in totals.items())
+                 + f"  total {sum(totals.values()) / 1000:.2f}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("argvs", nargs="*", metavar="ARGV", default=list(DEFAULT_ARGVS),
+                    help="one quoted argv after 'entspace' per command line")
+    ap.add_argument("--repeats", type=positive_int, default=5,
+                    help="fresh interpreters per argv (default 5)")
+    args = ap.parse_args(argv)
+    for text in args.argvs:
+        print(report(text, args.repeats))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .grading import Dims, level_counts, parse_dims
 from .linalg import (
@@ -106,6 +105,8 @@ def _as_subspace(target):
 
 
 def _parse_points(text: str) -> list:
+    from fractions import Fraction
+
     from .construct import INFINITY
 
     pts = []
@@ -224,15 +225,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .serialize import encode_report, json_dumps
 
     dims = parse_dims(args.dims)
+    # example2 is built, and example2-R spanned, before numpy loads; a graded
+    # space stays a LevelSums, which both methods take with no basis
+    space, expected = _named_space(dims, args.space)
+    space = _as_subspace(space)
     if args.method == "ff":
         from .ff import ff_verify
 
-        target, expected = _resolve_space(dims, args.space)
-        reports = ff_verify(_as_subspace(target), dims, args.primes)
+        reports = ff_verify(space, dims, args.primes)
     else:
-        # example2 is built, and example2-R spanned, before numpy loads
-        space, expected = _named_space(dims, args.space)
-        space = _as_subspace(space)
         from .verify import max_product_overlap, orthonormal_basis
 
         if isinstance(space, Subspace):
@@ -277,31 +278,12 @@ def cmd_onb(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entspace",
-        description="Completely entangled subspaces and unextendible "
-                    "product bases, with exact and numerical verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dims", required=True, help="comma-separated local dimensions, e.g. 2,3")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=non_negative_int, default=0)
-
-    p = sub.add_parser("dims", help="level-count table and dimensions")
-    add_common(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("construct", help="write a basis of a named space")
-    add_common(p)
+def _add_construct(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", required=True, help=f"one of {SPACES}")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("upb", help="build and audit an unextendible product basis")
-    add_common(p)
+
+def _add_upb(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--min", action="store_true", help="minimal size N+1")
     group.add_argument("--size", type=int,
@@ -310,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter points, rationals or inf")
     p.add_argument("--primes", type=prime_list, default=None,
                    help="comma-separated oracle primes")
-    p.set_defaults(func=cmd_upb)
 
-    p = sub.add_parser("verify", help="hunt for product vectors in a named space")
-    add_common(p)
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", required=True, help=f"one of {SPACES}")
     p.add_argument("--method", choices=("ff", "als"), default="ff")
     p.add_argument("--primes", type=prime_list, default=None,
@@ -322,23 +303,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=positive_int,
                    default=DEFAULT_MAX_SWEEPS)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="product vectors in the complement over F_p")
-    add_common(p)
+
+def _add_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=int, required=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("onb", help="character orthonormal basis of one level")
-    add_common(p)
+
+def _add_onb(p: argparse.ArgumentParser) -> None:
     p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_onb)
 
+
+# command -> (help, handler, the arguments beside --dims, --out and --seed)
+COMMANDS = {
+    "dims": ("level-count table and dimensions", cmd_dims, None),
+    "construct": ("write a basis of a named space", cmd_construct, _add_construct),
+    "upb": ("build and audit an unextendible product basis", cmd_upb, _add_upb),
+    "verify": ("hunt for product vectors in a named space", cmd_verify, _add_verify),
+    "classify": ("product vectors in the complement over F_p", cmd_classify,
+                 _add_classify),
+    "onb": ("character orthonormal basis of one level", cmd_onb, _add_onb),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or with ``only``.
+
+    A parser with one subcommand parses that command's argv as the full one
+    does, byte for byte: argparse names a subcommand's siblings only in the
+    top-level usage, which then lists every command as its metavar.
+    """
+    parser = argparse.ArgumentParser(
+        prog="entspace",
+        description="Completely entangled subspaces and unextendible "
+                    "product bases, with exact and numerical verification.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--dims", required=True,
+                       help="comma-separated local dimensions, e.g. 2,3")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--seed", type=non_negative_int, default=0)
+        if add_arguments is not None:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own subparser; --help, a missing or an
+    # unknown command get the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -13,12 +13,15 @@ here, loading that module on first access.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _lazy_getattr
-from .fields import Field, RATIONAL, Scalar
+from .fields import Field, RATIONAL
 from .grading import Dims, MultiIndex, Value, enumerate_level
 from .linalg import StateVector, Subspace, check_dense_size
+
+if TYPE_CHECKING:
+    from .fields import Scalar
 
 __getattr__ = _lazy_getattr(__name__, {
     **dict.fromkeys(("UpbRecipe", "minimal_upb", "upb_of_size"), "upb"),
@@ -164,9 +167,10 @@ class LevelSums(NamedTuple):
     sums: bool = False
 
 
-def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspace:
-    """Reduced echelon basis of a space cut out by group sums, written down
-    without elimination.
+def _group_entries(total: int, groups, sums: bool, zero, one, minus_one) -> list[list]:
+    """Reduced echelon rows of a space cut out by group sums, written down
+    without elimination, as lists of ``zero``, ``one`` and ``minus_one``:
+    field scalars for a basis, residues mod p for the oracle's annihilator.
 
     ``groups`` are disjoint runs of ascending positions.  Per group the rows
     are either the group sum, pivot at the group's first position, or
@@ -176,37 +180,40 @@ def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspac
     counted before their rows are built, so an oversized basis is refused
     after building at most ``DENSE_BUDGET`` entries.
     """
-    if not field.exact:
-        raise TypeError("echelon bases need an exact field; convert floats upstream")
-    zero, one = field.zero(), field.one()
-    minus_one = -one
-    pivoted: list[tuple[int, list[Scalar]]] = []
+    pivoted: list[tuple[int, list]] = []
     for positions in groups:
-        check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), dims.total)
+        check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), total)
         if sums:
-            coeffs = [zero] * dims.total
+            coeffs = [zero] * total
             for pos in positions:
                 coeffs[pos] = one
             pivoted.append((positions[0], coeffs))
             continue
         last = positions[-1]
         for pos in positions[:-1]:
-            coeffs = [zero] * dims.total
+            coeffs = [zero] * total
             coeffs[pos] = one
             coeffs[last] = minus_one
             pivoted.append((pos, coeffs))
     pivoted.sort(key=lambda row: row[0])
-    rows = tuple(StateVector(dims, field, tuple(c)) for _, c in pivoted)
-    return Subspace(dims, field, rows)
+    return [coeffs for _, coeffs in pivoted]
 
 
-def _level_rows(dims: Dims, space: LevelSums, field: Field = RATIONAL) -> Subspace:
-    """Reduced echelon basis of a ``LevelSums`` space: one group per level.
+def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspace:
+    """The space cut out by group sums (``_group_entries``) as an exact
+    subspace of ``field``."""
+    if not field.exact:
+        raise TypeError("echelon bases need an exact field; convert floats upstream")
+    one = field.one()
+    rows = _group_entries(dims.total, groups, sums, field.zero(), one, -one)
+    return Subspace(dims, field, tuple(StateVector(dims, field, tuple(c)) for c in rows))
 
-    Refused first from row counts that need no enumeration: total - (N+1)
-    for every level without sums, one row per level with sums, and at least
-    one for each level 0 < n < N, which holds two indices or more.
-    """
+
+def _check_level_rows(dims: Dims, space: LevelSums) -> None:
+    """Refuse the basis of a ``LevelSums`` space from row counts that need no
+    enumeration: total - (N+1) for every level without sums, one row per
+    level with sums, and at least one for each level 0 < n < N, which holds
+    two indices or more."""
     top = dims.max_level
     if space.sums:
         rows = len(space.levels)
@@ -215,9 +222,20 @@ def _level_rows(dims: Dims, space: LevelSums, field: Field = RATIONAL) -> Subspa
     else:
         rows = sum(0 < n < top for n in space.levels)
     check_dense_size(rows, dims.total)
-    groups = ([dims.position(idx) for idx in enumerate_level(dims, n)]
-              for n in space.levels)
-    return _group_rows(dims, field, groups, space.sums)
+
+
+def _level_groups(dims: Dims, space: LevelSums):
+    """The ascending positions of each level of a ``LevelSums`` space, one
+    group per level, enumerated as they are consumed."""
+    return ([dims.position(idx) for idx in enumerate_level(dims, n)]
+            for n in space.levels)
+
+
+def _level_rows(dims: Dims, space: LevelSums, field: Field = RATIONAL) -> Subspace:
+    """Reduced echelon basis of a ``LevelSums`` space: one group per level,
+    refused first by ``_check_level_rows``."""
+    _check_level_rows(dims, space)
+    return _group_rows(dims, field, _level_groups(dims, space), space.sums)
 
 
 def entangled_subspace(dims: Dims, field: Field = RATIONAL) -> Subspace:

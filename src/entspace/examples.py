@@ -10,12 +10,15 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .construct import INFINITY, ProductVector, _group_rows, vandermonde_vector
-from .fields import COMPLEX, Field, RATIONAL, Scalar
+from .fields import COMPLEX, Field, RATIONAL
 from .grading import Dims, enumerate_level
 from .linalg import StateVector, Subspace, check_dense_size
+
+if TYPE_CHECKING:
+    from .fields import Scalar
 
 
 def character_basis(dims: Dims, n: int) -> list[StateVector]:

@@ -1,11 +1,17 @@
 """The finite-field oracle: every projective product vector of a subspace
 over F_p, and the exact checks built on it.
 
-The oracle runs on plain ints mod p from the generators to the hits.  One
-reduction of the generators gives the rank mod p, and the free-column
-read-off of that reduction gives the annihilator: the rows whose
-contraction with a product vector vanishes exactly when the vector lies in
-the subspace.  ``Fp`` objects are made only for the output.
+The oracle runs on plain ints mod p from the generators to the hits.  It
+contracts the annihilator: the rows whose contraction with a product vector
+vanishes exactly when the vector lies in the subspace.  For a subspace or
+generators, one reduction gives the rank mod p, and the free-column
+read-off of that reduction gives the annihilator.  A graded space named by
+a ``LevelSums`` (S, Sperp, ``level:n``, example1) needs neither: its rows
+have disjoint supports, so its rank is their number, and its annihilator is
+written down by ``construct``'s group-row writer, the level sums for S and
+a level slice (with a unit row at every position off the slice) and the S
+rows for Sperp.  ``Fp`` objects are made only for the output, and no
+rational at all on a graded space.
 
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
@@ -21,11 +27,13 @@ import math
 from itertools import product
 
 from . import _lazy_getattr
-from .construct import ProductVector, level_sum_vector
+from .construct import LevelSums, ProductVector, _check_level_rows, _group_entries, \
+    _level_groups
 from .fields import Fp, RATIONAL, is_prime, prime_field
 from .grading import Dims, Record
 from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
-    VerificationReport, _reduce_rows, check_elimination_cost, integer_rows
+    VerificationReport, _reduce_rows, check_dense_size, check_elimination_cost, \
+    integer_rows
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(("UpbReport", "verify_upb"), "upb"))
 
@@ -245,12 +253,53 @@ def _annihilator(rows: list[list[int]], modulus: int | None, dims: Dims,
     return len(basis), _kernel_basis(basis, pivots, total, p)
 
 
-def _rank_and_points(rows: list[list[int]], modulus: int | None, dims: Dims,
-                     p: int, budget: int) -> tuple[int, list[tuple]]:
-    """Rank mod p of the integer rows, and the oracle's hits in their span as
+def _level_rank(space: LevelSums, groups: list[list[int]]) -> int:
+    """Rank of a ``LevelSums`` space over any field: its rows, a sum or the
+    rows e_i - e_last per level, have disjoint supports."""
+    return len(groups) if space.sums else sum(map(len, groups)) - len(groups)
+
+
+def _level_annihilator(space: LevelSums, groups: list[list[int]], dims: Dims,
+                       p: int) -> tuple[int, list[list[int]]]:
+    """``_annihilator`` of a ``LevelSums`` space, in closed form.
+
+    Per level, the annihilator holds the other half of the split of that
+    level: the level sum for the part orthogonal to it (S, ``level:n``), and
+    the rows e_i - e_last for the level sum (Sperp).  Every position off the
+    space's levels adds its unit row.  It is refused as the elimination of
+    the space's rows, and of their annihilator, would be.
+    """
+    total = dims.total
+    rank = _level_rank(space, groups)
+    check_elimination_cost(rank, total)
+    check_elimination_cost(total - rank, total)
+    on = bytearray(total)
+    for positions in groups:
+        for pos in positions:
+            on[pos] = 1
+    units = [[pos] for pos in range(total) if not on[pos]]
+    h = _group_entries(total, groups, not space.sums, 0, 1, p - 1)
+    return rank, h + _group_entries(total, units, True, 0, 1, p - 1)
+
+
+def _oracle_target(generators, dims: Dims) -> tuple:
+    """The arguments, before ``dims`` and p, of the annihilator the oracle
+    contracts: a ``LevelSums`` and its level groups, or the generators'
+    integer rows and the prime they are residues modulo."""
+    if isinstance(generators, LevelSums):
+        return generators, list(_level_groups(dims, generators))
+    return _integer_rows(generators, dims)
+
+
+def _rank_and_points(target: tuple, dims: Dims, p: int,
+                     budget: int) -> tuple[int, list[tuple]]:
+    """Rank mod p of an ``_oracle_target``, and the oracle's hits in it as
     int tuples, one per site, in output order."""
     fibres = _check_oracle(dims, p, budget)
-    rank, h = _annihilator(rows, modulus, dims, p)
+    if isinstance(target[0], LevelSums):
+        rank, h = _level_annihilator(*target, dims, p)
+    else:
+        rank, h = _annihilator(*target, dims, p)
     if fibres > _BATCH_FIBRES:
         from .ffkernel import _batched_hit_fibres as hit_fibres
     else:
@@ -273,7 +322,7 @@ def _rank_and_points(rows: list[list[int]], modulus: int | None, dims: Dims,
 
 def _product_points(generators, dims: Dims, p: int, budget: int) -> list[tuple]:
     """The oracle's hits as int tuples, one per site, in output order."""
-    return _rank_and_points(*_integer_rows(generators, dims), dims, p, budget)[1]
+    return _rank_and_points(_oracle_target(generators, dims), dims, p, budget)[1]
 
 
 def find_product_vectors_fp(
@@ -322,28 +371,41 @@ def _product_vectors(dims: Dims, p: int, combos) -> list[ProductVector]:
 def ff_verify(
     generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
 ) -> list[VerificationReport]:
-    """One finite-field report per prime; witness recorded where found."""
+    """One finite-field report per prime; witness recorded where found.
+
+    ``generators`` is a subspace, a list of integer generators, or a
+    ``LevelSums``.  A ``LevelSums`` is refused as its basis would be
+    (``construct._level_rows``), and its rank and annihilator come in closed
+    form, with no basis written down and nothing reduced.
+    """
     primes = default_primes(dims) if primes is None else list(primes)
-    if not isinstance(generators, Subspace):
+    target = rational_dim = None
+    if isinstance(generators, LevelSums):
+        _check_level_rows(dims, generators)  # before any level is listed
+        target = _oracle_target(generators, dims)
+        dim = rational_dim = _level_rank(*target)
+        check_dense_size(dim, dims.total)  # the rows _level_rows would write
+    elif isinstance(generators, Subspace):
+        dim = generators.dim
+    else:
         generators = list(generators)
+        dim = len(generators)
     if primes:
         # the first prime's checks, before converting a generator: an
         # oversized input is refused at once
         _check_oracle(dims, primes[0], budget)
-        check_elimination_cost(
-            generators.dim if isinstance(generators, Subspace) else len(generators),
-            dims.total)
-    rows, modulus = _integer_rows(generators, dims)
-    rational_dim = None
-    if isinstance(generators, Subspace):
-        if generators.field == RATIONAL:
-            rational_dim = generators.dim  # already a reduced echelon basis
-    elif generators:  # integer generators over Q: their rank, fraction-free
-        check_elimination_cost(len(rows), dims.total)
-        rational_dim = len(_reduce_rows(rows, dims.total)[0])
+        check_elimination_cost(dim, dims.total)
+    if target is None:
+        target = _oracle_target(generators, dims)
+        if isinstance(generators, Subspace):
+            if generators.field == RATIONAL:
+                rational_dim = dim  # already a reduced echelon basis
+        elif generators:  # integer generators over Q: their rank, fraction-free
+            check_elimination_cost(dim, dims.total)
+            rational_dim = len(_reduce_rows(target[0], dims.total)[0])
     reports = []
     for p in primes:
-        rank, combos = _rank_and_points(rows, modulus, dims, p, budget)
+        rank, combos = _rank_and_points(target, dims, p, budget)
         found = _product_vectors(dims, p, combos)
         certified = {f"fp({p})": rank}
         if rational_dim is not None:
@@ -394,10 +456,9 @@ def classify_product_vectors_fp(
     """Check that the product vectors in the entangled complement over F_p
     are exactly the p+1 projective Vandermonde points (one per field element
     plus the point at infinity)."""
-    _check_oracle(dims, p, budget)  # before the N + 1 level sums are built
-    # level sums have 0/1 coefficients, so reduction mod p is exact
-    gens = [level_sum_vector(dims, n) for n in range(dims.max_level + 1)]
-    combos = _product_points(gens, dims, p, budget)
+    _check_oracle(dims, p, budget)  # before the levels are listed
+    combos = _product_points(LevelSums(range(dims.max_level + 1), sums=True),
+                             dims, p, budget)
     found = _product_vectors(dims, p, combos)
     expected = _vandermonde_points(dims, p)
     expected_set, found_set = set(expected), set(combos)

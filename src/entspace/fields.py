@@ -5,14 +5,20 @@ field; complex floats exist only as a target for explicit conversion (the
 numerical verifier).  All scalar types support ``+ - * /``, truthiness as a
 zero test, and ``.conjugate()``, so the linear algebra layer never branches
 on the field kind.
+
+``fractions`` (with the ``decimal`` and ``numbers`` it loads, about 4 ms a
+process) is imported only where a rational is made or tested, so a command
+that makes none, such as the F_p oracle on a graded space, never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING
 
 from .grading import Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -118,7 +124,8 @@ class Fp(Value):
         return str(self.value)
 
 
-Scalar = Union[Fraction, Fp, complex]
+if TYPE_CHECKING:
+    Scalar = Fraction | Fp | complex
 
 
 class Field(Value):
@@ -159,6 +166,8 @@ class Field(Value):
     def coerce(self, x: object) -> Scalar:
         """Embed ``x`` into this field, or raise ``TypeError``."""
         if self.kind == "rational":
+            from fractions import Fraction
+
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, (int, str)):
@@ -171,6 +180,8 @@ class Field(Value):
                 return x
             if isinstance(x, int):
                 return Fp(x, self.p)
+            from fractions import Fraction
+
             if isinstance(x, Fraction):
                 if x.denominator % self.p == 0:
                     raise TypeError(f"denominator of {x} vanishes mod {self.p}")
@@ -178,6 +189,8 @@ class Field(Value):
         else:  # complex
             if isinstance(x, (int, float, complex)):
                 return complex(x)
+            from fractions import Fraction
+
             if isinstance(x, Fraction):
                 return complex(float(x))
         raise TypeError(f"cannot coerce {x!r} into {self.label}")

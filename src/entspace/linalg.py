@@ -11,15 +11,15 @@ resolve here, loading it on first access.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
-from .fields import Field, Scalar
+from .fields import Field
 from .grading import Dims, MultiIndex, Record, Value
 
 if TYPE_CHECKING:
     from .construct import ProductVector
+    from .fields import Scalar
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
     ("span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p"),
@@ -226,6 +226,8 @@ def integer_generators(s: Subspace) -> list[StateVector]:
     """Rescale each basis row by its denominator lcm to integer coefficients."""
     if s.field.kind not in ("rational",):
         raise TypeError(f"integer generators undefined over {s.field.label}")
+    from fractions import Fraction
+
     return [StateVector(s.dims, s.field, tuple(map(Fraction, row)))
             for row in integer_rows(s.rows)]
 

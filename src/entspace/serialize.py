@@ -7,13 +7,12 @@ always printed with 17 significant digits, exact scalars always as strings.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .construct import INFINITY, ProductVector
 from .fields import Field, Fp, parse_field
 from .grading import Dims
-from .linalg import StateVector, Subspace
+from .linalg import DENSE_BUDGET, StateVector, Subspace
 
 if TYPE_CHECKING:  # each command loads only the layers it runs
     from .ff import ClassifyReport
@@ -114,6 +113,8 @@ def encode_scalar(c, field: Field):
 
 def decode_scalar(raw, field: Field):
     if field.kind == "rational":
+        from fractions import Fraction
+
         return Fraction(raw)
     if field.kind == "fp":
         return Fp(int(raw), field.p)
@@ -131,11 +132,15 @@ def _vector_entry(v: StateVector) -> dict:
 
 
 def _product_entry(pv: ProductVector) -> dict:
+    """The factors, and the expansion while one dense vector of ``total``
+    entries passes ``check_dense_size``; past it the factors alone, which
+    determine the vector exactly (``document_product_vectors`` reads only
+    them)."""
     enc = _scalar_encoder(pv.field)
-    return {
-        "factors": [list(map(enc, f)) for f in pv.factors],
-        "coeffs": list(map(enc, pv.expand().coeffs)),
-    }
+    entry = {"factors": [list(map(enc, f)) for f in pv.factors]}
+    if pv.dims.total <= DENSE_BUDGET:
+        entry["coeffs"] = list(map(enc, pv.expand().coeffs))
+    return entry
 
 
 def _header(dims: Dims, field: Field) -> dict:

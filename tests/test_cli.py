@@ -497,10 +497,49 @@ else:
 """
 
 
+FRACTION_PROBE = """
+import contextlib, io, sys
+import entspace.cli
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return entspace.cli.main(list(argv))
+
+def loaded():
+    return [name for name in ("fractions", "decimal") if name in sys.modules]
+
+from entspace.ff import _BATCH_FIBRES
+from entspace.fields import is_prime
+
+# no command below makes a rational: the oracle takes a graded space's rank
+# and annihilator in closed form, and the ALS search its level-sum form
+assert not loaded(), str(loaded()) + " loaded by import entspace.cli"
+assert quiet("dims", "--dims", "3,3") == 0
+for space in ("S", "Sperp", "level:2", "example1"):
+    assert quiet("verify", "--dims", "3,3", "--space", space, "--method", "ff") == 0
+past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
+assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--primes", str(past_cut)) == 0
+assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
+assert not loaded(), str(loaded()) + " loaded by dims, verify --method ff or classify"
+for space in ("S", "Sperp", "level:1"):
+    assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
+                 "--restarts", "2") == 0
+assert not loaded(), str(loaded()) + " loaded by verify --method als"
+
+# the guard can fail: a basis over Q and a UPB are rational
+assert quiet("construct", "--dims", "3,3", "--space", "S") == 0
+assert loaded() == ["fractions", "decimal"], loaded()
+for name in ("fractions", "decimal"):
+    del sys.modules[name]
+assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert loaded() == ["fractions", "decimal"], loaded()
+"""
+
+
 def test_dims_and_construct_start_without_numpy():
     src = str(Path(entspace_cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for probe in (STARTUP_PROBE, ALS_PROBE):
+    for probe in (STARTUP_PROBE, ALS_PROBE, FRACTION_PROBE):
         proc = subprocess.run([sys.executable, "-c", probe],
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
@@ -559,6 +598,26 @@ def test_failed_final_flush_exits_2(argv):
             text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("space, factors", [("S", 30), ("Sperp", 24)])
+def test_many_factor_witness_is_written_from_its_factors(space, factors):
+    # a witness on 2**24 or 2**30 entries once was expanded into the document
+    # (a MemoryError at 30 factors); past the dense budget only its factors,
+    # which determine it exactly, are written
+    argv = ["verify", "--dims", ",".join(["2"] * factors), "--space", space,
+            "--method", "als", "--restarts", "4"]
+    proc = subprocess.run([sys.executable, "-m", "entspace.cli", *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_one_gigabyte_address_space)
+    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    witness = doc["reports"][0]["witness"]
+    if space == "Sperp":
+        assert proc.returncode == 0 and witness is not None
+    if witness is not None:
+        assert list(witness) == ["field", "factors"]
+        assert [len(f) for f in witness["factors"]] == [2] * factors
 
 
 def test_thousand_factor_shapes_exit_cleanly():
@@ -780,6 +839,73 @@ def test_als_margins_script_rejects_bad_flags(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "Traceback" not in err
+
+
+def _parse_outcome(parser, argv):
+    """(exit code or None, stdout, stderr, parsed arguments) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+            code = None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("dims", []), ("construct", ["--space", "S"]), ("upb", ["--min"]),
+    ("verify", ["--space", "S"]), ("classify", ["--prime", "5"]), ("onb", ["--level", "1"]),
+])
+def test_one_subcommand_parser_parses_as_the_full_one(command, flags):
+    # argparse names a command's siblings only in the top-level usage, so the
+    # parser main builds for a named command must print the same bytes
+    valid = [command, "--dims", "2,2", *flags]
+    cases = [[command, "--help"], [command, "--bogus"], [command, "--seed", "x"],
+             [command], valid, valid + ["stray"]]
+    for argv in cases:
+        want = _parse_outcome(entspace_cli.build_parser(), argv)
+        assert _parse_outcome(entspace_cli.build_parser(command), argv) == want, argv
+    # the stray argument is refused by the top-level parser
+    assert want[0] == 2 and want[2].startswith("usage: entspace [-h] {dims,construct,")
+
+
+def test_main_builds_the_full_parser_only_without_a_command(capsys, monkeypatch):
+    built = []
+    real = entspace_cli.build_parser
+
+    def recording(only=None):
+        built.append(only)
+        return real(only)
+
+    monkeypatch.setattr(entspace_cli, "build_parser", recording)
+    assert main(["dims", "--dims", "2,2"]) == 0
+    for argv in (["--help"], ["bogus"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["dims", None, None, None]
+
+
+@pytest.mark.parametrize("argv", [["--repeats", "0"], ["--bogus"], ["--repeats", "x"]],
+                         ids=" ".join)
+def test_startup_report_script_rejects_bad_flags(capsys, argv):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "startup_report.py"
+    spec = importlib.util.spec_from_file_location("startup_report", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    # one run of one argv: the command's own modules, after the interpreter's
+    assert script.main(["--repeats", "1", "dims --dims 2,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("entspace dims --dims 2,2")
+    assert any(line.split()[-1] == "entspace.grading" for line in lines[1:-1])
+    assert not any(line.split()[-1] in ("site", "fractions") for line in lines[1:-1])
+    assert " total " in lines[-1]
 
 
 # The CLI grammar, bad values included: every argv must exit 0, 2 or 3 with

@@ -194,3 +194,26 @@ def test_strings_are_quoted_as_json_quotes_them(key, value):
              (json_dumps({key: value}), json.dumps({key: value}, indent=2))]
     for got, want in pairs:
         assert got.encode("ascii") == (want + "\n").encode("ascii")
+
+
+def test_product_vector_past_the_dense_budget_is_written_from_its_factors(monkeypatch):
+    from entspace import ProductVector, vandermonde_vector
+    from entspace.linalg import DENSE_BUDGET
+    from entspace.serialize import document_product_vectors
+
+    big = Dims((2,) * 21)  # 2**21 entries, past the budget; 2**20 is within it
+    assert big.total // 2 <= DENSE_BUDGET < big.total
+    doc = json.loads(json_dumps(product_vectors_document(
+        Dims((2, 3)), RATIONAL, [vandermonde_vector(Dims((2, 3)), 2)])))
+    assert doc["vectors"][0]["coeffs"] == ["1", "2", "4", "2", "4", "8"]
+
+    def no_expansion(self):
+        raise AssertionError("expanded past the dense budget")
+
+    monkeypatch.setattr(ProductVector, "expand", no_expansion)
+    for field in (RATIONAL, F7, COMPLEX):
+        pv = vandermonde_vector(big, 3, field)
+        doc = json.loads(json_dumps(product_vectors_document(big, field, [pv])))
+        assert list(doc["vectors"][0]) == ["factors"]
+        if field.exact:
+            assert document_product_vectors(doc)[2] == [pv]

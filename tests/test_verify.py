@@ -46,6 +46,7 @@ from entspace import (
     vandermonde_vector,
     verify_upb,
 )
+import entspace.construct as construct_module
 import entspace.elimination as elimination_module
 import entspace.ff as ff_module
 import entspace.ffkernel as ffkernel_module
@@ -416,6 +417,81 @@ def test_annihilator_matches_elimination_on_random_subspaces(data):
     gens = [StateVector.from_values(dims, RATIONAL, r) for r in rows]
     assert_annihilator_matches_elimination(gens, dims, p)
     assert_annihilator_matches_elimination(span(gens, dims=dims, field=RATIONAL), dims, p)
+
+
+def echelon_mod_p(rows, total, p):
+    """The rank and reduced echelon form mod p of int rows, by pivot."""
+    basis, pivots = ff_module._reduce_rows([[a % p for a in row] for row in rows], total, p)
+    return len(basis), sorted(zip(pivots, basis))
+
+
+def assert_closed_form_annihilator(space, dims, p):
+    """The closed-form rank and annihilator of a ``LevelSums`` space equal
+    those read off the reduction of its basis rows."""
+    groups = list(construct_module._level_groups(dims, space))
+    rank, h = ff_module._level_annihilator(space, groups, dims, p)
+    rows = ff_module._integer_rows(construct_module._level_rows(dims, space), dims)[0]
+    want_rank, want_h = ff_module._annihilator(rows, None, dims, p)
+    assert rank == want_rank == echelon_mod_p(rows, dims.total, p)[0]
+    assert all(0 <= a < p for row in h for a in row)
+    assert echelon_mod_p(h, dims.total, p) == echelon_mod_p(want_h, dims.total, p)
+
+
+CLOSED_FORM_SHAPES = [Dims((2, 2)), Dims((3, 4)), Dims((2, 3, 4)), Dims((2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("dims", CLOSED_FORM_SHAPES, ids=str)
+def test_closed_form_annihilator_matches_elimination(dims):
+    for p in (5, 7, 11):
+        for _, space, _ in graded_spaces(dims):
+            assert_closed_form_annihilator(space, dims, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_form_annihilator_matches_elimination_on_any_levels(data):
+    dims = data.draw(st.sampled_from(CLOSED_FORM_SHAPES + [Dims((3, 3)), Dims((2, 2, 3))]))
+    levels = data.draw(st.lists(st.integers(0, dims.max_level), min_size=1, unique=True))
+    space = LevelSums(tuple(levels), sums=data.draw(st.booleans()))
+    assert_closed_form_annihilator(space, dims, data.draw(st.sampled_from([2, 3, 5, 7, 11])))
+
+
+@pytest.mark.parametrize("dims", CLOSED_FORM_SHAPES, ids=str)
+def test_ff_verify_of_level_sums_matches_its_basis(dims):
+    # the same document from the closed form as from the basis
+    # (construct._level_rows), on both fibre paths
+    primes = [p for p in (5, 7, 11) if p > dims.max_level]
+    for _, space, basis in graded_spaces(dims):
+        for batched in (False, True):
+            with fibre_path(batched):
+                got, want = (json_dumps([encode_report(r) for r in
+                                         ff_verify(target, dims, primes)])
+                             for target in (space, basis))
+            assert got == want, (space, batched)
+
+
+def test_ff_verify_of_level_sums_matches_its_basis_past_the_cut():
+    dims = Dims((2, 2))
+    p = next(q for q in range(ff_module._BATCH_FIBRES, 2 * ff_module._BATCH_FIBRES)
+             if ff_module.is_prime(q))
+    for _, space, basis in graded_spaces(dims):
+        got, want = (json_dumps([encode_report(r) for r in ff_verify(target, dims, [p])])
+                     for target in (space, basis))
+        assert got == want, space
+
+
+def test_ff_verify_of_level_sums_reduces_nothing(monkeypatch):
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("a closed-form target was reduced")
+
+    monkeypatch.setattr(ff_module, "_annihilator", no_reduction)
+    monkeypatch.setattr(ff_module, "_integer_rows", no_reduction)
+    dims = Dims((2, 3))
+    reports = ff_verify(LevelSums(range(4), sums=True), dims, [5, 7])
+    assert [r.certified_dims for r in reports] == [
+        {"fp(5)": 4, "rational": 4}, {"fp(7)": 4, "rational": 4}]
+    assert [r.metrics["found"] for r in reports] == [6, 8]
+    assert classify_product_vectors_fp(dims, 7).passed
 
 
 def test_oracle_refuses_other_primes_and_dims():
