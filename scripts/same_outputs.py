@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the CLI the same outputs, argv by argv.
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+Each argv runs as ``python -m entspace.cli`` once under each tree, with
+PYTHONDONTWRITEBYTECODE=1 so that neither tree gains a bytecode cache, and
+the runs are compared on stdout sha256, exit code and stderr.  The argv are
+every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
+``perfbench/workloads.py`` at each seed of ``--seeds``, every graded space
+in JSON and CSV on a few shapes, and a fixed list of misuse and refusal
+argv; ``--argv`` replaces them all.  The argv that differ are printed, and
+the exit code is 1 if any do.
+
+    python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
+    python scripts/same_outputs.py PARENT_SRC CHANGE_SRC --seeds 1,4242
+"""
+
+import argparse
+import ast
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GRADED_SPACES = ("S", "Sperp", "level:1", "level:3", "example1")
+GRADED_SHAPES = ("3,4", "2,3,4", "12,14", "2,2,2,2,2,2")
+# misuse and refusals: each must fail the same way, with the same message
+REFUSALS = (
+    "",
+    "bogus",
+    "construct --help",
+    "construct --dims 2,2",
+    "construct --dims 1,3 --space S",
+    "construct --dims 2,2 --space T",
+    "construct --dims 2,2 --space S --format xml",
+    "construct --dims 2,3 --space level:9",
+    "construct --dims 2,3 --space level:-1",
+    "construct --dims 2,3 --space level:x",
+    "construct --dims 2,2 --space example2-M",
+    "construct --dims 300,300 --space S",
+    "construct --dims 1000,1000 --space Sperp --format csv",
+    "construct --dims 3,4,2 --space S --format csv",
+    "construct --dims 3,4,2 --space example1",
+    "construct --dims 4,4 --space example2-R --format csv",
+    "construct --dims " + ",".join(["2"] * 1100) + " --space S",
+    "dims --dims 0,2",
+    "upb --dims 2,2 --min --lambdas=1,1,2",
+    "upb --dims 2,2 --min --lambdas=1/2,2/4,3",
+    "upb --dims 2,2 --min --lambdas=inf,oo,1",
+    "upb --dims 2,2 --min --lambdas=1/0",
+    "verify --dims 3,3 --space S --primes 3",
+    "verify --dims 2,2 --space Sperp --method als --restarts 0",
+    "classify --dims 2,2 --prime 4",
+)
+
+
+def golden_argvs() -> list[str]:
+    """The keys of ``GOLDEN`` in tests/test_cli.py, read without importing it."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "GOLDEN" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    raise LookupError("no GOLDEN table in tests/test_cli.py")
+
+
+def workload_argvs(seeds) -> list[str]:
+    """Every argv of the benchmark's workload lists at each seed."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [" ".join(argv) for seed in seeds for name in workloads.WORKLOADS
+            for argv in workloads.invocations(name, seed)]
+
+
+def default_argvs(seeds) -> list[str]:
+    graded = [f"construct --dims {dims} --space {space}{fmt}"
+              for dims in GRADED_SHAPES for space in GRADED_SPACES
+              for fmt in ("", " --format csv")]
+    return list(dict.fromkeys(
+        golden_argvs() + workload_argvs(seeds) + graded + list(REFUSALS)))
+
+
+def outcome(src: str, argv: str) -> tuple[str, int, str]:
+    """(stdout sha256, exit code, stderr) of one run of ``argv`` under ``src``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "entspace.cli", *argv.split()],
+                          env=env, capture_output=True, timeout=600)
+    return (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode,
+            proc.stderr.decode("utf-8", "replace"))
+
+
+def seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", metavar="PARENT_SRC", help="src directory of the parent tree")
+    ap.add_argument("change", metavar="CHANGE_SRC", help="src directory of the changed tree")
+    ap.add_argument("--seeds", type=seed_list, default=[1, 4242],
+                    help="comma-separated workload seeds (default 1,4242)")
+    ap.add_argument("--argv", action="append", dest="argvs", metavar="ARGV",
+                    help="compare only this quoted argv after 'entspace'; repeatable")
+    args = ap.parse_args(argv)
+    for src in (args.parent, args.change):
+        if not (Path(src) / "entspace" / "cli.py").is_file():
+            ap.error(f"{src} holds no entspace/cli.py")
+    argvs = args.argvs if args.argvs is not None else default_argvs(args.seeds)
+    differ = 0
+    for text in argvs:
+        before, after = outcome(args.parent, text), outcome(args.change, text)
+        if before == after:
+            continue
+        differ += 1
+        what = [name for name, a, b in zip(("stdout", "exit code", "stderr"), before, after)
+                if a != b]
+        print(f"DIFFERS ({', '.join(what)}): {text[:200]}")
+        if before[1] != after[1]:
+            print(f"  exit code {before[1]} -> {after[1]}")
+        if before[2] != after[2]:
+            print(f"  stderr {before[2][-300:]!r} -> {after[2][-300:]!r}")
+    print(f"{len(argvs)} argv compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

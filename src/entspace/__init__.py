@@ -26,20 +26,19 @@ def _lazy_getattr(module: str, homes: dict[str, str]):
 _HOMES = {
     **dict.fromkeys((
         "Dims", "parse_dims", "level", "enumerate_level", "level_count",
-        "level_counts", "level_count_closed_form"), "grading"),
+        "level_counts", "level_count_closed_form", "LevelSums",
+        "BudgetExceededError", "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS",
+        "DEFAULT_TOL", "NO_WITNESS", "WITNESS"), "grading"),
     **dict.fromkeys((
         "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
         "fields"),
-    **dict.fromkeys((
-        "StateVector", "Subspace", "BudgetExceededError", "VerificationReport",
-        "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS", "DEFAULT_TOL", "NO_WITNESS",
-        "WITNESS"), "linalg"),
+    **dict.fromkeys(("StateVector", "Subspace", "VerificationReport"), "linalg"),
     **dict.fromkeys((
         "span", "orthocomplement", "intersect", "subspace_sum", "reduce_mod_p"),
         "elimination"),
     **dict.fromkeys((
         "INFINITY", "ProductVector", "standard_product_vector",
-        "level_sum_vector", "vandermonde_vector", "LevelSums",
+        "level_sum_vector", "vandermonde_vector",
         "entangled_subspace", "entangled_complement", "entangled_level",
         "level_sum_line", "antidiagonal_zero_space"), "construct"),
     **dict.fromkeys((

@@ -14,22 +14,28 @@ import argparse
 import os
 import sys
 
-from .grading import Dims, level_counts, parse_dims
-from .linalg import (
+from .grading import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     NO_WITNESS,
     WITNESS,
     BudgetExceededError,
-    Subspace,
+    Dims,
+    LevelSums,
+    _check_level_rows,
+    _group_entries,
+    _level_groups,
+    level_counts,
+    parse_dims,
 )
 
 # The parser and ``main`` need only the names above.  Each command imports
 # the layers it runs, so a process loads (and, with bytecode caching off,
-# compiles) no other: numpy loads only for ALS and for enumerations too
-# large for plain ints, and exact elimination only for ``upb`` and a
-# ``verify`` of example2-R, which spans its product vectors.
+# compiles) no other: a graded ``construct`` writes its closed-form rows as
+# text with ``serialize`` alone, numpy loads only for ALS and for
+# enumerations too large for plain ints, and exact elimination only for
+# ``upb`` and a ``verify`` of example2-R, which spans its product vectors.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -60,8 +66,6 @@ def _named_space(dims: Dims, name: str):
     A graded space comes back unbuilt, as its ``LevelSums``; example2-M as
     its exact subspace and example2-R as its product-vector list.
     """
-    from .construct import LevelSums
-
     every = range(dims.max_level + 1)
     if name == "S":
         return LevelSums(every), NO_WITNESS
@@ -87,7 +91,7 @@ def _named_space(dims: Dims, name: str):
 
 def _resolve_space(dims: Dims, name: str):
     """Named space -> (subspace or product-vector list, expected verdict)."""
-    from .construct import LevelSums, _level_rows
+    from .construct import _level_rows
 
     space, expected = _named_space(dims, name)
     if isinstance(space, LevelSums):
@@ -173,29 +177,34 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    from .fields import RATIONAL
-    from .serialize import (
-        csv_matrices, json_dumps, product_vectors_document, subspace_document,
-    )
+    from .serialize import csv_matrices, encode_rows, json_dumps, rows_document
 
     dims = parse_dims(args.dims)
-    target, _ = _resolve_space(dims, args.space)
+    target, _ = _named_space(dims, args.space)
     if isinstance(target, list):  # product vectors (example2-R)
         if args.format == "csv":
-            expansions = [pv.expand() for pv in target]
-            _write(csv_matrices(expansions, dims), args.out)
+            _write(csv_matrices([pv.expand() for pv in target], dims), args.out)
         else:
-            doc = product_vectors_document(
-                dims, RATIONAL, target, {"space": args.space}
-            )
+            from .fields import RATIONAL
+            from .serialize import product_vectors_document
+
+            doc = product_vectors_document(dims, RATIONAL, target, {"space": args.space})
             _write(json_dumps(doc), args.out)
         return 0
+    if isinstance(target, LevelSums):
+        # the closed form as text: every entry of a row e_i - e_last or u_n
+        # is 0, 1 or -1, so no scalar is made
+        _check_level_rows(dims, target)
+        rows = _group_entries(dims.total, _level_groups(dims, target), target.sums,
+                              "0", "1", "-1")
+    else:  # example2-M, an exact subspace
+        rows = encode_rows(target.rows)
     if args.format == "csv":
         if dims.k != 2:
             raise ValueError("csv output needs exactly two factors")
-        _write(csv_matrices(list(target.rows), dims), args.out)
+        _write(csv_matrices(rows, dims), args.out)
     else:
-        _write(json_dumps(subspace_document(target, {"space": args.space})), args.out)
+        _write(json_dumps(rows_document(dims, rows, {"space": args.space})), args.out)
     return 0
 
 
@@ -234,6 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         reports = ff_verify(space, dims, args.primes)
     else:
+        from .linalg import Subspace
         from .verify import max_product_overlap, orthonormal_basis
 
         if isinstance(space, Subspace):

@@ -4,21 +4,27 @@ Everything here is exact: the completely entangled subspace spanned by
 equal-level differences, its product-vector orthocomplement spanned by the
 level sums (both named by a ``LevelSums`` and written down in reduced
 echelon form, with no elimination), and the Vandermonde product vectors
-that exhaust that complement.  The unextendible product bases built from
-them are in ``entspace.upb``, and the character bases and the 4x4
-matrix-space example in ``entspace.examples``; their names still resolve
-here, loading that module on first access.
+that exhaust that complement.  ``LevelSums``, its refusal
+``_check_level_rows``, its groups ``_level_groups`` and the row writer
+``_group_entries`` live in ``entspace.grading``, which the command line
+loads anyway: a graded ``construct`` writes the rows there as text and
+loads neither this module nor ``fractions``.  They still resolve here,
+where the same rows become a ``Subspace`` of ``Fraction`` (or ``Fp``)
+scalars.  The unextendible product bases built from them are in
+``entspace.upb``, and the character bases and the 4x4 matrix-space example
+in ``entspace.examples``; their names still resolve here, loading that
+module on first access.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .fields import Field, RATIONAL
-from .grading import Dims, MultiIndex, Value, enumerate_level
-from .linalg import StateVector, Subspace, check_dense_size
+from .grading import Dims, LevelSums, MultiIndex, Value, _check_level_rows, \
+    _group_entries, _level_groups, enumerate_level
+from .linalg import StateVector, Subspace
 
 if TYPE_CHECKING:
     from .fields import Scalar
@@ -151,54 +157,6 @@ def vandermonde_vector(dims: Dims, point, field: Field = RATIONAL) -> ProductVec
     return ProductVector(dims, field, tuple(factors))
 
 
-class LevelSums(NamedTuple):
-    """A graded space named by its levels and described by their sums u_n.
-
-    With ``sums`` the space is spanned by the level sums u_n of ``levels``;
-    without, it is the part of those levels orthogonal to their u_n.  So S
-    (and example1, which is S on two factors) is every level without sums,
-    Sperp every level with sums, and ``level:n`` the level n without sums.
-    ``levels`` is any sequence of distinct levels, a range included.
-    ``max_product_overlap`` searches such a space as it is, with no basis;
-    the ``entangled_*`` builders here write its exact basis down.
-    """
-
-    levels: Sequence[int]
-    sums: bool = False
-
-
-def _group_entries(total: int, groups, sums: bool, zero, one, minus_one) -> list[list]:
-    """Reduced echelon rows of a space cut out by group sums, written down
-    without elimination, as lists of ``zero``, ``one`` and ``minus_one``:
-    field scalars for a basis, residues mod p for the oracle's annihilator.
-
-    ``groups`` are disjoint runs of ascending positions.  Per group the rows
-    are either the group sum, pivot at the group's first position, or
-    e_i - e_last for every position i of the group but its last: the part of
-    the group orthogonal to its sum.  Groups have disjoint supports, so the
-    rows of all groups, sorted by pivot, are already reduced.  Groups are
-    counted before their rows are built, so an oversized basis is refused
-    after building at most ``DENSE_BUDGET`` entries.
-    """
-    pivoted: list[tuple[int, list]] = []
-    for positions in groups:
-        check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), total)
-        if sums:
-            coeffs = [zero] * total
-            for pos in positions:
-                coeffs[pos] = one
-            pivoted.append((positions[0], coeffs))
-            continue
-        last = positions[-1]
-        for pos in positions[:-1]:
-            coeffs = [zero] * total
-            coeffs[pos] = one
-            coeffs[last] = minus_one
-            pivoted.append((pos, coeffs))
-    pivoted.sort(key=lambda row: row[0])
-    return [coeffs for _, coeffs in pivoted]
-
-
 def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspace:
     """The space cut out by group sums (``_group_entries``) as an exact
     subspace of ``field``."""
@@ -207,28 +165,6 @@ def _group_rows(dims: Dims, field: Field, groups, sums: bool = False) -> Subspac
     one = field.one()
     rows = _group_entries(dims.total, groups, sums, field.zero(), one, -one)
     return Subspace(dims, field, tuple(StateVector(dims, field, tuple(c)) for c in rows))
-
-
-def _check_level_rows(dims: Dims, space: LevelSums) -> None:
-    """Refuse the basis of a ``LevelSums`` space from row counts that need no
-    enumeration: total - (N+1) for every level without sums, one row per
-    level with sums, and at least one for each level 0 < n < N, which holds
-    two indices or more."""
-    top = dims.max_level
-    if space.sums:
-        rows = len(space.levels)
-    elif len(space.levels) == top + 1:
-        rows = dims.total - (top + 1)
-    else:
-        rows = sum(0 < n < top for n in space.levels)
-    check_dense_size(rows, dims.total)
-
-
-def _level_groups(dims: Dims, space: LevelSums):
-    """The ascending positions of each level of a ``LevelSums`` space, one
-    group per level, enumerated as they are consumed."""
-    return ([dims.position(idx) for idx in enumerate_level(dims, n)]
-            for n in space.levels)
 
 
 def _level_rows(dims: Dims, space: LevelSums, field: Field = RATIONAL) -> Subspace:

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .construct import INFINITY, ProductVector, _group_rows, vandermonde_vector
 from .fields import COMPLEX, Field, RATIONAL
-from .grading import Dims, enumerate_level
-from .linalg import StateVector, Subspace, check_dense_size
+from .grading import Dims, check_dense_size, enumerate_level
+from .linalg import StateVector, Subspace
 
 if TYPE_CHECKING:
     from .fields import Scalar

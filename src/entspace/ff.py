@@ -8,7 +8,7 @@ generators, one reduction gives the rank mod p, and the free-column
 read-off of that reduction gives the annihilator.  A graded space named by
 a ``LevelSums`` (S, Sperp, ``level:n``, example1) needs neither: its rows
 have disjoint supports, so its rank is their number, and its annihilator is
-written down by ``construct``'s group-row writer, the level sums for S and
+written down by ``grading``'s group-row writer, the level sums for S and
 a level slice (with a unit row at every position off the slice) and the S
 rows for Sperp.  ``Fp`` objects are made only for the output, and no
 rational at all on a graded space.
@@ -27,13 +27,12 @@ import math
 from itertools import product
 
 from . import _lazy_getattr
-from .construct import LevelSums, ProductVector, _check_level_rows, _group_entries, \
-    _level_groups
+from .construct import ProductVector
 from .fields import Fp, RATIONAL, is_prime, prime_field
-from .grading import Dims, Record
-from .linalg import NO_WITNESS, WITNESS, BudgetExceededError, Subspace, \
-    VerificationReport, _reduce_rows, check_dense_size, check_elimination_cost, \
-    integer_rows
+from .grading import NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, \
+    Record, _check_level_rows, _group_entries, _level_groups, check_dense_size
+from .linalg import Subspace, VerificationReport, _reduce_rows, \
+    check_elimination_cost, integer_rows
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(("UpbReport", "verify_upb"), "upb"))
 

@@ -6,16 +6,66 @@ product basis vectors whose index sum equals n.  Everything downstream
 organized around this grading, so the ordering conventions fixed here are
 global: basis vectors are ordered lexicographically by multi-index, and a
 level inherits that order.
+
+This is the base module every command loads, so it also holds what the
+command line needs before it knows the command: the budget error and the
+dense-size budget, the verdicts and the verifier defaults, and the graded
+spaces in closed form.  A ``LevelSums`` names S, Sperp, a level slice or
+example1, and ``_group_entries`` writes its reduced echelon rows as lists
+of any three values for 0, 1 and -1: the ``Fraction`` rows of
+``entspace.construct``, the residues of the oracle's annihilator, or the
+text a graded ``construct`` writes straight into its document.  The names
+still resolve in ``entspace.linalg`` and ``entspace.construct``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import accumulate, product
 from operator import attrgetter, index
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 MultiIndex = tuple[int, ...]
+
+# Largest dense basis a construction writes down, as rows * total entries.
+# Every entry is also a cell of the JSON or CSV document; 12x14 S (the
+# largest benchmarked) has about 2.4e4, 300x300 S would need 8e9.
+DENSE_BUDGET = 2 * 10**6
+
+# Verifier defaults and verdicts.  They live here, away from the numpy-based
+# ``verify`` and the F_p oracle ``ff``, so the CLI builds its parser from
+# this module alone, and an ALS search runs without loading the oracle.
+DEFAULT_RESTARTS = 64
+DEFAULT_MAX_SWEEPS = 500
+DEFAULT_TOL = 1e-10
+NO_WITNESS = "no-product-vector-found"
+WITNESS = "witness-found"
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would take more steps than its budget allows.
+
+    ``estimate`` is the step count reached (or predicted) when the budget
+    ran out; ``unit`` says what a step is.
+    """
+
+    def __init__(self, estimate: int, budget: int, task: str = "elimination",
+                 unit: str = "multiply-adds"):
+        self.estimate = estimate
+        self.budget = budget
+        # past 30 digits, the power of two at or below the estimate: still a
+        # lower bound, and clear of the interpreter's limit on the digits of
+        # an int converted to text
+        shown = estimate if estimate < 10**30 else f"2**{estimate.bit_length() - 1}"
+        super().__init__(f"{task} needs at least {shown} {unit}, budget is {budget}")
+
+
+def check_dense_size(rows: int, cols: int) -> None:
+    """Refuse to write down ``rows`` dense vectors of length ``cols`` over budget."""
+    entries = rows * cols
+    if entries > DENSE_BUDGET:
+        raise BudgetExceededError(entries, DENSE_BUDGET, "dense basis", "entries")
 
 
 class Record:
@@ -244,3 +294,75 @@ def iter_dims(max_total: int, min_total: int = 4) -> Iterator[Dims]:
             d += 1
 
     yield from rec(1)
+
+
+class LevelSums(NamedTuple):
+    """A graded space named by its levels and described by their sums u_n.
+
+    With ``sums`` the space is spanned by the level sums u_n of ``levels``;
+    without, it is the part of those levels orthogonal to their u_n.  So S
+    (and example1, which is S on two factors) is every level without sums,
+    Sperp every level with sums, and ``level:n`` the level n without sums.
+    ``levels`` is any sequence of distinct levels, a range included.
+    ``max_product_overlap`` searches such a space as it is, with no basis;
+    the ``entangled_*`` builders of ``entspace.construct`` write its exact
+    basis down.
+    """
+
+    levels: Sequence[int]
+    sums: bool = False
+
+
+def _group_entries(total: int, groups, sums: bool, zero, one, minus_one) -> list[list]:
+    """Reduced echelon rows of a space cut out by group sums, written down
+    without elimination, as lists of ``zero``, ``one`` and ``minus_one``:
+    field scalars for a basis, residues mod p for the oracle's annihilator,
+    text for a document.
+
+    ``groups`` are disjoint runs of ascending positions.  Per group the rows
+    are either the group sum, pivot at the group's first position, or
+    e_i - e_last for every position i of the group but its last: the part of
+    the group orthogonal to its sum.  Groups have disjoint supports, so the
+    rows of all groups, sorted by pivot, are already reduced.  Groups are
+    counted before their rows are built, so an oversized basis is refused
+    after building at most ``DENSE_BUDGET`` entries.
+    """
+    pivoted: list[tuple[int, list]] = []
+    for positions in groups:
+        check_dense_size(len(pivoted) + (1 if sums else len(positions) - 1), total)
+        if sums:
+            coeffs = [zero] * total
+            for pos in positions:
+                coeffs[pos] = one
+            pivoted.append((positions[0], coeffs))
+            continue
+        last = positions[-1]
+        for pos in positions[:-1]:
+            coeffs = [zero] * total
+            coeffs[pos] = one
+            coeffs[last] = minus_one
+            pivoted.append((pos, coeffs))
+    pivoted.sort(key=lambda row: row[0])
+    return [coeffs for _, coeffs in pivoted]
+
+
+def _check_level_rows(dims: Dims, space: LevelSums) -> None:
+    """Refuse the basis of a ``LevelSums`` space from row counts that need no
+    enumeration: total - (N+1) for every level without sums, one row per
+    level with sums, and at least one for each level 0 < n < N, which holds
+    two indices or more."""
+    top = dims.max_level
+    if space.sums:
+        rows = len(space.levels)
+    elif len(space.levels) == top + 1:
+        rows = dims.total - (top + 1)
+    else:
+        rows = sum(0 < n < top for n in space.levels)
+    check_dense_size(rows, dims.total)
+
+
+def _level_groups(dims: Dims, space: LevelSums):
+    """The ascending positions of each level of a ``LevelSums`` space, one
+    group per level, enumerated as they are consumed."""
+    return ([dims.position(idx) for idx in enumerate_level(dims, n)]
+            for n in space.levels)

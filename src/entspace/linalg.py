@@ -1,11 +1,14 @@
-"""Dense vectors over an exact field, subspaces, budgets and reports.
+"""Dense vectors over an exact field, subspaces, the elimination budget and
+the verification report.
 
 Subspaces are stored as a reduced row-echelon basis, which is canonical:
 two subspaces are equal iff their stored rows are identical.  The one exact
 row reduction, ``_reduce_rows`` on ints over Q or F_p, is here; the
 subspace calculus built on it (``span``, ``orthocomplement``,
 ``intersect``, ...) lives in ``entspace.elimination``, and its names still
-resolve here, loading it on first access.
+resolve here, loading it on first access.  The budget error, the
+dense-size budget, the verdicts and the verifier defaults are defined in
+``entspace.grading`` and imported here, so they resolve in this module too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .fields import Field
-from .grading import Dims, MultiIndex, Record, Value
+from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
+    DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, MultiIndex, \
+    Record, Value, check_dense_size  # noqa: F401
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -29,21 +34,6 @@ __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
 # order of the entry updates of a reduction: exact elimination is cubic, so
 # past this an input fails at once; 16x16 S (about 1.3e7) is just below it.
 ELIMINATION_BUDGET = 2 * 10**7
-
-# Largest dense basis a construction writes down, as rows * total entries.
-# Every entry is also a cell of the JSON or CSV document; 12x14 S (the
-# largest benchmarked) has about 2.4e4, 300x300 S would need 8e9.
-DENSE_BUDGET = 2 * 10**6
-
-# Verifier defaults, verdicts and report.  They live here, away from the
-# numpy-based ``verify`` and the F_p oracle ``ff`` (which both re-export
-# them), so the CLI builds its parser from this module alone, and an ALS
-# search runs without loading the oracle.
-DEFAULT_RESTARTS = 64
-DEFAULT_MAX_SWEEPS = 500
-DEFAULT_TOL = 1e-10
-NO_WITNESS = "no-product-vector-found"
-WITNESS = "witness-found"
 
 
 class VerificationReport(Record):
@@ -66,36 +56,11 @@ class VerificationReport(Record):
             raise ValueError("witness must be present exactly when found")
 
 
-class BudgetExceededError(RuntimeError):
-    """A computation would take more steps than its budget allows.
-
-    ``estimate`` is the step count reached (or predicted) when the budget
-    ran out; ``unit`` says what a step is.
-    """
-
-    def __init__(self, estimate: int, budget: int, task: str = "elimination",
-                 unit: str = "multiply-adds"):
-        self.estimate = estimate
-        self.budget = budget
-        # past 30 digits, the power of two at or below the estimate: still a
-        # lower bound, and clear of the interpreter's limit on the digits of
-        # an int converted to text
-        shown = estimate if estimate < 10**30 else f"2**{estimate.bit_length() - 1}"
-        super().__init__(f"{task} needs at least {shown} {unit}, budget is {budget}")
-
-
 def check_elimination_cost(rows: int, cols: int) -> None:
     """Refuse an elimination of ``rows`` vectors of length ``cols`` over budget."""
     estimate = rows * cols * min(rows, cols)
     if estimate > ELIMINATION_BUDGET:
         raise BudgetExceededError(estimate, ELIMINATION_BUDGET)
-
-
-def check_dense_size(rows: int, cols: int) -> None:
-    """Refuse to write down ``rows`` dense vectors of length ``cols`` over budget."""
-    entries = rows * cols
-    if entries > DENSE_BUDGET:
-        raise BudgetExceededError(entries, DENSE_BUDGET, "dense basis", "entries")
 
 
 class StateVector(Value):

@@ -3,20 +3,28 @@
 JSON is emitted by a small canonical writer rather than the stdlib encoder
 so output is byte-identical across runs: insertion-ordered keys, floats
 always printed with 17 significant digits, exact scalars always as strings.
+
+Vectors are written from rows of their encoded entries: ``rows_document``
+and ``csv_matrices`` take such rows as they are, so a graded ``construct``
+hands them its closed-form rows of "0", "1" and "-1" with no scalar ever
+made, and ``subspace_document`` and ``vectors_document`` encode a basis
+into rows first.  The module imports only ``grading`` at load; the scalar
+and vector types it decodes into, and ``INFINITY``, are imported by the
+functions that use them, so a graded ``construct`` compiles neither
+``fields``, ``linalg`` nor ``construct``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .construct import INFINITY, ProductVector
-from .fields import Field, Fp, parse_field
-from .grading import Dims
-from .linalg import DENSE_BUDGET, StateVector, Subspace
+from .grading import DENSE_BUDGET, Dims
 
 if TYPE_CHECKING:  # each command loads only the layers it runs
+    from .construct import ProductVector
     from .ff import ClassifyReport
-    from .linalg import VerificationReport
+    from .fields import Field
+    from .linalg import StateVector, Subspace, VerificationReport
     from .upb import UpbRecipe, UpbReport
 
 
@@ -24,10 +32,16 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _plain(s: str) -> bool:
+    """Whether ``s`` needs no JSON escape: printable ASCII with no quote or
+    backslash.  So does a list of strings whose concatenation is plain."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
 def _quote(s: str) -> str:
-    """``json.dumps(s)``: printable ASCII with no quote or backslash needs no
-    escape, and only a string that does loads the ``json`` package."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+    """``json.dumps(s)``; only a string that needs an escape loads the
+    ``json`` package."""
+    if _plain(s):
         return '"' + s + '"'
     from json.encoder import encode_basestring_ascii
 
@@ -68,10 +82,14 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not seq:
             out.append("[]")
             return
-        # a flat list is one line; exact coefficients are all strings
+        # a flat list is one line; exact coefficients are all strings, checked
+        # for escapes in one pass over their concatenation
         types = set(map(type, seq))
         if types == {str}:
-            out.append("[" + ", ".join(map(_quote, seq)) + "]")
+            if _plain("".join(seq)):
+                out.append('["' + '", "'.join(seq) + '"]')
+            else:
+                out.append("[" + ", ".join(map(_quote, seq)) + "]")
             return
         if not any(issubclass(t, (dict, list, tuple)) for t in types):
             out.append("[" + ", ".join(map(_scalar, seq)) + "]")
@@ -117,18 +135,18 @@ def decode_scalar(raw, field: Field):
 
         return Fraction(raw)
     if field.kind == "fp":
+        from .fields import Fp
+
         return Fp(int(raw), field.p)
     return complex(raw["re"], raw["im"])
 
 
 def encode_point(pt, field: Field):
+    from .construct import INFINITY
+
     if pt is INFINITY:
         return "inf"
     return encode_scalar(field.coerce(pt), field)
-
-
-def _vector_entry(v: StateVector) -> dict:
-    return {"coeffs": list(map(_scalar_encoder(v.field), v.coeffs))}
 
 
 def _product_entry(pv: ProductVector) -> dict:
@@ -143,44 +161,51 @@ def _product_entry(pv: ProductVector) -> dict:
     return entry
 
 
-def _header(dims: Dims, field: Field) -> dict:
+def _document(dims: Dims, label: str, exact: bool, entries: list,
+              extra: dict | None) -> dict:
     doc = {
         "dims": list(dims.d),
         "N": dims.max_level,
-        "field": field.label,
+        "field": label,
         "index_order": "lex",
     }
-    if not field.exact:
+    if not exact:
         doc["approx"] = True
-    return doc
-
-
-def subspace_document(s: Subspace, extra: dict | None = None) -> dict:
-    doc = _header(s.dims, s.field)
-    doc["vectors"] = [_vector_entry(r) for r in s.rows]
+    doc["vectors"] = entries
     if extra:
         doc.update(extra)
     return doc
+
+
+def rows_document(dims: Dims, rows: list[list], extra: dict | None = None,
+                  label: str = "rational", exact: bool = True) -> dict:
+    """The document of vectors given as rows of their encoded entries (text
+    for an exact field), over the field labelled ``label``."""
+    return _document(dims, label, exact, [{"coeffs": row} for row in rows], extra)
+
+
+def encode_rows(vectors) -> list[list]:
+    """Each vector's entries as the documents write them."""
+    return [list(map(_scalar_encoder(v.field), v.coeffs)) for v in vectors]
+
+
+def subspace_document(s: Subspace, extra: dict | None = None) -> dict:
+    return rows_document(s.dims, encode_rows(s.rows), extra,
+                         s.field.label, s.field.exact)
 
 
 def vectors_document(
     dims: Dims, field: Field, vectors: list[StateVector], extra: dict | None = None
 ) -> dict:
-    doc = _header(dims, field)
-    doc["vectors"] = [_vector_entry(v) for v in vectors]
-    if extra:
-        doc.update(extra)
-    return doc
+    return rows_document(dims, encode_rows(vectors), extra,
+                         field.label, field.exact)
 
 
 def product_vectors_document(
     dims: Dims, field: Field, vectors: list[ProductVector], extra: dict | None = None
 ) -> dict:
-    doc = _header(dims, field)
-    doc["vectors"] = [_product_entry(pv) for pv in vectors]
-    if extra:
-        doc.update(extra)
-    return doc
+    return _document(dims, field.label, field.exact,
+                     [_product_entry(pv) for pv in vectors], extra)
 
 
 def encode_witness(pv: ProductVector) -> dict:
@@ -241,6 +266,9 @@ def encode_classify_report(rep: ClassifyReport) -> dict:
 
 def document_vectors(doc: dict) -> tuple[Dims, Field, list[StateVector]]:
     """Rebuild exact vectors from a parsed JSON document."""
+    from .fields import parse_field
+    from .linalg import StateVector
+
     dims = Dims(tuple(doc["dims"]))
     field = parse_field(doc["field"])
     vectors = [
@@ -254,6 +282,9 @@ def document_vectors(doc: dict) -> tuple[Dims, Field, list[StateVector]]:
 
 
 def document_product_vectors(doc: dict) -> tuple[Dims, Field, list[ProductVector]]:
+    from .construct import ProductVector
+    from .fields import parse_field
+
     dims = Dims(tuple(doc["dims"]))
     field = parse_field(doc["field"])
     vectors = [
@@ -269,21 +300,26 @@ def document_product_vectors(doc: dict) -> tuple[Dims, Field, list[ProductVector
     return dims, field, vectors
 
 
-def csv_matrices(vectors: list[StateVector], dims: Dims) -> str:
+def csv_matrices(vectors: list, dims: Dims) -> str:
     """One d1 x d2 matrix per vector, blank line between matrices.
 
-    Row i of a matrix is the lex-ordered slice ``coeffs[i*d2:(i+1)*d2]``.
+    A vector is an exact ``StateVector`` of ``dims``, or a row of its
+    entries as text (a list).  Row i of a matrix is the lex-ordered slice
+    ``coeffs[i*d2:(i+1)*d2]``.
     """
     if dims.k != 2:
         raise ValueError("csv output is defined for two factors only")
     d1, d2 = dims.d
     blocks = []
     for v in vectors:
-        if not v.field.exact:
-            raise ValueError("csv output is defined for exact scalars only")
-        if v.dims != dims:
-            raise ValueError(f"vector dims {v.dims.d} do not match {dims.d}")
-        cells = list(map(str, v.coeffs))
+        if isinstance(v, list):
+            cells = v
+        else:
+            if not v.field.exact:
+                raise ValueError("csv output is defined for exact scalars only")
+            if v.dims != dims:
+                raise ValueError(f"vector dims {v.dims.d} do not match {dims.d}")
+            cells = list(map(str, v.coeffs))
         blocks.append("\n".join(
             ",".join(cells[i * d2:(i + 1) * d2]) for i in range(d1)
         ))
@@ -293,6 +329,7 @@ def csv_matrices(vectors: list[StateVector], dims: Dims) -> str:
 def parse_csv(text: str, field: Field | None = None) -> list[StateVector]:
     """Inverse of csv_matrices for rational matrices."""
     from .fields import RATIONAL
+    from .linalg import StateVector
 
     field = field or RATIONAL
     blocks = [b for b in text.strip().split("\n\n") if b.strip()]

@@ -19,16 +19,17 @@ from .construct import (
 from .elimination import orthocomplement, span
 from .ff import ENUMERATION_BUDGET, ff_verify
 from .fields import Field, RATIONAL
-from .grading import Dims, MultiIndex, Record, enumerate_level, level_counts
-from .linalg import WITNESS, VerificationReport, check_elimination_cost
+from .grading import WITNESS, Dims, MultiIndex, Record, enumerate_level, level_counts
+from .linalg import VerificationReport, check_elimination_cost
 
 
 def _distinct_points(points, field: Field) -> list:
     seen: list = []
     for pt in points:
         key = pt if pt is INFINITY else field.coerce(pt)
-        if key in seen:
-            raise ValueError(f"duplicate parameter point {key!r}")
+        if key in seen:  # named as the document writes it: 1, 1/2, inf
+            shown = "inf" if key is INFINITY else key
+            raise ValueError(f"duplicate parameter point {shown}")
         seen.append(key)
     return seen
 

@@ -18,11 +18,11 @@ import sys
 # The package modules load before numpy: a module compiled from source after
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from . import _lazy_getattr
-from .construct import INFINITY, LevelSums, ProductVector, vandermonde_vector
+from .construct import INFINITY, ProductVector, vandermonde_vector
 from .fields import COMPLEX
-from .grading import Dims, Record, level_counts
-from .linalg import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
-    NO_WITNESS, WITNESS, BudgetExceededError, Subspace, VerificationReport
+from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
+    NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, level_counts
+from .linalg import Subspace, VerificationReport
 
 import numpy as np
 
@@ -411,28 +411,32 @@ def nearest_vandermonde(witness: ProductVector, dims: Dims):
     """Best-fit parameter point for a numerically found product vector.
 
     Returns (point, distance): the distance is between unit expansions after
-    optimizing the global phase, so an exact match gives 0.
+    optimizing the global phase, so an exact match gives 0.  Neither vector
+    is expanded: the overlap of two product vectors is the product of their
+    factors' overlaps, and so is each norm.
     """
+    factors = [np.asarray([complex(c) for c in f]) for f in witness.factors]
     num = 0j
     den = 0.0
-    for f in witness.factors:
-        arr = np.asarray([complex(c) for c in f])
-        if len(arr) < 2:
-            continue
+    for arr in factors:
         num += complex(np.vdot(arr[:-1], arr[1:]))
         den += float(np.vdot(arr[:-1], arr[:-1]).real)
     candidates: list = [INFINITY]
     if den > 1e-30:
         candidates.append(num / den)
-    w = np.asarray([complex(c) for c in witness.expand().coeffs])
-    w = w / np.linalg.norm(w)
+    units = [w / np.linalg.norm(w) for w in factors]
     best_pt, best_dist = None, float("inf")
     for pt in candidates:
-        z = vandermonde_vector(dims, pt, COMPLEX).expand()
-        zv = np.asarray([complex(c) for c in z.coeffs])
-        zv = zv / np.linalg.norm(zv)
-        overlap = abs(complex(np.vdot(zv, w)))
-        dist = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+        # gap = 1 - overlap, gathered factor by factor as 1 - (1 - gap)(1 - h)
+        # with h = 1 - |<z, w>| = |phase z - w|^2 / 2 for unit factors: no
+        # cancellation near an exact match
+        gap = 0.0
+        for z, w in zip(vandermonde_vector(dims, pt, COMPLEX).factors, units):
+            z = np.asarray(z) / np.linalg.norm(z)
+            ip = complex(np.vdot(z, w))
+            h = float(np.linalg.norm(z * (ip / abs(ip) if ip else 1) - w)) ** 2 / 2
+            gap += h - gap * h
+        dist = math.sqrt(max(0.0, 2.0 * gap))
         if dist < best_dist:
             best_pt, best_dist = pt, dist
     return best_pt, best_dist

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -526,8 +527,8 @@ for space in ("S", "Sperp", "level:1"):
                  "--restarts", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by verify --method als"
 
-# the guard can fail: a basis over Q and a UPB are rational
-assert quiet("construct", "--dims", "3,3", "--space", "S") == 0
+# the guard can fail: example2's basis over Q and a UPB are rational
+assert quiet("construct", "--dims", "4,4", "--space", "example2-M") == 0
 assert loaded() == ["fractions", "decimal"], loaded()
 for name in ("fractions", "decimal"):
     del sys.modules[name]
@@ -544,6 +545,87 @@ def test_dims_and_construct_start_without_numpy():
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+GRADED_CONSTRUCT_PROBE = """
+import contextlib, io, sys
+import entspace.cli
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return entspace.cli.main(list(argv))
+
+def loaded(names):
+    return [name for name in names if name in sys.modules]
+
+exact = ("entspace.fields", "entspace.linalg")
+assert not loaded(exact), str(loaded(exact)) + " loaded by import entspace.cli"
+assert quiet("dims", "--dims", "3,3") == 0
+assert not loaded(exact), str(loaded(exact)) + " loaded by dims"
+
+# a graded basis is written from its closed form as text: no scalar, vector
+# or subspace is made
+for space in ("S", "Sperp", "level:2", "example1"):
+    for fmt in ("json", "csv"):
+        assert quiet("construct", "--dims", "3,4", "--space", space, "--format", fmt) == 0
+assert quiet("construct", "--dims", "2,3,4", "--space", "Sperp") == 0
+assert quiet("construct", "--dims", "3,4,2", "--space", "S", "--format", "csv") == 2
+assert quiet("construct", "--dims", "300,300", "--space", "S") == 2
+rest = ("fractions", "decimal", "entspace.fields", "entspace.linalg",
+        "entspace.construct", "numpy")
+assert not loaded(rest), str(loaded(rest)) + " loaded by a graded construct"
+package = sorted(name for name in sys.modules if name.startswith("entspace"))
+assert package == ["entspace", "entspace.cli", "entspace.grading", "entspace.serialize"], package
+
+# the guard can fail: example2 is built over Q
+assert quiet("construct", "--dims", "4,4", "--space", "example2-M", "--format", "csv") == 0
+assert loaded(rest) == list(rest[:-1]), loaded(rest)
+"""
+
+
+def test_graded_construct_loads_only_cli_grading_and_serialize():
+    proc = subprocess.run([sys.executable, "-c", GRADED_CONSTRUCT_PROBE], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _graded_cases():
+    """(dims, space) of every graded space on every shape of total <= 64,
+    and on 12,14 and 16,16."""
+    from entspace.grading import iter_dims
+
+    for dims in [*iter_dims(64), Dims((12, 14)), Dims((16, 16))]:
+        spaces = ["S", "Sperp"] + [f"level:{n}" for n in range(dims.max_level + 1)]
+        yield from ((dims, space) for space in spaces + ["example1"] * (dims.k == 2))
+
+
+def test_graded_construct_matches_the_exact_basis_byte_for_byte():
+    # the text rows construct writes must be the Fraction basis's documents
+    from entspace.construct import _level_rows
+    from entspace.serialize import csv_matrices, json_dumps, subspace_document
+
+    cases = 0
+    for dims, space in _graded_cases():
+        basis = _level_rows(dims, entspace_cli._named_space(dims, space)[0])
+        want = {"json": json_dumps(subspace_document(basis, {"space": space}))}
+        if dims.k == 2:
+            want["csv"] = csv_matrices(list(basis.rows), dims)
+        for fmt, text in want.items():
+            args = argparse.Namespace(dims=",".join(map(str, dims.d)), space=space,
+                                      format=fmt, out=None)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert entspace_cli.cmd_construct(args) == 0
+            assert out.getvalue() == text, (dims, space, fmt)
+            cases += 1
+    assert cases > 5000
+
+
+@pytest.mark.parametrize("lambdas, shown", [
+    ("1,1,2", "1"), ("1/2,2/4,3", "1/2"), ("inf,oo,1", "inf")])
+def test_duplicate_points_are_named_as_the_document_writes_them(capsys, lambdas, shown):
+    code, out, err = run(capsys, "upb", "--dims", "2,2", "--min", f"--lambdas={lambdas}")
+    assert (code, out, err) == (2, "", f"error: duplicate parameter point {shown}\n")
 
 
 def test_module_entry_point_flushes_output_and_keeps_exit_codes(capsys, tmp_path):
@@ -668,6 +750,30 @@ def test_moved_names_resolve_in_their_old_modules():
     assert entspace.construct.span is entspace.elimination.span
     with pytest.raises(AttributeError, match="no_such_name"):
         entspace.construct.no_such_name
+
+
+# names that moved into grading, which every command loads, by the module
+# that defined them before
+MOVED_TO_GRADING = {
+    **dict.fromkeys(("BudgetExceededError", "DENSE_BUDGET", "check_dense_size",
+                     "DEFAULT_RESTARTS", "DEFAULT_MAX_SWEEPS", "DEFAULT_TOL",
+                     "NO_WITNESS", "WITNESS"), "linalg"),
+    **dict.fromkeys(("LevelSums", "_group_entries", "_level_groups", "_check_level_rows"),
+                    "construct"),
+}
+
+
+def test_names_moved_to_grading_resolve_in_their_old_modules():
+    import importlib
+
+    import entspace
+    import entspace.grading
+
+    for name, old in MOVED_TO_GRADING.items():
+        old_module = importlib.import_module(f"entspace.{old}")
+        assert getattr(old_module, name) is getattr(entspace.grading, name), name
+        if name in entspace.__all__:
+            assert entspace._HOMES[name] == "grading", name
 
 
 @pytest.mark.parametrize("argv", [
@@ -906,6 +1012,38 @@ def test_startup_report_script_rejects_bad_flags(capsys, argv):
     assert any(line.split()[-1] == "entspace.grading" for line in lines[1:-1])
     assert not any(line.split()[-1] in ("site", "fractions") for line in lines[1:-1])
     assert " total " in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [["src"], ["--bogus", "a", "b"], ["a", "b", "--seeds", "x"]],
+                         ids=" ".join)
+def test_same_outputs_script_rejects_bad_flags(capsys, tmp_path, argv):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    # a tree compared with itself gives the same outputs; one whose CLI
+    # writes another document does not
+    src = str(Path(entspace_cli.__file__).resolve().parent.parent)
+    assert script.main([src, src, "--argv", "dims --dims 2,2"]) == 0
+    assert capsys.readouterr().out == "1 argv compared, 0 differ\n"
+    other = tmp_path / "entspace"
+    other.mkdir()
+    (other / "__init__.py").write_text("")
+    (other / "cli.py").write_text("print('dims: 2,2')\n")
+    assert script.main([src, str(tmp_path), "--argv", "dims --dims 2,2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("DIFFERS (stdout): dims --dims 2,2\n"), out
+    assert out.endswith("1 argv compared, 1 differ\n"), out
+    # the default list: every GOLDEN argv and every workload argv
+    argvs = script.default_argvs([1])
+    assert set(GOLDEN) <= set(argvs)
+    assert "construct --dims 16,16 --space Sperp --format csv" in argvs  # exact-build
+    assert "construct --dims 3,4,2 --space example1" in argvs
 
 
 # The CLI grammar, bad values included: every argv must exit 0, 2 or 3 with

@@ -196,6 +196,26 @@ def test_strings_are_quoted_as_json_quotes_them(key, value):
         assert got.encode("ascii") == (want + "\n").encode("ascii")
 
 
+# the escapes that a flat list's one-pass check must see in any item
+_ESCAPED = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\ud800"]
+
+
+@given(st.lists(st.sampled_from(["0", "1", "-1", "", "1/2"] + _ESCAPED) | st.text(),
+                min_size=1))
+@example(["0", "", "-1"])
+@example(["", ""])
+@example(["1", '2"'])
+@example(["\\", "u0041"])
+def test_flat_string_lists_are_quoted_in_one_pass(items):
+    # a list whose concatenation needs no escape is joined at once; any
+    # other is quoted item by item, and both must be what json writes
+    from entspace.serialize import _quote
+
+    got = json_dumps(items)
+    assert got == "[" + ", ".join(map(_quote, items)) + "]\n"
+    assert got == json.dumps(items) + "\n"
+
+
 def test_product_vector_past_the_dense_budget_is_written_from_its_factors(monkeypatch):
     from entspace import ProductVector, vandermonde_vector
     from entspace.linalg import DENSE_BUDGET

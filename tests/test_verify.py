@@ -990,6 +990,84 @@ def test_nearest_vandermonde():
     assert dist < 1e-12
 
 
+def reference_nearest_vandermonde(witness, dims):
+    """The dense fit ``nearest_vandermonde`` replaced: the witness and every
+    candidate are expanded."""
+    num = 0j
+    den = 0.0
+    for f in witness.factors:
+        arr = np.asarray([complex(c) for c in f])
+        num += complex(np.vdot(arr[:-1], arr[1:]))
+        den += float(np.vdot(arr[:-1], arr[:-1]).real)
+    candidates = [INFINITY]
+    if den > 1e-30:
+        candidates.append(num / den)
+    w = np.asarray([complex(c) for c in witness.expand().coeffs])
+    w = w / np.linalg.norm(w)
+    best_pt, best_dist = None, float("inf")
+    for pt in candidates:
+        z = vandermonde_vector(dims, pt, COMPLEX).expand()
+        zv = np.asarray([complex(c) for c in z.coeffs])
+        zv = zv / np.linalg.norm(zv)
+        overlap = abs(complex(np.vdot(zv, w)))
+        dist = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+        if dist < best_dist:
+            best_pt, best_dist = pt, dist
+    return best_pt, best_dist
+
+
+def _fit_witnesses(dims, rng):
+    """Product vectors to fit: random ones, Vandermonde points exact and
+    perturbed, INFINITY, and one with den ~ 0, whose only candidate is
+    INFINITY."""
+    def product(factors):
+        return ProductVector.from_values(dims, COMPLEX, factors)
+
+    def noise(d, scale):
+        return scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+    yield product([noise(d, 1) for d in dims.d])
+    for pt in (2, -0.5 + 1j, 1e-3, INFINITY):
+        exact = vandermonde_vector(dims, pt, COMPLEX)
+        yield exact
+        yield product([np.asarray(f) + noise(len(f), 1e-3) for f in exact.factors])
+    yield product([[1e-17] * (d - 1) + [1j] for d in dims.d])
+
+
+@pytest.mark.parametrize("dims", SMALL_DIMS + [Dims((3, 4)), Dims((4, 2, 3))], ids=str)
+def test_nearest_vandermonde_matches_the_dense_fit(dims):
+    rng = np.random.default_rng(17)
+    for witness in _fit_witnesses(dims, rng):
+        pt, dist = nearest_vandermonde(witness, dims)
+        ref_pt, ref_dist = reference_nearest_vandermonde(witness, dims)
+        assert (pt is INFINITY) == (ref_pt is INFINITY)
+        if pt is not INFINITY:
+            assert abs(pt - ref_pt) <= 1e-12 * max(1.0, abs(ref_pt))
+        # the squared distance is 2 - 2 * overlap; near 0 the dense fit loses
+        # the root's digits to cancellation, and this fit does not
+        assert abs(dist ** 2 - ref_dist ** 2) <= 1e-12
+        if ref_dist > 1e-2:
+            assert abs(dist - ref_dist) <= 1e-12
+
+
+def test_nearest_vandermonde_expands_nothing():
+    dims = Dims((2,) * 20)
+
+    def no_expansion(self):
+        raise AssertionError("a product vector was expanded")
+
+    with mock.patch.object(ProductVector, "expand", no_expansion):
+        pt, dist = nearest_vandermonde(vandermonde_vector(dims, 0.5 - 2j, COMPLEX), dims)
+        assert abs(pt - (0.5 - 2j)) <= 1e-12 and dist <= 1e-12
+        pt, dist = nearest_vandermonde(vandermonde_vector(dims, INFINITY, COMPLEX), dims)
+        assert pt is INFINITY and dist <= 1e-12
+        rng = np.random.default_rng(5)
+        witness = ProductVector.from_values(
+            dims, COMPLEX, [rng.standard_normal(2) + 1j for _ in range(20)])
+        pt, dist = nearest_vandermonde(witness, dims)
+        assert 0 < dist <= math.sqrt(2)
+
+
 def test_verify_upb_accepts_minimal_construction():
     for dims in (Dims((2, 3)), Dims((2, 2, 2))):
         report = verify_upb(minimal_upb(dims), dims)
