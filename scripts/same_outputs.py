@@ -7,8 +7,10 @@ PYTHONDONTWRITEBYTECODE=1 so that neither tree gains a bytecode cache, and
 the runs are compared on stdout sha256, exit code and stderr.  The argv are
 every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
 ``perfbench/workloads.py`` at each seed of ``--seeds``, every graded space
-in JSON and CSV on a few shapes, and a fixed list of misuse and refusal
-argv; ``--argv`` replaces them all.  The argv that differ are printed, and
+in JSON and CSV on a few shapes, the finite-field oracle (``verify --method
+ff`` of every graded space on a few shapes, example2, and ``classify``),
+below and past the batched kernel's cut, and a fixed list of misuse and
+refusal argv; ``--argv`` replaces them all.  The argv that differ are printed, and
 the exit code is 1 if any do.
 
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
@@ -27,6 +29,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRADED_SPACES = ("S", "Sperp", "level:1", "level:3", "example1")
 GRADED_SHAPES = ("3,4", "2,3,4", "12,14", "2,2,2,2,2,2")
+ORACLE_SHAPES = ("2,2", "3,4", "2,3,4", "2,2,2,2")
+# the oracle below and past the batched kernel's cut of 6,000 fibres: 2,2
+# at 6007 has 6,008
+ORACLE = (
+    [f"verify --dims {dims} --space {space} --method ff{primes}"
+     for dims in ORACLE_SHAPES for space in GRADED_SPACES
+     for primes in ("", " --primes 13,17")]
+    + [f"verify --dims 2,2 --space {space} --primes 6007" for space in ("S", "Sperp")]
+    + [f"verify --dims 4,4 --space {space} --primes 7"
+       for space in ("example2-M", "example2-R")]
+    + [f"classify --dims {dims} --prime {p}"
+       for dims in ("2,2", "2,3", "3,3") for p in (5, 7, 13)]
+    + ["classify --dims 2,2 --prime 6007"]
+)
 # misuse and refusals: each must fail the same way, with the same message
 REFUSALS = (
     "",
@@ -54,6 +70,9 @@ REFUSALS = (
     "verify --dims 3,3 --space S --primes 3",
     "verify --dims 2,2 --space Sperp --method als --restarts 0",
     "classify --dims 2,2 --prime 4",
+    "classify --dims 2,2 --prime 1000003",
+    "verify --dims 2,1000 --space S --primes 1009",
+    "verify --dims 8,8 --space S --method ff",
 )
 
 
@@ -83,7 +102,7 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + list(REFUSALS)))
+        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(REFUSALS)))
 
 
 def outcome(src: str, argv: str) -> tuple[str, int, str]:

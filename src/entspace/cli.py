@@ -33,9 +33,10 @@ from .grading import (
 # The parser and ``main`` need only the names above.  Each command imports
 # the layers it runs, so a process loads (and, with bytecode caching off,
 # compiles) no other: a graded ``construct`` writes its closed-form rows as
-# text with ``serialize`` alone, numpy loads only for ALS and for
-# enumerations too large for plain ints, and exact elimination only for
-# ``upb`` and a ``verify`` of example2-R, which spans its product vectors.
+# text with ``serialize`` alone, the oracle writes its documents from its int
+# hits, numpy loads only for ALS and for enumerations too large for plain
+# ints, and exact elimination only for ``upb`` and a ``verify`` of
+# example2-R, which spans its product vectors.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -239,9 +240,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     space, expected = _named_space(dims, args.space)
     space = _as_subspace(space)
     if args.method == "ff":
-        from .ff import ff_verify
+        from .ff import _ff_runs, _report_entry
 
-        reports = ff_verify(space, dims, args.primes)
+        reports = [_report_entry(dims, *run) for run in _ff_runs(space, dims, args.primes)]
     else:
         from .linalg import Subspace
         from .verify import max_product_overlap, orthonormal_basis
@@ -253,27 +254,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
             restarts=args.restarts, max_sweeps=args.max_sweeps,
             tol=args.tol, seed=args.seed,
         )
-        reports = [result.report]
-    verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
+        reports = [encode_report(result.report)]
+    verdict = WITNESS if any(r["verdict"] == WITNESS for r in reports) else NO_WITNESS
     doc = {
         "dims": list(dims.d),
         "space": args.space,
         "method": args.method,
         "verdict": verdict,
         "expected": expected,
-        "reports": [encode_report(r) for r in reports],
+        "reports": reports,
     }
     _write(json_dumps(doc), args.out)
     return 0 if verdict == expected else 3
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    from .ff import classify_product_vectors_fp
-    from .serialize import encode_classify_report, json_dumps
+    from .ff import _classify_document, _classify_points
+    from .serialize import json_dumps
 
-    report = classify_product_vectors_fp(parse_dims(args.dims), args.prime)
-    _write(json_dumps(encode_classify_report(report)), args.out)
-    return 0 if report.passed else 3
+    dims = parse_dims(args.dims)
+    doc = _classify_document(dims, args.prime, *_classify_points(dims, args.prime))
+    _write(json_dumps(doc), args.out)
+    return 0 if doc["passed"] else 3
 
 
 def cmd_onb(args: argparse.Namespace) -> int:

@@ -10,8 +10,16 @@ a ``LevelSums`` (S, Sperp, ``level:n``, example1) needs neither: its rows
 have disjoint supports, so its rank is their number, and its annihilator is
 written down by ``grading``'s group-row writer, the level sums for S and
 a level slice (with a unit row at every position off the slice) and the S
-rows for Sperp.  ``Fp`` objects are made only for the output, and no
-rational at all on a graded space.
+rows for Sperp.  No rational is made on a graded space.
+
+The command line writes its documents straight from the int hits: each
+entry point is an int core (``_ff_runs``, ``_classify_points``) under a
+thin library wrapper that makes the ``Fp`` scalars, ``ProductVector``s and
+reports, and ``_point_entry`` writes a point's factors and expansion as
+text from its residues.  So this module imports only ``grading`` and
+``reduction`` at load, and a graded ``verify --method ff`` or ``classify``
+compiles neither ``fields``, ``linalg`` nor ``construct``; the names it
+imported from them before still resolve here.
 
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
@@ -25,20 +33,32 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
-from .construct import ProductVector
-from .fields import Fp, RATIONAL, is_prime, prime_field
-from .grading import NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, \
-    Record, _check_level_rows, _group_entries, _level_groups, check_dense_size
-from .linalg import Subspace, VerificationReport, _reduce_rows, \
-    check_elimination_cost, integer_rows
+from .grading import DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, \
+    LevelSums, Record, _check_level_rows, _group_entries, _level_groups, \
+    check_dense_size
+from .reduction import _reduce_rows, check_elimination_cost, is_prime
 
-__getattr__ = _lazy_getattr(__name__, dict.fromkeys(("UpbReport", "verify_upb"), "upb"))
+if TYPE_CHECKING:
+    from .construct import ProductVector
+    from .linalg import VerificationReport
+
+# The exact layers load only where a command needs them: a graded space's
+# documents are written from the int hits, with no scalar, vector or report
+# object.  Their names still resolve here.
+__getattr__ = _lazy_getattr(__name__, {
+    **dict.fromkeys(("UpbReport", "verify_upb"), "upb"),
+    "ProductVector": "construct",
+    **dict.fromkeys(("Fp", "RATIONAL", "prime_field"), "fields"),
+    **dict.fromkeys(("Subspace", "VerificationReport", "integer_rows"), "linalg"),
+})
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
 # projective product tuples needs fewer fibres (the most: 537,824 for 2^6
-# at p = 13), and each found point is held in memory as a ProductVector.
+# at p = 13), and each found point is held in memory as a tuple of int
+# tuples, one per site.
 ENUMERATION_BUDGET = 10**6
 # Above this many fibres the fibre solve runs on the batched numpy kernel in
 # ``ffkernel``, which wins once it has paid for loading numpy and the kernel
@@ -78,6 +98,8 @@ def _integer_rows(generators, dims: Dims) -> tuple[list[list[int]], int | None]:
     """The generators as rows of ints, and the prime they are residues
     modulo: that of a subspace over F_p, None for a subspace over Q (its rows
     scaled to integers) or for integer generators."""
+    from .linalg import Subspace, integer_rows
+
     if isinstance(generators, Subspace):
         if generators.dims != dims:
             raise TypeError(f"subspace dims {generators.dims} do not match {dims}")
@@ -354,6 +376,9 @@ def find_product_vectors_fp(
 def _product_vectors(dims: Dims, p: int, combos) -> list[ProductVector]:
     """The int-tuple hits as ProductVectors over F_p; equal residues share
     one (immutable) ``Fp``."""
+    from .construct import ProductVector
+    from .fields import Fp, prime_field
+
     fld = prime_field(p)
     residues: dict[int, Fp] = {}
 
@@ -367,16 +392,26 @@ def _product_vectors(dims: Dims, p: int, combos) -> list[ProductVector]:
             for combo in combos]
 
 
-def ff_verify(
-    generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
-) -> list[VerificationReport]:
-    """One finite-field report per prime; witness recorded where found.
+def _point_entry(dims: Dims, p: int, combo) -> dict:
+    """The document entry of the product vector over F_p whose factors are
+    the residues ``combo``: the factors, and the expansion mod p while one
+    dense vector of ``total`` entries passes ``check_dense_size``; past it
+    the factors alone, which determine the vector exactly.  It is the one
+    writer of an F_p point: ``serialize`` writes an F_p ``ProductVector``
+    with it too."""
+    entry = {"factors": [list(map(str, f)) for f in combo]}
+    if dims.total <= DENSE_BUDGET:
+        coeffs = [1]
+        for f in combo:
+            coeffs = [c * a % p for c in coeffs for a in f]
+        entry["coeffs"] = list(map(str, coeffs))
+    return entry
 
-    ``generators`` is a subspace, a list of integer generators, or a
-    ``LevelSums``.  A ``LevelSums`` is refused as its basis would be
-    (``construct._level_rows``), and its rank and annihilator come in closed
-    form, with no basis written down and nothing reduced.
-    """
+
+def _ff_runs(generators, dims: Dims, primes=None,
+             budget: int = ENUMERATION_BUDGET) -> list[tuple]:
+    """The work of ``ff_verify`` on ints: per prime, (p, the rank mod p, the
+    rank over Q or None, the hits as int tuples in output order)."""
     primes = default_primes(dims) if primes is None else list(primes)
     target = rational_dim = None
     if isinstance(generators, LevelSums):
@@ -384,11 +419,15 @@ def ff_verify(
         target = _oracle_target(generators, dims)
         dim = rational_dim = _level_rank(*target)
         check_dense_size(dim, dims.total)  # the rows _level_rows would write
-    elif isinstance(generators, Subspace):
-        dim = generators.dim
     else:
-        generators = list(generators)
-        dim = len(generators)
+        from .fields import RATIONAL
+        from .linalg import Subspace
+
+        if isinstance(generators, Subspace):
+            dim = generators.dim
+        else:
+            generators = list(generators)
+            dim = len(generators)
     if primes:
         # the first prime's checks, before converting a generator: an
         # oversized input is refused at once
@@ -402,21 +441,58 @@ def ff_verify(
         elif generators:  # integer generators over Q: their rank, fraction-free
             check_elimination_cost(dim, dims.total)
             rational_dim = len(_reduce_rows(target[0], dims.total)[0])
-    reports = []
+    runs = []
     for p in primes:
-        rank, combos = _rank_and_points(target, dims, p, budget)
-        found = _product_vectors(dims, p, combos)
-        certified = {f"fp({p})": rank}
-        if rational_dim is not None:
-            certified["rational"] = rational_dim
+        rank, hits = _rank_and_points(target, dims, p, budget)
+        runs.append((p, rank, rational_dim, hits))
+    return runs
+
+
+def _run_fields(dims: Dims, p: int, rank: int, rational_dim: int | None,
+                hits: list[tuple], witness) -> dict:
+    """One prime's report, in the order of ``VerificationReport``'s fields,
+    around the given ``witness``: every field of an ``ff_verify`` report is
+    computed here, for the library and the command line alike."""
+    certified = {f"fp({p})": rank}
+    if rational_dim is not None:
+        certified["rational"] = rational_dim
+    return {
+        "method": "finite-field",
+        "params": {"p": p},
+        "verdict": WITNESS if hits else NO_WITNESS,
+        "witness": witness,
+        "metrics": {"tests": candidate_count(dims, p), "found": len(hits)},
+        "certified_dims": certified,
+    }
+
+
+def _report_entry(dims: Dims, p: int, rank: int, rational_dim: int | None,
+                  hits: list[tuple]) -> dict:
+    """``encode_report`` of one ``_ff_runs`` run's ``ff_verify`` report,
+    written from its int hits with no scalar or vector made."""
+    witness = None
+    if hits:
+        witness = {"field": f"fp({p})", **_point_entry(dims, p, hits[0])}
+    return _run_fields(dims, p, rank, rational_dim, hits, witness)
+
+
+def ff_verify(
+    generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
+) -> list[VerificationReport]:
+    """One finite-field report per prime; witness recorded where found.
+
+    ``generators`` is a subspace, a list of integer generators, or a
+    ``LevelSums``.  A ``LevelSums`` is refused as its basis would be
+    (``construct._level_rows``), and its rank and annihilator come in closed
+    form, with no basis written down and nothing reduced.
+    """
+    from .linalg import VerificationReport
+
+    reports = []
+    for p, rank, rational_dim, hits in _ff_runs(generators, dims, primes, budget):
+        witness = _product_vectors(dims, p, hits[:1])[0] if hits else None
         reports.append(VerificationReport(
-            method="finite-field",
-            params={"p": p},
-            verdict=WITNESS if found else NO_WITNESS,
-            witness=found[0] if found else None,
-            metrics={"tests": candidate_count(dims, p), "found": len(found)},
-            certified_dims=certified,
-        ))
+            **_run_fields(dims, p, rank, rational_dim, hits, witness)))
     return reports
 
 
@@ -449,21 +525,48 @@ def _vandermonde_points(dims: Dims, p: int) -> list[tuple]:
     return out
 
 
+def _classify_points(dims: Dims, p: int,
+                     budget: int = ENUMERATION_BUDGET) -> tuple[list, list, list]:
+    """The work of ``classify_product_vectors_fp`` on ints: the product
+    vectors found in the entangled complement over F_p, the Vandermonde
+    points missing from them and the found points beyond those, as int
+    tuples."""
+    _check_oracle(dims, p, budget)  # before the levels are listed
+    found = _product_points(LevelSums(range(dims.max_level + 1), sums=True),
+                            dims, p, budget)
+    expected = _vandermonde_points(dims, p)
+    expected_set, found_set = set(expected), set(found)
+    return (found, [combo for combo in expected if combo not in found_set],
+            [combo for combo in found if combo not in expected_set])
+
+
+def _classify_document(dims: Dims, p: int, found: list[tuple], missing: list[tuple],
+                       extraneous: list[tuple]) -> dict:
+    """The ``classify`` document of ``_classify_points``'s int tuples; the
+    one writer of it, which ``encode_classify_report`` also uses."""
+    def entries(points):
+        return [_point_entry(dims, p, combo) for combo in points]
+
+    return {
+        "dims": list(dims.d),
+        "p": p,
+        "passed": not missing and not extraneous,
+        "expected_count": p + 1,
+        "found_count": len(found),
+        "found": entries(found),
+        "missing": entries(missing),
+        "extraneous": entries(extraneous),
+    }
+
+
 def classify_product_vectors_fp(
     dims: Dims, p: int, budget: int = ENUMERATION_BUDGET
 ) -> ClassifyReport:
     """Check that the product vectors in the entangled complement over F_p
     are exactly the p+1 projective Vandermonde points (one per field element
     plus the point at infinity)."""
-    _check_oracle(dims, p, budget)  # before the levels are listed
-    combos = _product_points(LevelSums(range(dims.max_level + 1), sums=True),
-                             dims, p, budget)
-    found = _product_vectors(dims, p, combos)
-    expected = _vandermonde_points(dims, p)
-    expected_set, found_set = set(expected), set(combos)
-    missing = _product_vectors(
-        dims, p, [combo for combo in expected if combo not in found_set])
-    extraneous = [pv for combo, pv in zip(combos, found) if combo not in expected_set]
+    found, missing, extraneous = (_product_vectors(dims, p, points)
+                                  for points in _classify_points(dims, p, budget))
     return ClassifyReport(
         dims=dims, p=p, passed=not missing and not extraneous,
         expected_count=p + 1, found=found, missing=missing,

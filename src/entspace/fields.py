@@ -9,6 +9,8 @@ on the field kind.
 ``fractions`` (with the ``decimal`` and ``numbers`` it loads, about 4 ms a
 process) is imported only where a rational is made or tested, so a command
 that makes none, such as the F_p oracle on a graded space, never loads it.
+Nor does that oracle load this module: ``is_prime`` lives in
+``entspace.reduction`` and still resolves here.
 """
 
 from __future__ import annotations
@@ -16,24 +18,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .grading import Value
+from .reduction import is_prime
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 class Fp(Value):

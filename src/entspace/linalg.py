@@ -1,14 +1,15 @@
-"""Dense vectors over an exact field, subspaces, the elimination budget and
-the verification report.
+"""Dense vectors over an exact field, subspaces and the verification report.
 
 Subspaces are stored as a reduced row-echelon basis, which is canonical:
 two subspaces are equal iff their stored rows are identical.  The one exact
-row reduction, ``_reduce_rows`` on ints over Q or F_p, is here; the
-subspace calculus built on it (``span``, ``orthocomplement``,
-``intersect``, ...) lives in ``entspace.elimination``, and its names still
-resolve here, loading it on first access.  The budget error, the
-dense-size budget, the verdicts and the verifier defaults are defined in
-``entspace.grading`` and imported here, so they resolve in this module too.
+row reduction, ``_reduce_rows`` on ints over Q or F_p, and the elimination
+budget live in ``entspace.reduction``, which the F_p oracle loads without
+this module; the subspace calculus built on them (``span``,
+``orthocomplement``, ``intersect``, ...) lives in ``entspace.elimination``,
+and its names still resolve here, loading it on first access.  The budget
+error, the dense-size budget, the verdicts and the verifier defaults are
+defined in ``entspace.grading``.  Both modules' names are imported here, so
+they resolve in this module too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .fields import Field
 from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
     DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, MultiIndex, \
     Record, Value, check_dense_size  # noqa: F401
+from .reduction import ELIMINATION_BUDGET, _clear, _primitive, _reduce_rows, \
+    check_elimination_cost  # noqa: F401
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -29,11 +32,6 @@ if TYPE_CHECKING:
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
     ("span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p"),
     "elimination"))
-
-# Largest elimination span() takes on, as rows * cols * min(rows, cols), the
-# order of the entry updates of a reduction: exact elimination is cubic, so
-# past this an input fails at once; 16x16 S (about 1.3e7) is just below it.
-ELIMINATION_BUDGET = 2 * 10**7
 
 
 class VerificationReport(Record):
@@ -54,13 +52,6 @@ class VerificationReport(Record):
         self.certified_dims = certified_dims
         if (witness is not None) != (verdict == WITNESS):
             raise ValueError("witness must be present exactly when found")
-
-
-def check_elimination_cost(rows: int, cols: int) -> None:
-    """Refuse an elimination of ``rows`` vectors of length ``cols`` over budget."""
-    estimate = rows * cols * min(rows, cols)
-    if estimate > ELIMINATION_BUDGET:
-        raise BudgetExceededError(estimate, ELIMINATION_BUDGET)
 
 
 class StateVector(Value):
@@ -195,54 +186,3 @@ def integer_generators(s: Subspace) -> list[StateVector]:
 
     return [StateVector(s.dims, s.field, tuple(map(Fraction, row)))
             for row in integer_rows(s.rows)]
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
-def _clear(row: list[int], b: list[int], c: int, p: int | None) -> list[int]:
-    """``row`` with column c cleared by the reduced row ``b``, pivoted there."""
-    f = row[c]
-    if p is None:
-        return _primitive([b[c] * a - f * e for a, e in zip(row, b)])
-    return [(a - f * e) % p for a, e in zip(row, b)]
-
-
-def _reduce_rows(rows, d: int, p: int | None = None, stop: int | None = None):
-    """Reduced echelon rows and pivots of the int matrix ``rows`` (width
-    ``d``), row i pivoted at ``pivots[i]`` and in input order, or None as
-    soon as the rank reaches ``stop``.  Over F_p (entries in range(p)) every
-    pivot is 1.  With ``p`` None the reduction is over Q without fractions:
-    the pivot c of a row b clears a row as b[c] * row - row[c] * b, and every
-    row is kept primitive (its gcd divided out) with a positive pivot, so a
-    row of the rational reduced echelon form is a row here over its pivot.
-    """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        for c, b in zip(pivots, basis):
-            if row[c]:
-                row = _clear(row, b, c, p)
-        for lead, a in enumerate(row):
-            if a:
-                break
-        else:  # a zero row
-            continue
-        if len(basis) + 1 == stop:
-            return None
-        if p is None:
-            row = _primitive(row if a > 0 else [-x for x in row])
-        else:
-            inv = pow(a, -1, p)
-            row = [x * inv % p for x in row]
-        basis.append(row)
-        pivots.append(lead)
-    # every row is zero at the pivots of the rows before it; clear the rest
-    for i in range(len(basis) - 1, 0, -1):
-        c, b = pivots[i], basis[i]
-        for j in range(i):
-            if basis[j][c]:
-                basis[j] = _clear(basis[j], b, c, p)
-    return basis, pivots

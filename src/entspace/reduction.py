@@ -1,0 +1,94 @@
+"""Exact row reduction on plain ints, its budget, and the primality test.
+
+``_reduce_rows`` is the one exact row reduction: over F_p on residues, and
+over Q on integer rows without fractions.  ``entspace.linalg`` builds its
+subspaces on it and the F_p oracle in ``entspace.ff`` reduces its inputs
+with it, so both import it from here.  The module imports only ``grading``
+at load, so a graded oracle command compiles neither ``fields`` nor
+``linalg``.  ``is_prime``, ``check_elimination_cost`` and the reduction
+still resolve in ``entspace.fields`` and ``entspace.linalg``.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .grading import BudgetExceededError
+
+# Largest elimination span() takes on, as rows * cols * min(rows, cols), the
+# order of the entry updates of a reduction: exact elimination is cubic, so
+# past this an input fails at once; 16x16 S (about 1.3e7) is just below it.
+ELIMINATION_BUDGET = 2 * 10**7
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def check_elimination_cost(rows: int, cols: int) -> None:
+    """Refuse an elimination of ``rows`` vectors of length ``cols`` over budget."""
+    estimate = rows * cols * min(rows, cols)
+    if estimate > ELIMINATION_BUDGET:
+        raise BudgetExceededError(estimate, ELIMINATION_BUDGET)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _clear(row: list[int], b: list[int], c: int, p: int | None) -> list[int]:
+    """``row`` with column c cleared by the reduced row ``b``, pivoted there."""
+    f = row[c]
+    if p is None:
+        return _primitive([b[c] * a - f * e for a, e in zip(row, b)])
+    return [(a - f * e) % p for a, e in zip(row, b)]
+
+
+def _reduce_rows(rows, d: int, p: int | None = None, stop: int | None = None):
+    """Reduced echelon rows and pivots of the int matrix ``rows`` (width
+    ``d``), row i pivoted at ``pivots[i]`` and in input order, or None as
+    soon as the rank reaches ``stop``.  Over F_p (entries in range(p)) every
+    pivot is 1.  With ``p`` None the reduction is over Q without fractions:
+    the pivot c of a row b clears a row as b[c] * row - row[c] * b, and every
+    row is kept primitive (its gcd divided out) with a positive pivot, so a
+    row of the rational reduced echelon form is a row here over its pivot.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        for c, b in zip(pivots, basis):
+            if row[c]:
+                row = _clear(row, b, c, p)
+        for lead, a in enumerate(row):
+            if a:
+                break
+        else:  # a zero row
+            continue
+        if len(basis) + 1 == stop:
+            return None
+        if p is None:
+            row = _primitive(row if a > 0 else [-x for x in row])
+        else:
+            inv = pow(a, -1, p)
+            row = [x * inv % p for x in row]
+        basis.append(row)
+        pivots.append(lead)
+    # every row is zero at the pivots of the rows before it; clear the rest
+    for i in range(len(basis) - 1, 0, -1):
+        c, b = pivots[i], basis[i]
+        for j in range(i):
+            if basis[j][c]:
+                basis[j] = _clear(basis[j], b, c, p)
+    return basis, pivots

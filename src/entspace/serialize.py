@@ -11,7 +11,11 @@ made, and ``subspace_document`` and ``vectors_document`` encode a basis
 into rows first.  The module imports only ``grading`` at load; the scalar
 and vector types it decodes into, and ``INFINITY``, are imported by the
 functions that use them, so a graded ``construct`` compiles neither
-``fields``, ``linalg`` nor ``construct``.
+``fields``, ``linalg`` nor ``construct``.  Nor does a graded oracle
+command: an F_p point and the ``classify`` document have one writer each
+on int residues, ``ff._point_entry`` and ``ff._classify_document``, which
+those commands call directly and this module's encoders call for an F_p
+``ProductVector`` and a ``ClassifyReport``.
 """
 
 from __future__ import annotations
@@ -153,7 +157,11 @@ def _product_entry(pv: ProductVector) -> dict:
     """The factors, and the expansion while one dense vector of ``total``
     entries passes ``check_dense_size``; past it the factors alone, which
     determine the vector exactly (``document_product_vectors`` reads only
-    them)."""
+    them).  A point over F_p is written by the oracle's ``ff._point_entry``."""
+    if pv.field.kind == "fp":
+        from .ff import _point_entry
+
+        return _point_entry(pv.dims, pv.field.p, [[c.value for c in f] for f in pv.factors])
     enc = _scalar_encoder(pv.field)
     entry = {"factors": [list(map(enc, f)) for f in pv.factors]}
     if pv.dims.total <= DENSE_BUDGET:
@@ -249,19 +257,12 @@ def encode_upb_recipe(recipe: UpbRecipe, field: Field) -> dict:
 
 
 def encode_classify_report(rep: ClassifyReport) -> dict:
-    def points(pvs):
-        return [_product_entry(pv) for pv in pvs]
+    """The document of the oracle's int classify writer, ``ff._classify_document``."""
+    from .ff import _classify_document
 
-    return {
-        "dims": list(rep.dims.d),
-        "p": rep.p,
-        "passed": rep.passed,
-        "expected_count": rep.expected_count,
-        "found_count": len(rep.found),
-        "found": points(rep.found),
-        "missing": points(rep.missing),
-        "extraneous": points(rep.extraneous),
-    }
+    return _classify_document(rep.dims, rep.p, *(
+        [[[c.value for c in f] for f in pv.factors] for pv in pvs]
+        for pvs in (rep.found, rep.missing, rep.extraneous)))
 
 
 def document_vectors(doc: dict) -> tuple[Dims, Field, list[StateVector]]:

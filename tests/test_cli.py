@@ -589,6 +589,65 @@ def test_graded_construct_loads_only_cli_grading_and_serialize():
     assert proc.returncode == 0, proc.stderr
 
 
+ORACLE_PROBE = """
+import contextlib, io, sys
+import entspace.cli
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return entspace.cli.main(list(argv))
+
+def package():
+    return sorted(name for name in sys.modules if name.startswith("entspace"))
+
+def loaded(names):
+    return [name for name in names if name in sys.modules]
+
+# the prime comes from the int-reduction module: entspace.fields would load
+# the exact layers the probe looks for
+from entspace.ff import _BATCH_FIBRES
+from entspace.reduction import is_prime
+
+exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "fractions",
+         "decimal")
+oracle = ["entspace", "entspace.cli", "entspace.ff", "entspace.grading",
+          "entspace.reduction", "entspace.serialize"]
+spaces = ("S", "Sperp", "level:2", "example1")
+
+# the oracle's documents are written from its int hits: no scalar, vector,
+# subspace or report object is made
+at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
+for space in spaces:
+    assert quiet("verify", "--dims", "3,3", "--space", space, "--method", "ff") == 0
+    assert quiet("verify", "--dims", "2,2", "--space", space, "--primes", str(at_cut)) == 0
+assert quiet("verify", "--dims", "2,3", "--space", "S", "--primes", "5,7,11") == 0
+assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
+assert quiet("classify", "--dims", "2,2", "--prime", str(at_cut)) == 0
+assert package() == oracle, package()
+rest = exact + ("numpy",)
+assert not loaded(rest), str(loaded(rest)) + " loaded below the cut"
+
+# past the cut the batched kernel and numpy load, and nothing else
+past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
+for space in spaces:
+    assert quiet("verify", "--dims", "2,2", "--space", space, "--primes", str(past_cut)) == 0
+assert quiet("classify", "--dims", "2,2", "--prime", str(past_cut)) == 0
+assert package() == sorted(oracle + ["entspace.ffkernel"]), package()
+assert "numpy" in sys.modules
+assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
+
+# the guard can fail: example2-M is an exact subspace over Q
+assert quiet("verify", "--dims", "4,4", "--space", "example2-M", "--method", "ff") == 0
+assert loaded(exact) == list(exact), loaded(exact)
+"""
+
+
+def test_graded_oracle_loads_no_exact_layer():
+    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _graded_cases():
     """(dims, space) of every graded space on every shape of total <= 64,
     and on 12,14 and 16,16."""
@@ -619,6 +678,147 @@ def test_graded_construct_matches_the_exact_basis_byte_for_byte():
             assert out.getvalue() == text, (dims, space, fmt)
             cases += 1
     assert cases > 5000
+
+
+def _command_output(command, **args) -> tuple[int, str]:
+    """The exit code and stdout of one in-process run of a command handler."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = command(argparse.Namespace(out=None, **args))
+    return code, out.getvalue()
+
+
+def assert_verify_writers_agree(dims, space, primes):
+    """``verify --method ff`` writes, from the oracle's int hits, the document
+    the library encoders write of ``ff_verify``'s reports."""
+    from entspace.grading import NO_WITNESS, WITNESS
+    from entspace.serialize import encode_report, json_dumps
+
+    target, expected = entspace_cli._named_space(dims, space)
+    reports = ff_module.ff_verify(entspace_cli._as_subspace(target), dims, primes)
+    verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
+    want = json_dumps({
+        "dims": list(dims.d), "space": space, "method": "ff", "verdict": verdict,
+        "expected": expected, "reports": [encode_report(r) for r in reports],
+    })
+    got = _command_output(entspace_cli.cmd_verify, dims=",".join(map(str, dims.d)),
+                          space=space, method="ff", primes=primes)
+    assert got == (0 if verdict == expected else 3, want), (dims, space, primes)
+
+
+def assert_classify_writers_agree(dims, p):
+    """``classify`` writes, from the oracle's int hits, the document the
+    library encoder writes of ``classify_product_vectors_fp``'s report."""
+    from entspace.serialize import encode_classify_report, json_dumps
+
+    report = ff_module.classify_product_vectors_fp(dims, p)
+    got = _command_output(entspace_cli.cmd_classify, dims=",".join(map(str, dims.d)),
+                          prime=p)
+    assert got == (0 if report.passed else 3,
+                   json_dumps(encode_classify_report(report))), (dims, p)
+    return json.loads(got[1])
+
+
+def _admissible_primes(dims, count=2):
+    """The smallest primes above the top level of ``dims``."""
+    from entspace.reduction import is_prime
+
+    q = dims.max_level + 1
+    while count:
+        if is_prime(q):
+            yield q
+            count -= 1
+        q += 1
+
+
+def _oracle_cases():
+    """(dims, p) of every shape of total <= 64 at its smallest admissible
+    prime and the next, where the fibre count times the total is at most
+    1,000 (the plain-int walk then takes milliseconds), and of 3,4, 2,3,4
+    and 2,2,2,2 at the same primes."""
+    from entspace.grading import BudgetExceededError, iter_dims
+
+    for dims in iter_dims(64):
+        for p in _admissible_primes(dims):
+            try:
+                fibres = ff_module._check_oracle(dims, p, ff_module.ENUMERATION_BUDGET)
+            except BudgetExceededError:
+                continue
+            if fibres * dims.total <= 1000:
+                yield dims, p
+    for dims in (Dims((3, 4)), Dims((2, 3, 4)), Dims((2, 2, 2, 2))):
+        yield from ((dims, p) for p in _admissible_primes(dims))
+
+
+def test_oracle_documents_match_the_library_encoders_byte_for_byte():
+    shapes = set()
+    for dims, p in _oracle_cases():
+        spaces = ["S", "Sperp"] + [f"level:{n}" for n in range(dims.max_level + 1)]
+        for space in spaces + ["example1"] * (dims.k == 2):
+            assert_verify_writers_agree(dims, space, (p,))
+        assert assert_classify_writers_agree(dims, p)["passed"]
+        shapes.add(dims)
+    assert len(shapes) > 40
+    # past the batched kernel's cut, and on the exact example2 spaces
+    past_cut = 6007
+    assert ff_module._check_oracle(Dims((2, 2)), past_cut, 10**6) > ff_module._BATCH_FIBRES
+    for space in ("S", "Sperp"):
+        assert_verify_writers_agree(Dims((2, 2)), space, (past_cut,))
+    assert_classify_writers_agree(Dims((2, 2)), past_cut)
+    for space in ("example2-M", "example2-R"):
+        assert_verify_writers_agree(Dims((4, 4)), space, (7,))
+    # several primes in one document, the default ones among them
+    for space in ("S", "Sperp"):
+        assert_verify_writers_agree(Dims((2, 3)), space, (5, 7, 11))
+        assert_verify_writers_agree(Dims((2, 3)), space, None)
+
+
+def test_classify_document_names_missing_and_extraneous_points(monkeypatch):
+    dims, p = Dims((2, 3)), 5
+    real = ff_module._product_points
+
+    def tampered(generators, dims, p, budget):
+        found = real(generators, dims, p, budget)
+        return found[1:] + [((1, 2), (1, 1, 1))]  # drop one, add one
+
+    monkeypatch.setattr(ff_module, "_product_points", tampered)
+    doc = assert_classify_writers_agree(dims, p)
+    assert doc["passed"] is False and doc["found_count"] == p + 1
+    assert doc["missing"] == [{"factors": [["1", "0"], ["1", "0", "0"]],
+                               "coeffs": ["1", "0", "0", "0", "0", "0"]}]
+    assert doc["extraneous"] == [{"factors": [["1", "2"], ["1", "1", "1"]],
+                                  "coeffs": ["1", "1", "1", "2", "2", "2"]}]
+
+
+def test_fp_point_entry_is_written_from_residues(monkeypatch):
+    from entspace.construct import ProductVector
+    from entspace.fields import prime_field
+    from entspace.grading import DENSE_BUDGET
+    from entspace.serialize import _product_entry, encode_witness
+
+    def pv_residues(pv):
+        return [[c.value for c in f] for f in pv.factors]
+
+    # below the dense budget: the factors and the expansion mod p, as the
+    # expanded vector's residues
+    dims, p = Dims((2, 3, 2)), 7
+    pv = ProductVector.from_values(dims, prime_field(p), ((3, 5), (1, 6, 2), (4, 4)))
+    want = {"factors": [["3", "5"], ["1", "6", "2"], ["4", "4"]],
+            "coeffs": [str(c.value) for c in pv.expand().coeffs]}
+    assert _product_entry(pv) == ff_module._point_entry(dims, p, pv_residues(pv)) == want
+    # past it the factors alone: nothing is expanded
+    dims = Dims((2,) * 21)
+    assert dims.total > DENSE_BUDGET
+    pv = ProductVector.from_values(dims, prime_field(p), [(1, k % p) for k in range(21)])
+
+    def no_expansion(self):
+        raise AssertionError("a point past the dense budget was expanded")
+
+    monkeypatch.setattr(ProductVector, "expand", no_expansion)
+    factors = [["1", str(k % p)] for k in range(21)]
+    assert _product_entry(pv) == ff_module._point_entry(dims, p, pv_residues(pv)) \
+        == {"factors": factors}
+    assert encode_witness(pv) == {"field": f"fp({p})", "factors": factors}
 
 
 @pytest.mark.parametrize("lambdas, shown", [
@@ -763,17 +963,39 @@ MOVED_TO_GRADING = {
 }
 
 
+# names that moved into reduction, by the module that defined them before
+MOVED_TO_REDUCTION = {
+    **dict.fromkeys(("_reduce_rows", "_clear", "_primitive", "check_elimination_cost",
+                     "ELIMINATION_BUDGET"), "linalg"),
+    "is_prime": "fields",
+}
+# the names ff imported at load before, by their homes: it still resolves them
+FF_NAMES = {
+    "ProductVector": "construct",
+    **dict.fromkeys(("Fp", "RATIONAL", "prime_field"), "fields"),
+    **dict.fromkeys(("Subspace", "VerificationReport", "integer_rows"), "linalg"),
+    **dict.fromkeys(("is_prime", "_reduce_rows", "check_elimination_cost"), "reduction"),
+}
+
+
 def test_names_moved_to_grading_resolve_in_their_old_modules():
     import importlib
 
     import entspace
     import entspace.grading
+    import entspace.reduction
 
     for name, old in MOVED_TO_GRADING.items():
         old_module = importlib.import_module(f"entspace.{old}")
         assert getattr(old_module, name) is getattr(entspace.grading, name), name
         if name in entspace.__all__:
             assert entspace._HOMES[name] == "grading", name
+    for name, old in MOVED_TO_REDUCTION.items():
+        old_module = importlib.import_module(f"entspace.{old}")
+        assert getattr(old_module, name) is getattr(entspace.reduction, name), name
+    for name, home in FF_NAMES.items():
+        home_module = importlib.import_module(f"entspace.{home}")
+        assert getattr(ff_module, name) is getattr(home_module, name), name
 
 
 @pytest.mark.parametrize("argv", [
