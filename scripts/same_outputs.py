@@ -9,9 +9,10 @@ every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
 ``perfbench/workloads.py`` at each seed of ``--seeds``, every graded space
 in JSON and CSV on a few shapes, the finite-field oracle (``verify --method
 ff`` of every graded space on a few shapes, example2, and ``classify``),
-below and past the batched kernel's cut, and a fixed list of misuse and
-refusal argv; ``--argv`` replaces them all.  The argv that differ are printed, and
-the exit code is 1 if any do.
+below and past the batched kernel's cut, ``upb`` argv that neither of the
+first two lists reaches, and a fixed list of misuse and refusal argv;
+``--argv`` replaces them all.  The argv that differ are printed, and the
+exit code is 1 if any do.
 
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC --seeds 1,4242
@@ -43,6 +44,16 @@ ORACLE = (
        for dims in ("2,2", "2,3", "3,3") for p in (5, 7, 13)]
     + ["classify --dims 2,2 --prime 6007"]
 )
+# UPB shapes, sizes, points and default primes that GOLDEN and the workloads
+# leave out: past the batched kernel's cut, three factors, a point at
+# infinity among the --lambdas
+UPB = (
+    "upb --dims 6,6 --size 20 --primes 11",
+    "upb --dims 5,5 --size 15",
+    "upb --dims 2,3,4 --min",
+    "upb --dims 3,3,3 --min",
+    "upb --dims 2,4 --size 7 --lambdas=inf,0,1/2,-3,5 --primes 7",
+)
 # misuse and refusals: each must fail the same way, with the same message
 REFUSALS = (
     "",
@@ -67,6 +78,8 @@ REFUSALS = (
     "upb --dims 2,2 --min --lambdas=1/2,2/4,3",
     "upb --dims 2,2 --min --lambdas=inf,oo,1",
     "upb --dims 2,2 --min --lambdas=1/0",
+    "upb --dims 64,64 --size 200",
+    "upb --dims 12,13 --min --primes 29",
     "verify --dims 3,3 --space S --primes 3",
     "verify --dims 2,2 --space Sperp --method als --restarts 0",
     "classify --dims 2,2 --prime 4",
@@ -102,7 +115,8 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(REFUSALS)))
+        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(UPB)
+        + list(REFUSALS)))
 
 
 def outcome(src: str, argv: str) -> tuple[str, int, str]:

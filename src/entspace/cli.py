@@ -90,16 +90,6 @@ def _named_space(dims: Dims, name: str):
     raise ValueError(f"unknown space {name!r}; choose from {SPACES}")
 
 
-def _resolve_space(dims: Dims, name: str):
-    """Named space -> (subspace or product-vector list, expected verdict)."""
-    from .construct import _level_rows
-
-    space, expected = _named_space(dims, name)
-    if isinstance(space, LevelSums):
-        space = _level_rows(dims, space)
-    return space, expected
-
-
 def _as_subspace(target):
     """A subspace as it is, or the span of a product-vector list."""
     if isinstance(target, list):

@@ -4,10 +4,12 @@ Every result is a ``Subspace`` in reduced row-echelon form, which is
 canonical: two subspaces are equal iff their stored rows are identical, and
 spanning any permutation or rescaling of a generating set reproduces the
 same rows.  All arithmetic is exact; there is deliberately no
-floating-point rank or elimination here.  The one row reduction is
-``linalg._reduce_rows`` on ints: residues over F_p, and over Q rows scaled
-to integers and reduced without fractions.  Scalars are made once, for the
-result.
+floating-point rank or elimination here.  The one row reduction and the
+one kernel read-off are ``reduction._reduce_rows`` and
+``reduction._kernel_basis`` on ints: residues over F_p, and over Q rows
+scaled to integers and reduced without fractions.  ``orthocomplement``
+reads its kernel off the int rows of its input and reduces it once, with
+no vector made in between.  Scalars are made once, for the result.
 
 The closed-form constructions and the finite-field oracle need none of
 this, so only the UPB audits, ``example2`` and a span of product vectors
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from .fields import Field, Fp, prime_field
 from .grading import Dims
-from .linalg import StateVector, Subspace, _reduce_rows, check_elimination_cost, \
-    integer_rows
+from .linalg import StateVector, Subspace, integer_rows
+from .reduction import _kernel_basis, _reduce_rows, check_elimination_cost
 
 
 def _subspace(dims: Dims, field: Field, basis: list, pivots: list[int]) -> Subspace:
@@ -68,25 +70,15 @@ def orthocomplement(s: Subspace) -> Subspace:
     """Orthogonal complement under the plain bilinear form.
 
     Exact fields only: over the rationals and prime fields conjugation is
-    the identity, so this is also the sesquilinear complement.
+    the identity, so this is also the sesquilinear complement.  The kernel
+    is read off the int rows of the reduced basis and reduced once.
     """
     if not s.field.exact:
         raise TypeError("orthocomplement is defined for exact fields only")
     total = s.dims.total
-    # The rows are reduced (pivots are 1), so the kernel is read off directly.
-    pivots = s.pivots()
-    pivot_set = set(pivots)
-    zero = s.field.zero()
-    kernel: list[StateVector] = []
-    for f in range(total):
-        if f in pivot_set:
-            continue
-        w = [zero] * total
-        w[f] = s.field.one()
-        for row, pj in zip(s.rows, pivots):
-            w[pj] = -row.coeffs[f]
-        kernel.append(StateVector(s.dims, s.field, tuple(w)))
-    return span(kernel, dims=s.dims, field=s.field)
+    kernel = _kernel_basis(integer_rows(s.rows), s.pivots(), total, s.field.p)
+    check_elimination_cost(len(kernel), total)
+    return _subspace(s.dims, s.field, *_reduce_rows(kernel, total, s.field.p))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

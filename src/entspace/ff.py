@@ -5,7 +5,9 @@ The oracle runs on plain ints mod p from the generators to the hits.  It
 contracts the annihilator: the rows whose contraction with a product vector
 vanishes exactly when the vector lies in the subspace.  For a subspace or
 generators, one reduction gives the rank mod p, and the free-column
-read-off of that reduction gives the annihilator.  A graded space named by
+read-off of that reduction gives the annihilator; both, and the read-off of
+each fibre's kernel, are ``reduction``'s, which ``orthocomplement`` uses
+over Q too.  A graded space named by
 a ``LevelSums`` (S, Sperp, ``level:n``, example1) needs neither: its rows
 have disjoint supports, so its rank is their number, and its annihilator is
 written down by ``grading``'s group-row writer, the level sums for S and
@@ -39,7 +41,7 @@ from . import _lazy_getattr
 from .grading import DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, \
     LevelSums, Record, _check_level_rows, _group_entries, _level_groups, \
     check_dense_size
-from .reduction import _reduce_rows, check_elimination_cost, is_prime
+from .reduction import _kernel_basis, _reduce_rows, check_elimination_cost, is_prime
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -163,24 +165,6 @@ def _check_oracle(dims: Dims, p: int, budget: int) -> int:
     if max(dims.d) * p * p >= 2**63:
         raise ValueError(f"prime {p} is too large for int64 residues")
     return fibres
-
-
-def _kernel_basis(rows: list[list[int]], pivots: list[int], d: int,
-                  p: int) -> list[list[int]]:
-    """A basis of the kernel of a reduced matrix, one vector per free column
-    (1 there, 0 in the other free columns).  Row i of ``rows`` carries the
-    pivot ``pivots[i]`` and is zero in every other pivot column."""
-    basis = []
-    pivot_set = set(pivots)
-    for j in range(d):
-        if j in pivot_set:
-            continue
-        x = [0] * d
-        x[j] = 1
-        for row, c in zip(rows, pivots):
-            x[c] = -row[j] % p
-        basis.append(x)
-    return basis
 
 
 def _kernel_points(rows: list[list[int]], pivots: list[int], d: int, p: int):

@@ -1,12 +1,16 @@
-"""Exact row reduction on plain ints, its budget, and the primality test.
+"""Exact row reduction on plain ints, its kernel read-off, its budget, and
+the primality test.
 
-``_reduce_rows`` is the one exact row reduction: over F_p on residues, and
-over Q on integer rows without fractions.  ``entspace.linalg`` builds its
-subspaces on it and the F_p oracle in ``entspace.ff`` reduces its inputs
-with it, so both import it from here.  The module imports only ``grading``
-at load, so a graded oracle command compiles neither ``fields`` nor
-``linalg``.  ``is_prime``, ``check_elimination_cost`` and the reduction
-still resolve in ``entspace.fields`` and ``entspace.linalg``.
+``_reduce_rows`` is the one exact row reduction, over F_p on residues and
+over Q on integer rows without fractions, and ``_kernel_basis`` the one
+read-off of a kernel from reduced rows, over both fields.  The subspace
+calculus in ``entspace.linalg`` and ``entspace.elimination`` builds on them,
+and the F_p oracle in ``entspace.ff`` reduces its inputs and reads its
+annihilator and every fibre's kernel off with them, so each imports what
+it uses from here.  The module imports only ``grading`` at load, so a graded
+oracle command compiles neither ``fields`` nor ``linalg``.  ``is_prime``,
+``check_elimination_cost`` and the reduction still resolve in
+``entspace.fields`` and ``entspace.linalg``.
 """
 
 from __future__ import annotations
@@ -92,3 +96,30 @@ def _reduce_rows(rows, d: int, p: int | None = None, stop: int | None = None):
             if basis[j][c]:
                 basis[j] = _clear(basis[j], b, c, p)
     return basis, pivots
+
+
+def _kernel_basis(rows: list[list[int]], pivots: list[int], d: int,
+                  p: int | None = None) -> list[list[int]]:
+    """A basis of the kernel of a reduced matrix as ``_reduce_rows`` returns
+    it, one vector per free column j (0 in the other free columns).  Row i of
+    ``rows`` carries the pivot ``pivots[i]`` and is zero in every other pivot
+    column.  Over F_p every pivot is 1 and the vector holds 1 at j.  Over Q
+    the rows are primitive with positive pivots, and the vector holds at j
+    the lcm of the pivots of the rows that meet column j, so every entry is
+    an int."""
+    basis = []
+    pivot_set = set(pivots)
+    for j in range(d):
+        if j in pivot_set:
+            continue
+        x = [0] * d
+        if p is None:
+            m = x[j] = math.lcm(*[row[c] for row, c in zip(rows, pivots) if row[j]])
+            for row, c in zip(rows, pivots):
+                x[c] = -row[j] * (m // row[c])
+        else:
+            x[j] = 1
+            for row, c in zip(rows, pivots):
+                x[c] = -row[j] % p
+        basis.append(x)
+    return basis

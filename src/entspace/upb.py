@@ -3,8 +3,12 @@
 A minimal UPB (size max_level + 1, any number of factors) is a set of
 Vandermonde product vectors at distinct points; for two factors, every
 larger admissible size adds the standard product vectors of chosen levels.
-``verify_upb`` audits any claimed UPB exactly: rank and complement by
-elimination, then the finite-field oracle on the complement.
+Nothing is eliminated while a basis is built.  ``verify_upb`` audits any
+claimed UPB exactly, and its span of the expansions is the only one a
+``upb`` run makes: rank from that span, the complement read off it and
+reduced once (``elimination.orthocomplement``), membership of the
+complement in S from the level sums, then the finite-field oracle on the
+complement.
 """
 
 from __future__ import annotations
@@ -12,18 +16,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .construct import (
-    INFINITY, ProductVector, entangled_complement, standard_product_vector,
-    vandermonde_vector,
-)
+from .construct import INFINITY, ProductVector, standard_product_vector, \
+    vandermonde_vector
 from .elimination import orthocomplement, span
 from .ff import ENUMERATION_BUDGET, ff_verify
 from .fields import Field, RATIONAL
-from .grading import WITNESS, Dims, MultiIndex, Record, enumerate_level, level_counts
+from .grading import WITNESS, Dims, LevelSums, MultiIndex, Record, _level_groups, \
+    enumerate_level, level_counts
 from .linalg import VerificationReport, check_elimination_cost
 
 
-def _distinct_points(points, field: Field) -> list:
+def _upb_points(dims: Dims, points, field: Field) -> list:
+    """The max_level + 1 distinct points of a minimal UPB, coerced to
+    ``field``: ``points``, or the integers 0..max_level.  A shape whose
+    expansions the audit would refuse to eliminate is refused before any
+    point is made, as the distinctness check is quadratic."""
+    n_points = dims.max_level + 1
+    check_elimination_cost(n_points, dims.total)
+    if points is None:
+        points = [Fraction(t) for t in range(n_points)]
     seen: list = []
     for pt in points:
         key = pt if pt is INFINITY else field.coerce(pt)
@@ -31,31 +42,23 @@ def _distinct_points(points, field: Field) -> list:
             shown = "inf" if key is INFINITY else key
             raise ValueError(f"duplicate parameter point {shown}")
         seen.append(key)
+    if len(seen) != n_points:
+        raise ValueError(f"need exactly {n_points} points, got {len(seen)}")
     return seen
 
 
 def minimal_upb(
     dims: Dims, points=None, field: Field = RATIONAL
 ) -> list[ProductVector]:
-    """Unextendible product basis of the minimal size max_level + 1.
+    """Unextendible product basis of the minimal size max_level + 1: the
+    Vandermonde product vectors at distinct points.
 
     Default points are the integers 0..max_level, all finite, keeping every
-    coefficient rational.  The expansions are rank-checked to span the
-    product-vector complement exactly; distinct points guarantee this, so a
-    failure here is a bug, not bad input.
+    coefficient rational.  Distinct points make the expansions span the
+    product-vector complement exactly; nothing is eliminated here, and
+    ``verify_upb`` audits that span.
     """
-    n_points = dims.max_level + 1
-    check_elimination_cost(n_points, dims.total)  # before any point is made
-    if points is None:
-        points = [Fraction(t) for t in range(n_points)]
-    points = _distinct_points(points, field)
-    if len(points) != n_points:
-        raise ValueError(f"need exactly {n_points} points, got {len(points)}")
-    vectors = [vandermonde_vector(dims, pt, field) for pt in points]
-    spanned = span([v.expand() for v in vectors])
-    if spanned.dim != n_points or spanned != entangled_complement(dims, field):
-        raise AssertionError("expansions do not span the product-vector complement")
-    return vectors
+    return [vandermonde_vector(dims, pt, field) for pt in _upb_points(dims, points, field)]
 
 
 class UpbRecipe(NamedTuple):
@@ -108,21 +111,20 @@ def upb_of_size(
         raise ValueError("sizes above the minimum need exactly two factors")
     if not lo <= m <= hi:
         raise ValueError(f"size {m} outside [{lo}, {hi}] for dims {dims}")
-    # first, so that an oversized shape is refused before the level choice
+    # first, so that an oversized shape is refused before the level choice;
+    # the recipe records the points minimal_upb is given, defaults included
+    points = _upb_points(dims, points, field)
     base = minimal_upb(dims, points, field)
     weights = [c - 1 for c in level_counts(dims)]
     chosen = _choose_levels(weights, m - lo)
 
-    used_points = (
-        tuple(Fraction(t) for t in range(lo)) if points is None else tuple(points)
-    )
     extras: list[ProductVector] = []
     dropped: list[MultiIndex] = []
     for n in chosen:
         idxs = enumerate_level(dims, n)
         dropped.append(idxs[-1])
         extras.extend(standard_product_vector(dims, idx, field) for idx in idxs[:-1])
-    return UpbRecipe(dims, m, tuple(chosen), used_points, tuple(dropped)), base + extras
+    return UpbRecipe(dims, m, tuple(chosen), tuple(points), tuple(dropped)), base + extras
 
 
 class UpbReport(Record):
@@ -174,8 +176,7 @@ def verify_upb(
     complement = orthocomplement(spanned)
     # S is the annihilator of the level sums: a row lies in S when its
     # entries on every level sum to zero
-    levels = [[dims.position(idx) for idx in enumerate_level(dims, n)]
-              for n in range(dims.max_level + 1)]
+    levels = list(_level_groups(dims, LevelSums(range(dims.max_level + 1))))
     inside = all(not sum(row.coeffs[i] for i in level) for row in complement.rows
                  for level in levels)
 

@@ -194,6 +194,8 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
             out = capsys.readouterr().out
             assert code == 0
             dims, field, vecs = document_vectors(json.loads(out))
-            from entspace.cli import _resolve_space
-            target, _ = _resolve_space(dims, space)
+            from entspace.cli import _named_space
+            from entspace.construct import _level_rows
+
+            target = _level_rows(dims, _named_space(dims, space)[0])
             assert span(vecs, dims=dims, field=field) == target

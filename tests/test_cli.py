@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from entspace import (
     INFINITY,
     Dims,
+    LevelSums,
     RATIONAL,
     entangled_complement,
     entangled_level,
@@ -100,8 +101,11 @@ def test_construct_round_trip_exact(capsys):
         code, out, _ = run(capsys, "construct", "--dims", dims_text, "--space", space)
         assert code == 0
         dims, field, vecs = document_vectors(json.loads(out))
-        from entspace.cli import _resolve_space
-        target, _ = _resolve_space(dims, space)
+        target, _ = entspace_cli._named_space(dims, space)
+        if isinstance(target, LevelSums):
+            from entspace.construct import _level_rows
+
+            target = _level_rows(dims, target)
         assert span(vecs, dims=dims, field=field) == target
 
 
@@ -936,6 +940,7 @@ def test_moved_names_resolve_in_their_old_modules():
     import importlib
 
     import entspace
+    import entspace.reduction
 
     for name in entspace.__all__:
         getattr(entspace, name)
@@ -948,6 +953,8 @@ def test_moved_names_resolve_in_their_old_modules():
     assert entspace.verify.UpbReport is entspace.upb.UpbReport
     # construct no longer eliminates, but perfbench's tracer test looks span up there
     assert entspace.construct.span is entspace.elimination.span
+    # one kernel read-off, for the oracle and orthocomplement alike
+    assert entspace.ff._kernel_basis is entspace.reduction._kernel_basis
     with pytest.raises(AttributeError, match="no_such_name"):
         entspace.construct.no_such_name
 

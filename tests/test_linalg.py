@@ -256,6 +256,34 @@ def reference_intersect(a, b):
     return reference_span(gens, a.dims, a.field)
 
 
+def reference_orthocomplement(s):
+    """The kernel read off the reference reduced rows, one vector per free
+    column (1 there, 0 in the other free columns), spanned."""
+    total = s.dims.total
+    rows = reference_rref([list(r.coeffs) for r in s.rows])
+    pivots = [next(i for i, c in enumerate(r) if c) for r in rows]
+    kernel = []
+    for f in range(total):
+        if f in pivots:
+            continue
+        w = [s.field.zero()] * total
+        w[f] = s.field.one()
+        for row, c in zip(rows, pivots):
+            w[c] = -row[f]
+        kernel.append(StateVector(s.dims, s.field, tuple(w)))
+    return reference_span(kernel, s.dims, s.field)
+
+
+def assert_orthocomplements_match_reference(*spaces):
+    """``orthocomplement`` against the reference on ``spaces``, and on the
+    empty and the full space of the first."""
+    dims, field = spaces[0].dims, spaces[0].field
+    full = tuple(StateVector.basis_vector(dims, field, dims.multi_index(i))
+                 for i in range(dims.total))
+    for s in spaces + (Subspace(dims, field, ()), Subspace(dims, field, full)):
+        assert orthocomplement(s) == reference_orthocomplement(s)
+
+
 @st.composite
 def generator_lists(draw, entries):
     """Rows of one width, with zero rows and scaled repeats mixed in."""
@@ -298,6 +326,7 @@ def test_span_and_intersect_match_reference_rref_over_q(a, b):
     t = span(other, dims=dims, field=RATIONAL)
     assert intersect(s, t) == reference_intersect(s, t)
     assert intersect(t, s) == reference_intersect(t, s)
+    assert_orthocomplements_match_reference(s, t)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -313,3 +342,4 @@ def test_span_and_intersect_match_reference_rref_over_fp(p, a, b):
         max_size=5))]
     t = span(other, dims=dims, field=fld)
     assert intersect(s, t) == reference_intersect(s, t)
+    assert_orthocomplements_match_reference(s, t)

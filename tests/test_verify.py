@@ -350,6 +350,33 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
         {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
 
 
+@pytest.mark.parametrize("argv, reduced", [
+    ("upb --dims 3,4 --min --primes 7", [None, None, 7]),
+    ("upb --dims 3,3 --min", [None, None, 5, 7, 11]),
+])
+def test_upb_reduces_each_matrix_once(monkeypatch, argv, reduced):
+    # the audit's span of the expansions, the one reduction of the kernel
+    # read off it, then the annihilator of the complement once per prime
+    from entspace.cli import main
+
+    calls = []
+    real_reduce = ff_module._reduce_rows
+
+    def counting_reduce(rows, d, p=None, stop=None):
+        if stop is None:  # a whole matrix's reduction, not a fibre's
+            calls.append(p)
+        return real_reduce(rows, d, p, stop)
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("a complement is read off its basis, not spanned again")
+
+    for module in (elimination_module, ff_module):
+        monkeypatch.setattr(module, "_reduce_rows", counting_reduce)
+    monkeypatch.setattr(elimination_module, "span", no_span)
+    assert main(argv.split()) == 0  # the audit passed
+    assert calls == reduced
+
+
 def fp_annihilator(generators, dims, p):
     """The oracle's rank mod p and its annihilator, as a subspace over F_p."""
     rank, h = ff_module._annihilator(*ff_module._integer_rows(generators, dims), dims, p)
