@@ -10,7 +10,9 @@ every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
 in JSON and CSV on a few shapes, the finite-field oracle (``verify --method
 ff`` of every graded space on a few shapes, example2, and ``classify``),
 below and past the batched kernel's cut, ``upb`` argv that neither of the
-first two lists reaches, and a fixed list of misuse and refusal argv;
+first two lists reaches, the ALS search on every graded space and on
+example2 (witness runs included), ``onb`` and ``dims``, and a fixed list of
+misuse and refusal argv;
 ``--argv`` replaces them all.  The argv that differ are printed, and the
 exit code is 1 if any do.
 
@@ -53,6 +55,20 @@ UPB = (
     "upb --dims 2,3,4 --min",
     "upb --dims 3,3,3 --min",
     "upb --dims 2,4 --size 7 --lambdas=inf,0,1/2,-3,5 --primes 7",
+)
+# the ALS search on every graded space, witness runs included (Sperp on
+# 2,2,2 and 3,4), a witness on S under a loose tolerance, example2, a
+# one-sweep cap, and the commands no other list reaches
+ALS = (
+    [f"verify --dims {dims} --space {space} --method als --restarts 8"
+     for dims in ("2,2,2", "3,4") for space in GRADED_SPACES]
+    + [f"verify --dims 4,4 --space {space} --method als --restarts 4"
+       for space in ("example2-M", "example2-R")]
+    + [f"verify --dims 3,4 --space {space} --method als --restarts 4 --max-sweeps 1"
+       for space in ("S", "Sperp")]
+    + ["verify --dims 3,4 --space S --method als --restarts 4 --tol 0.9",
+       "onb --dims 3,3 --level 2", "onb --dims 2,3,4 --level 3",
+       "dims --dims 3,4", "dims --dims 2,3,4"]
 )
 # misuse and refusals: each must fail the same way, with the same message
 REFUSALS = (
@@ -115,7 +131,7 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(UPB)
+        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(UPB) + ALS
         + list(REFUSALS)))
 
 

@@ -6,15 +6,20 @@ as ``python -m entspace.cli`` in fresh interpreters with ``-X importtime``
 and PYTHONDONTWRITEBYTECODE=1, so no bytecode cache is written and, in a
 checkout without one, every package module compiles from source.  The
 report lists every module the command loads after the interpreter's own
-start-up (``site``): its median self time over the runs, and whether it is
-a package, standard-library or third-party module, then the totals.  With
-no ARGV, one argv per command runs.
+start-up (``site``): its median self time over the runs, whether it is a
+package, standard-library or third-party module, and for a package module
+the code it compiles, in bytes of source with docstrings and comments
+stripped (``ast.unparse`` of the module without its docstrings).  Then the
+totals: the package code includes ``entspace.cli``, which runs as
+``__main__`` and so is not an import.  With no ARGV, one argv per command
+runs, and ALS on S and on Sperp.
 
     python scripts/startup_report.py
     python scripts/startup_report.py "verify --dims 3,3 --space S --method ff --primes 13"
 """
 
 import argparse
+import ast
 import os
 import statistics
 import subprocess
@@ -24,7 +29,7 @@ from pathlib import Path
 from entspace.cli import positive_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# one argv per command
+# one argv per command, and the ALS search with and without a witness
 DEFAULT_ARGVS = (
     "dims --dims 3,3",
     "construct --dims 3,3 --space S",
@@ -32,7 +37,24 @@ DEFAULT_ARGVS = (
     "verify --dims 3,3 --space S --method ff --primes 13",
     "classify --dims 2,3 --prime 7",
     "onb --dims 3,3 --level 2",
+    "verify --dims 3,3 --space S --method als --restarts 4",
+    "verify --dims 3,3 --space Sperp --method als --restarts 4",
 )
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_bytes(module: str) -> int:
+    """Bytes of a package module's source without docstrings or comments."""
+    parts = module.split(".")
+    path = SRC.joinpath(*parts, "__init__.py") if len(parts) == 1 else \
+        SRC.joinpath(*parts).with_suffix(".py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, _DOCUMENTED) and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant) \
+                and isinstance(node.body[0].value.value, str):
+            node.body = node.body[1:] or [ast.Pass()]
+    return len(ast.unparse(tree).encode("utf-8"))
 
 
 def _kind(module: str) -> str:
@@ -70,14 +92,22 @@ def report(argv: str, repeats: int) -> str:
     runs = [import_times(argv) for _ in range(repeats)]
     order = list(dict.fromkeys(name for run in runs for name in run))
     median = {name: statistics.median(run.get(name, 0) for run in runs) for name in order}
-    lines = [f"entspace {argv}  (median of {repeats} runs, self time in ms)"]
+    lines = [f"entspace {argv}  (median of {repeats} runs, self time in ms; "
+             f"package code in bytes, docstrings and comments stripped)"]
     totals = dict.fromkeys(("package", "stdlib", "third-party"), 0.0)
+    code = code_bytes("entspace.cli")
+    lines.append(f"  {'-':>8}  {'package':<11}  {code:>6}  entspace.cli (as __main__)")
     for name in order:
         kind = _kind(name)
         totals[kind] += median[name]
-        lines.append(f"  {median[name] / 1000:8.2f}  {kind:<11}  {name}")
+        size = ""
+        if kind == "package":
+            size = code_bytes(name)
+            code += size
+        lines.append(f"  {median[name] / 1000:8.2f}  {kind:<11}  {size:>6}  {name}")
     lines.append("  " + "  ".join(f"{kind} {t / 1000:.2f}" for kind, t in totals.items())
-                 + f"  total {sum(totals.values()) / 1000:.2f}")
+                 + f"  total {sum(totals.values()) / 1000:.2f}"
+                 + f"  package code {code} bytes ({code / 1000:.1f} KB)")
     return "\n".join(lines)
 
 

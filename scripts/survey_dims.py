@@ -20,7 +20,7 @@ from entspace import (
     find_product_vectors_fp,
     level_counts,
 )
-from entspace.grading import iter_dims
+from entspace.counting import iter_dims
 
 
 def main() -> int:

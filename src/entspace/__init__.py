@@ -25,14 +25,14 @@ def _lazy_getattr(module: str, homes: dict[str, str]):
 # Every public name, by the module that defines it.
 _HOMES = {
     **dict.fromkeys((
-        "Dims", "parse_dims", "level", "enumerate_level", "level_count",
-        "level_counts", "level_count_closed_form", "LevelSums",
+        "Dims", "parse_dims", "enumerate_level", "level_counts", "LevelSums",
         "BudgetExceededError", "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS",
-        "DEFAULT_TOL", "NO_WITNESS", "WITNESS"), "grading"),
+        "DEFAULT_TOL", "NO_WITNESS", "WITNESS", "VerificationReport"), "grading"),
+    **dict.fromkeys(("level", "level_count", "level_count_closed_form"), "counting"),
     **dict.fromkeys((
         "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
         "fields"),
-    **dict.fromkeys(("StateVector", "Subspace", "VerificationReport"), "linalg"),
+    **dict.fromkeys(("StateVector", "Subspace"), "linalg"),
     **dict.fromkeys((
         "span", "orthocomplement", "intersect", "subspace_sum", "reduce_mod_p"),
         "elimination"),
@@ -48,9 +48,10 @@ _HOMES = {
         "character_basis", "split_antidiagonal_spaces", "gram_matrix"),
         "examples"),
     **dict.fromkeys((
-        "ClassifyReport", "ENUMERATION_BUDGET", "candidate_count",
-        "classify_product_vectors_fp", "default_primes", "ff_verify",
-        "find_product_vectors_fp"), "ff"),
+        "ENUMERATION_BUDGET", "candidate_count", "default_primes"), "ff"),
+    **dict.fromkeys((
+        "ClassifyReport", "classify_product_vectors_fp", "ff_verify",
+        "find_product_vectors_fp"), "ffobjects"),
     **dict.fromkeys((
         "ALS_BUDGET", "AlsResult", "max_product_overlap",
         "nearest_vandermonde", "orthonormal_basis"), "verify"),

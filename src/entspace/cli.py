@@ -11,6 +11,7 @@ Subcommands map one-to-one onto the library: ``dims`` (level-count table),
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -34,9 +35,10 @@ from .grading import (
 # the layers it runs, so a process loads (and, with bytecode caching off,
 # compiles) no other: a graded ``construct`` writes its closed-form rows as
 # text with ``serialize`` alone, the oracle writes its documents from its int
-# hits, numpy loads only for ALS and for enumerations too large for plain
-# ints, and exact elimination only for ``upb`` and a ``verify`` of
-# example2-R, which spans its product vectors.
+# hits, the object encoders of ``codec`` load only where objects are made
+# (example2, ``upb``, ``onb``, ALS), numpy only for ALS and for enumerations
+# too large for plain ints, and exact elimination only for ``upb`` and a
+# ``verify`` of example2-R, which spans its product vectors.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -99,24 +101,6 @@ def _as_subspace(target):
     return target
 
 
-def _parse_points(text: str) -> list:
-    from fractions import Fraction
-
-    from .construct import INFINITY
-
-    pts = []
-    for part in text.split(","):
-        part = part.strip()
-        if part in ("inf", "oo"):
-            pts.append(INFINITY)
-        else:
-            try:
-                pts.append(Fraction(part))
-            except ZeroDivisionError:
-                raise ValueError(f"bad parameter point {part!r}") from None
-    return pts
-
-
 def tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 < tol < 1.0:  # also rejects nan
@@ -168,7 +152,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    from .serialize import csv_matrices, encode_rows, json_dumps, rows_document
+    from .serialize import csv_matrices, json_dumps, rows_document
 
     dims = parse_dims(args.dims)
     target, _ = _named_space(dims, args.space)
@@ -176,8 +160,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.format == "csv":
             _write(csv_matrices([pv.expand() for pv in target], dims), args.out)
         else:
+            from .codec import product_vectors_document
             from .fields import RATIONAL
-            from .serialize import product_vectors_document
 
             doc = product_vectors_document(dims, RATIONAL, target, {"space": args.space})
             _write(json_dumps(doc), args.out)
@@ -189,6 +173,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         rows = _group_entries(dims.total, _level_groups(dims, target), target.sums,
                               "0", "1", "-1")
     else:  # example2-M, an exact subspace
+        from .codec import encode_rows
+
         rows = encode_rows(target.rows)
     if args.format == "csv":
         if dims.k != 2:
@@ -200,11 +186,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_upb(args: argparse.Namespace) -> int:
+    from .codec import encode_upb_recipe, encode_upb_report, product_vectors_document
     from .fields import RATIONAL
-    from .serialize import (
-        encode_upb_recipe, encode_upb_report, json_dumps, product_vectors_document,
-    )
-    from .upb import upb_of_size, verify_upb
+    from .serialize import json_dumps
+    from .upb import _parse_points, upb_of_size, verify_upb
 
     dims = parse_dims(args.dims)
     points = None if args.lambdas is None else _parse_points(args.lambdas)
@@ -220,9 +205,7 @@ def cmd_upb(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # before the ALS search loads numpy: a module compiled after numpy raises
-    # the run's peak RSS
-    from .serialize import encode_report, json_dumps
+    from .serialize import json_dumps
 
     dims = parse_dims(args.dims)
     # example2 is built, and example2-R spanned, before numpy loads; a graded
@@ -234,10 +217,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         reports = [_report_entry(dims, *run) for run in _ff_runs(space, dims, args.primes)]
     else:
-        from .linalg import Subspace
+        # every module the search runs loads before numpy: one compiled after
+        # it raises the run's peak RSS.  A witness is a complex ProductVector,
+        # which a graded space without sums does not hold (the paper's
+        # theorem), so only Sperp and example2 load the exact layers for it.
+        from .codec import encode_report
+
+        graded = isinstance(space, LevelSums)
+        if not graded or space.sums:
+            from . import construct, fields  # noqa: F401
         from .verify import max_product_overlap, orthonormal_basis
 
-        if isinstance(space, Subspace):
+        if not graded:
             space = orthonormal_basis(space)
         result = max_product_overlap(
             space, dims,
@@ -269,9 +260,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_onb(args: argparse.Namespace) -> int:
+    from .codec import vectors_document
     from .examples import character_basis
     from .fields import COMPLEX
-    from .serialize import json_dumps, vectors_document
+    from .serialize import json_dumps
 
     dims = parse_dims(args.dims)
     basis = character_basis(dims, args.level)
@@ -369,8 +361,22 @@ def main(argv=None) -> int:
         return 2
 
 
+# BLAS thread pools of a command-line run, unless the caller set their size
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run() -> None:
     """Console entry point: ``main`` on ``sys.argv``, then exit at once.
+
+    A run is one short process, so it runs without the cyclic garbage
+    collector: the code makes its cycles per call, not per step, and the
+    collector's passes (34 on an ALS search, most of them while numpy
+    imports, about 5.6 ms) would free nothing the exit does not.  Its BLAS
+    runs one thread unless the caller set a pool size: an ALS search makes
+    many small eigensolves, and on two CPUs a second OpenBLAS thread only
+    spins (0.33 s against 0.22 s of CPU on 5,5 S with 680 restarts, the
+    same output).  ``main`` called in-process, and the library, change
+    neither.
 
     ``--out`` files are closed by then, and the standard streams are flushed
     here.  ``os._exit`` then ends the process without the interpreter's
@@ -382,6 +388,9 @@ def run() -> None:
     a closed pipe) is an input error like any failed write: one ``error:``
     line and exit 2.
     """
+    for name in BLAS_THREADS:  # before anything imports numpy
+        os.environ.setdefault(name, "1")
+    gc.disable()
     try:
         code = main()
     except SystemExit as exc:  # argparse: usage errors and --help

@@ -1,5 +1,5 @@
 """The finite-field oracle: every projective product vector of a subspace
-over F_p, and the exact checks built on it.
+over F_p, and the exact checks built on it, on plain ints.
 
 The oracle runs on plain ints mod p from the generators to the hits.  It
 contracts the annihilator: the rows whose contraction with a product vector
@@ -14,47 +14,45 @@ written down by ``grading``'s group-row writer, the level sums for S and
 a level slice (with a unit row at every position off the slice) and the S
 rows for Sperp.  No rational is made on a graded space.
 
-The command line writes its documents straight from the int hits: each
-entry point is an int core (``_ff_runs``, ``_classify_points``) under a
-thin library wrapper that makes the ``Fp`` scalars, ``ProductVector``s and
-reports, and ``_point_entry`` writes a point's factors and expansion as
-text from its residues.  So this module imports only ``grading`` and
-``reduction`` at load, and a graded ``verify --method ff`` or ``classify``
-compiles neither ``fields``, ``linalg`` nor ``construct``; the names it
-imported from them before still resolve here.
+This module is what ``verify --method ff`` and ``classify`` run: the int
+cores (``_product_points``, ``_ff_runs``, ``_classify_points``) and the
+writers of their documents from the int hits (``_point_entry``,
+``_report_entry``, ``_classify_document``).  The library entry points that
+make ``Fp`` scalars, ``ProductVector``s and reports from the hits
+(``find_product_vectors_fp``, ``ff_verify``, ``classify_product_vectors_fp``
+and ``ClassifyReport``) live in ``entspace.ffobjects``.  So this module
+imports only ``grading`` and ``reduction`` at load, and a graded oracle
+command compiles neither the wrappers nor ``fields``, ``linalg`` or
+``construct``; every name this module held or imported before still
+resolves here, loading its home on first access.
 
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
 depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
 fibres loads the batched numpy kernel in ``entspace.ffkernel``.  The UPB
-audit built on the oracle is ``entspace.upb.verify_upb``; it and its
-``UpbReport`` still resolve here, loading ``upb`` on first access.
+audit built on the oracle is ``entspace.upb.verify_upb``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .grading import DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, \
-    LevelSums, Record, _check_level_rows, _group_entries, _level_groups, \
-    check_dense_size
+    LevelSums, _check_level_rows, _group_entries, _level_groups, check_dense_size
 from .reduction import _kernel_basis, _reduce_rows, check_elimination_cost, is_prime
 
-if TYPE_CHECKING:
-    from .construct import ProductVector
-    from .linalg import VerificationReport
-
-# The exact layers load only where a command needs them: a graded space's
-# documents are written from the int hits, with no scalar, vector or report
-# object.  Their names still resolve here.
+# The object layers load only where a caller needs them: a command writes
+# its documents from the int hits, with no scalar, vector or report object.
 __getattr__ = _lazy_getattr(__name__, {
+    **dict.fromkeys(("ClassifyReport", "classify_product_vectors_fp", "ff_verify",
+                     "find_product_vectors_fp", "_product_vectors"), "ffobjects"),
     **dict.fromkeys(("UpbReport", "verify_upb"), "upb"),
     "ProductVector": "construct",
     **dict.fromkeys(("Fp", "RATIONAL", "prime_field"), "fields"),
-    **dict.fromkeys(("Subspace", "VerificationReport", "integer_rows"), "linalg"),
+    **dict.fromkeys(("Subspace", "integer_rows"), "linalg"),
+    "VerificationReport": "grading",
 })
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
@@ -330,58 +328,12 @@ def _product_points(generators, dims: Dims, p: int, budget: int) -> list[tuple]:
     return _rank_and_points(_oracle_target(generators, dims), dims, p, budget)[1]
 
 
-def find_product_vectors_fp(
-    generators, dims: Dims, p: int, budget: int = ENUMERATION_BUDGET
-) -> list[ProductVector]:
-    """All projective product vectors lying in the given subspace over F_p.
-
-    The subspace is spanned from the (integer) generators after reduction
-    mod p; a subspace already over F_p is used as it is, and one over another
-    prime is refused with ``ValueError``.  An empty result is an exact
-    statement about F_p; it supports the complex-field claim only for p above
-    the top level, which is why smaller primes are rejected outright.
-
-    The search is a fibre solve.  A product vector lies in the subspace
-    exactly when every row of the annihilator H contracts to zero with it.
-    Fixing a projective point on every site but the largest one (the solved
-    site) turns that into a small linear system on the solved site, whose
-    projective kernel points are the hits of that fibre.  Hits come in
-    lexicographic order of their per-site positions in ``_projective_points``
-    order, every factor scaled to first nonzero coordinate 1.  Up to
-    ``_BATCH_FIBRES`` fibres the solve runs on plain ints; above it, on the
-    batched numpy kernel.  Both give the same list.
-
-    ``budget`` bounds the fibre solves plus the points found; the fibre
-    count is checked before any work.
-    """
-    return _product_vectors(dims, p, _product_points(generators, dims, p, budget))
-
-
-def _product_vectors(dims: Dims, p: int, combos) -> list[ProductVector]:
-    """The int-tuple hits as ProductVectors over F_p; equal residues share
-    one (immutable) ``Fp``."""
-    from .construct import ProductVector
-    from .fields import Fp, prime_field
-
-    fld = prime_field(p)
-    residues: dict[int, Fp] = {}
-
-    def residue(a: int) -> Fp:
-        r = residues.get(a)
-        if r is None:
-            r = residues[a] = Fp(a, p)
-        return r
-
-    return [ProductVector(dims, fld, tuple(tuple(map(residue, f)) for f in combo))
-            for combo in combos]
-
-
 def _point_entry(dims: Dims, p: int, combo) -> dict:
     """The document entry of the product vector over F_p whose factors are
     the residues ``combo``: the factors, and the expansion mod p while one
     dense vector of ``total`` entries passes ``check_dense_size``; past it
     the factors alone, which determine the vector exactly.  It is the one
-    writer of an F_p point: ``serialize`` writes an F_p ``ProductVector``
+    writer of an F_p point: ``codec`` writes an F_p ``ProductVector``
     with it too."""
     entry = {"factors": [list(map(str, f)) for f in combo]}
     if dims.total <= DENSE_BUDGET:
@@ -460,42 +412,6 @@ def _report_entry(dims: Dims, p: int, rank: int, rational_dim: int | None,
     return _run_fields(dims, p, rank, rational_dim, hits, witness)
 
 
-def ff_verify(
-    generators, dims: Dims, primes=None, budget: int = ENUMERATION_BUDGET
-) -> list[VerificationReport]:
-    """One finite-field report per prime; witness recorded where found.
-
-    ``generators`` is a subspace, a list of integer generators, or a
-    ``LevelSums``.  A ``LevelSums`` is refused as its basis would be
-    (``construct._level_rows``), and its rank and annihilator come in closed
-    form, with no basis written down and nothing reduced.
-    """
-    from .linalg import VerificationReport
-
-    reports = []
-    for p, rank, rational_dim, hits in _ff_runs(generators, dims, primes, budget):
-        witness = _product_vectors(dims, p, hits[:1])[0] if hits else None
-        reports.append(VerificationReport(
-            **_run_fields(dims, p, rank, rational_dim, hits, witness)))
-    return reports
-
-
-class ClassifyReport(Record):
-    __slots__ = ("dims", "p", "passed", "expected_count", "found", "missing",
-                 "extraneous")
-
-    def __init__(self, dims: Dims, p: int, passed: bool, expected_count: int,
-                 found: list[ProductVector], missing: list[ProductVector],
-                 extraneous: list[ProductVector]) -> None:
-        self.dims = dims
-        self.p = p
-        self.passed = passed
-        self.expected_count = expected_count
-        self.found = found
-        self.missing = missing
-        self.extraneous = extraneous
-
-
 def _vandermonde_points(dims: Dims, p: int) -> list[tuple]:
     """The p+1 projective Vandermonde points over F_p as int tuples, one per
     site: (1, t, t^2, ...) for t = 0 .. p-1, then the top basis vectors."""
@@ -541,18 +457,3 @@ def _classify_document(dims: Dims, p: int, found: list[tuple], missing: list[tup
         "missing": entries(missing),
         "extraneous": entries(extraneous),
     }
-
-
-def classify_product_vectors_fp(
-    dims: Dims, p: int, budget: int = ENUMERATION_BUDGET
-) -> ClassifyReport:
-    """Check that the product vectors in the entangled complement over F_p
-    are exactly the p+1 projective Vandermonde points (one per field element
-    plus the point at infinity)."""
-    found, missing, extraneous = (_product_vectors(dims, p, points)
-                                  for points in _classify_points(dims, p, budget))
-    return ClassifyReport(
-        dims=dims, p=p, passed=not missing and not extraneous,
-        expected_count=p + 1, found=found, missing=missing,
-        extraneous=extraneous,
-    )

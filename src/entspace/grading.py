@@ -9,13 +9,16 @@ level inherits that order.
 
 This is the base module every command loads, so it also holds what the
 command line needs before it knows the command: the budget error and the
-dense-size budget, the verdicts and the verifier defaults, and the graded
-spaces in closed form.  A ``LevelSums`` names S, Sperp, a level slice or
-example1, and ``_group_entries`` writes its reduced echelon rows as lists
-of any three values for 0, 1 and -1: the ``Fraction`` rows of
-``entspace.construct``, the residues of the oracle's annihilator, or the
-text a graded ``construct`` writes straight into its document.  The names
-still resolve in ``entspace.linalg`` and ``entspace.construct``.
+dense-size budget, the verdicts, the verifier defaults and the report type
+of both verifiers, and the graded spaces in closed form.  A ``LevelSums``
+names S, Sperp, a level slice or example1, and ``_group_entries`` writes
+its reduced echelon rows as lists of any three values for 0, 1 and -1: the
+``Fraction`` rows of ``entspace.construct``, the residues of the oracle's
+annihilator, or the text a graded ``construct`` writes straight into its
+document.  The names
+still resolve in ``entspace.linalg`` and ``entspace.construct``.  Level
+counting that only the library uses (``level_count``, its closed forms,
+``iter_dims``) lives in ``entspace.counting`` and resolves here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,16 @@ import math
 from collections.abc import Sequence
 from itertools import accumulate, product
 from operator import attrgetter, index
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+from . import _lazy_getattr
+
+if TYPE_CHECKING:
+    from .construct import ProductVector
+
+# Level counting that only the library uses, on first access.
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys(
+    ("level", "level_count", "level_count_closed_form", "iter_dims"), "counting"))
 
 MultiIndex = tuple[int, ...]
 
@@ -73,17 +85,20 @@ class Record:
     and equality field by field.
 
     A subclass names its fields in ``__slots__``, in constructor order, and
-    sets them in its own ``__init__``.  Nothing is generated at import, so
-    start-up loads no code generator (nor the ``inspect``, ``ast`` and
-    ``tokenize`` one would pull in).
+    sets them in its own ``__init__``; one whose field is a property backed
+    by a private slot names its fields in ``_fields`` instead.  Nothing is
+    generated at import, so start-up loads no code generator (nor the
+    ``inspect``, ``ast`` and ``tokenize`` one would pull in).
     """
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         if cls.__slots__:
-            cls._values = attrgetter(*cls.__slots__)
+            cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+            cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -91,11 +106,35 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class VerificationReport(Record):
+    """One verifier's verdict on one space: the F_p oracle's at one prime,
+    or an ALS search's.  It lives here, beside ``Record``, so a search
+    reports without loading the exact layers; ``linalg`` re-exports it."""
+
+    __slots__ = ("method", "params", "verdict", "witness", "metrics",
+                 "certified_dims")
+
+    def __init__(self,
+                 method: str,       # "finite-field" | "als"
+                 params: dict,
+                 verdict: str,      # NO_WITNESS | WITNESS
+                 witness: ProductVector | None, metrics: dict,
+                 certified_dims: dict) -> None:
+        self.method = method
+        self.params = params
+        self.verdict = verdict
+        self.witness = witness
+        self.metrics = metrics
+        self.certified_dims = certified_dims
+        if (witness is not None) != (verdict == WITNESS):
+            raise ValueError("witness must be present exactly when found")
 
 
 class Value(Record):
@@ -191,10 +230,6 @@ def parse_dims(text: str) -> Dims:
     return Dims(parts)
 
 
-def level(idx: MultiIndex) -> int:
-    return sum(idx)
-
-
 def enumerate_level(dims: Dims, n: int) -> list[MultiIndex]:
     """All multi-indices with index sum n, in lexicographic order."""
     if not 0 <= n <= dims.max_level:
@@ -243,57 +278,6 @@ def level_counts(dims: Dims) -> list[int]:
         prefix = list(accumulate(coeffs + [0] * (dr - 1)))
         coeffs = [a - b for a, b in zip(prefix, [0] * dr + prefix)]
     return coeffs
-
-
-def level_count(dims: Dims, n: int) -> int:
-    """Dimension of level n; zero outside [0, max_level]."""
-    if not 0 <= n <= dims.max_level:
-        return 0
-    return level_counts(dims)[n]
-
-
-def level_count_closed_form(dims: Dims, n: int) -> int | None:
-    """Closed-form level dimension where one is available.
-
-    For two factors the count is piecewise linear in n; when every factor
-    is two-dimensional it is a binomial coefficient.  Returns ``None`` when
-    neither closed form applies.
-    """
-    if dims.k == 2:
-        d1, d2 = sorted(dims.d)
-        if n < 0 or n > d1 + d2 - 2:
-            return 0
-        if n <= d1 - 1:
-            return n + 1
-        if n <= d2 - 1:
-            return d1
-        return d1 + d2 - (n + 1)
-    if all(dr == 2 for dr in dims.d):
-        if n < 0 or n > dims.k:
-            return 0
-        return math.comb(dims.k, n)
-    return None
-
-
-def iter_dims(max_total: int, min_total: int = 4) -> Iterator[Dims]:
-    """Every Dims value with product of dimensions in [min_total, max_total].
-
-    Enumeration order is lexicographic in the dimension tuple; useful for
-    exhaustive small-scale sweeps.
-    """
-    stack: list[int] = []
-
-    def rec(prod: int) -> Iterator[Dims]:
-        if len(stack) >= 2 and prod >= min_total:
-            yield Dims(tuple(stack))
-        d = 2
-        while prod * d <= max_total:
-            stack.append(d)
-            yield from rec(prod * d)
-            stack.pop()
-            d += 1
-
-    yield from rec(1)
 
 
 class LevelSums(NamedTuple):

@@ -1,4 +1,4 @@
-"""Dense vectors over an exact field, subspaces and the verification report.
+"""Dense vectors and subspaces over an exact field.
 
 Subspaces are stored as a reduced row-echelon basis, which is canonical:
 two subspaces are equal iff their stored rows are identical.  The one exact
@@ -7,8 +7,8 @@ budget live in ``entspace.reduction``, which the F_p oracle loads without
 this module; the subspace calculus built on them (``span``,
 ``orthocomplement``, ``intersect``, ...) lives in ``entspace.elimination``,
 and its names still resolve here, loading it on first access.  The budget
-error, the dense-size budget, the verdicts and the verifier defaults are
-defined in ``entspace.grading``.  Both modules' names are imported here, so
+error, the dense-size budget, the verdicts, the verifier defaults and the
+verification report are defined in ``entspace.grading``.  Both modules' names are imported here, so
 they resolve in this module too.
 """
 
@@ -21,37 +21,16 @@ from . import _lazy_getattr
 from .fields import Field
 from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
     DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, MultiIndex, \
-    Record, Value, check_dense_size  # noqa: F401
+    Record, Value, VerificationReport, check_dense_size  # noqa: F401
 from .reduction import ELIMINATION_BUDGET, _clear, _primitive, _reduce_rows, \
     check_elimination_cost  # noqa: F401
 
 if TYPE_CHECKING:
-    from .construct import ProductVector
     from .fields import Scalar
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
     ("span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p"),
     "elimination"))
-
-
-class VerificationReport(Record):
-    __slots__ = ("method", "params", "verdict", "witness", "metrics",
-                 "certified_dims")
-
-    def __init__(self,
-                 method: str,       # "finite-field" | "als"
-                 params: dict,
-                 verdict: str,      # NO_WITNESS | WITNESS
-                 witness: ProductVector | None, metrics: dict,
-                 certified_dims: dict) -> None:
-        self.method = method
-        self.params = params
-        self.verdict = verdict
-        self.witness = witness
-        self.metrics = metrics
-        self.certified_dims = certified_dims
-        if (witness is not None) != (verdict == WITNESS):
-            raise ValueError("witness must be present exactly when found")
 
 
 class StateVector(Value):

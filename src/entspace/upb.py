@@ -19,11 +19,27 @@ from typing import NamedTuple
 from .construct import INFINITY, ProductVector, standard_product_vector, \
     vandermonde_vector
 from .elimination import orthocomplement, span
-from .ff import ENUMERATION_BUDGET, ff_verify
+from .ff import ENUMERATION_BUDGET
+from .ffobjects import ff_verify
 from .fields import Field, RATIONAL
 from .grading import WITNESS, Dims, LevelSums, MultiIndex, Record, _level_groups, \
     enumerate_level, level_counts
 from .linalg import VerificationReport, check_elimination_cost
+
+
+def _parse_points(text: str) -> list:
+    """Comma-separated parameter points, each a rational or ``inf``/``oo``."""
+    pts = []
+    for part in text.split(","):
+        part = part.strip()
+        if part in ("inf", "oo"):
+            pts.append(INFINITY)
+        else:
+            try:
+                pts.append(Fraction(part))
+            except ZeroDivisionError:
+                raise ValueError(f"bad parameter point {part!r}") from None
+    return pts
 
 
 def _upb_points(dims: Dims, points, field: Field) -> list:

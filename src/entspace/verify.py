@@ -1,39 +1,56 @@
 """Two independent verifiers for complete entanglement.
 
 The finite-field route (``entspace.ff``, with its batched numpy kernel in
-``entspace.ffkernel``; the UPB audit is ``entspace.upb``) enumerates every
+``entspace.ffkernel`` and its library entry points in
+``entspace.ffobjects``; the UPB audit is ``entspace.upb``) enumerates every
 projective product vector of the subspace reduced mod p, giving a
 definitive statement about the reduced subspace.  Its public names still
 resolve here, loading the oracle on first access.  This module is the
 numerical route: alternating single-site maximization of the product
 overlap over complex floats, which reports a margin; it can certify the
 presence of a product vector (overlap near 1) but never the absence.
+
+A search imports only ``grading`` and numpy at load.  The exact layers
+(``construct``, ``fields``, ``linalg``) load only to make a witness
+``ProductVector``: the report's, when the verdict is a witness, and
+``AlsResult.witness`` on first access.  A graded space without sums holds
+no product vector, so a search of S, ``level:n`` or example1 normally
+compiles none of them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import TYPE_CHECKING
 
 # The package modules load before numpy: a module compiled from source after
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from . import _lazy_getattr
-from .construct import INFINITY, ProductVector, vandermonde_vector
-from .fields import COMPLEX
 from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
-    NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, level_counts
-from .linalg import Subspace, VerificationReport
+    NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, \
+    VerificationReport, level_counts
 
 import numpy as np
 
-# The oracle's names, on first access: an ALS search never loads
-# ``entspace.ff``, whose compile and import cost about 15 ms.
+if TYPE_CHECKING:
+    from .construct import ProductVector
+    from .linalg import Subspace
+
+# The oracle's names, and the exact layers' names this module imported at
+# load before, on first access: an ALS search never loads ``entspace.ff``,
+# whose compile and import cost about 15 ms.
 __getattr__ = _lazy_getattr(__name__, {
     **dict.fromkeys((
-        "DEFAULT_PRIME_POOL", "ENUMERATION_BUDGET", "ClassifyReport",
-        "candidate_count", "classify_product_vectors_fp", "default_primes",
-        "ff_verify", "find_product_vectors_fp"), "ff"),
+        "DEFAULT_PRIME_POOL", "ENUMERATION_BUDGET", "candidate_count",
+        "default_primes"), "ff"),
+    **dict.fromkeys((
+        "ClassifyReport", "classify_product_vectors_fp", "ff_verify",
+        "find_product_vectors_fp"), "ffobjects"),
     **dict.fromkeys(("UpbReport", "verify_upb"), "upb"),
+    **dict.fromkeys(("INFINITY", "ProductVector", "vandermonde_vector"), "construct"),
+    "COMPLEX": "fields",
+    "Subspace": "linalg",
 })
 
 
@@ -280,17 +297,38 @@ def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
 
 
 class AlsResult(Record):
-    __slots__ = ("best_overlap", "witness", "histories", "report")
+    """A search's best overlap, its witness, every restart's history and the
+    report.  ``witness`` is the best restart's product vector; given as its
+    phase-fixed factors (a list of arrays), it is built on first access, so
+    a search that reports no witness makes no exact object."""
 
-    def __init__(self, best_overlap: float, witness: ProductVector | None,
+    __slots__ = ("best_overlap", "_witness", "histories", "report")
+    _fields = ("best_overlap", "witness", "histories", "report")
+
+    def __init__(self, best_overlap: float, witness: ProductVector | list | None,
                  histories: list[list[float]], report: VerificationReport) -> None:
         self.best_overlap = best_overlap
-        self.witness = witness
+        self._witness = witness
         self.histories = histories
         self.report = report
 
+    @property
+    def witness(self) -> ProductVector | None:
+        if isinstance(self._witness, list):
+            self._witness = _witness_vector(self._witness)
+        return self._witness
+
     def __iter__(self):
         return iter((self.best_overlap, self.witness, self.report))
+
+
+def _witness_vector(factors: list[np.ndarray]) -> ProductVector:
+    """The complex product vector of the given factors, one array per site."""
+    from .construct import ProductVector
+    from .fields import COMPLEX
+
+    dims = Dims(tuple(len(f) for f in factors))
+    return ProductVector.from_values(dims, COMPLEX, [tuple(f) for f in factors])
 
 
 def _fix_phases(factors: list[np.ndarray]) -> list[np.ndarray]:
@@ -391,20 +429,20 @@ def max_product_overlap(
     total_sweeps = sum(map(len, histories)) // dims.k
 
     best = min(max(best, 0.0), 1.0)
-    witness_pv = ProductVector.from_values(
-        dims, COMPLEX, [tuple(f) for f in _fix_phases(best_factors)]
-    )
+    witness = _fix_phases(best_factors)
     verdict = WITNESS if best > 1.0 - tol else NO_WITNESS
+    if verdict == WITNESS:
+        witness = _witness_vector(witness)
     report = VerificationReport(
         method="als",
         params=params,
         verdict=verdict,
-        witness=witness_pv if verdict == WITNESS else None,
+        witness=witness if verdict == WITNESS else None,
         metrics={"best_overlap": best, "total_sweeps": total_sweeps,
                  "best_restart": best_restart},
         certified_dims={"complex": m},
     )
-    return AlsResult(best, witness_pv, histories, report)
+    return AlsResult(best, witness, histories, report)
 
 
 def nearest_vandermonde(witness: ProductVector, dims: Dims):
@@ -415,6 +453,9 @@ def nearest_vandermonde(witness: ProductVector, dims: Dims):
     is expanded: the overlap of two product vectors is the product of their
     factors' overlaps, and so is each norm.
     """
+    from .construct import INFINITY, vandermonde_vector
+    from .fields import COMPLEX
+
     factors = [np.asarray([complex(c) for c in f]) for f in witness.factors]
     num = 0j
     den = 0.0

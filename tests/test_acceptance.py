@@ -27,7 +27,7 @@ from entspace import (
     verify_upb,
 )
 from entspace.cli import main
-from entspace.serialize import document_vectors
+from entspace.codec import document_vectors
 
 import numpy as np
 

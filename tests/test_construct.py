@@ -37,7 +37,7 @@ from entspace import (
     vandermonde_vector,
     verify_upb,
 )
-from entspace.grading import iter_dims
+from entspace.counting import iter_dims
 
 
 def _level_differences(dims, n, field=RATIONAL):

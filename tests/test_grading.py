@@ -13,7 +13,7 @@ from entspace import (
     level_counts,
     parse_dims,
 )
-from entspace.grading import iter_dims
+from entspace.counting import iter_dims
 
 
 def test_dims_basic():

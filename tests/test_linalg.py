@@ -22,7 +22,7 @@ from entspace import (
     vandermonde_vector,
 )
 from entspace import verify
-from entspace.grading import iter_dims
+from entspace.counting import iter_dims
 from entspace.linalg import ELIMINATION_BUDGET, BudgetExceededError, Subspace, \
     _reduce_rows, integer_generators, integer_rows
 

@@ -22,16 +22,15 @@ from entspace import (
     prime_field,
     verify_upb,
 )
-from entspace.serialize import (
-    csv_matrices,
+from entspace.codec import (
     encode_classify_report,
     encode_report,
     encode_upb_report,
-    json_dumps,
     product_vectors_document,
     subspace_document,
     vectors_document,
 )
+from entspace.serialize import csv_matrices, json_dumps
 
 F7 = prime_field(7)
 TWO_FACTOR = [Dims(d) for d in ((2, 2), (2, 3), (3, 2), (3, 4), (5, 3), (4, 4))]
@@ -219,7 +218,7 @@ def test_flat_string_lists_are_quoted_in_one_pass(items):
 def test_product_vector_past_the_dense_budget_is_written_from_its_factors(monkeypatch):
     from entspace import ProductVector, vandermonde_vector
     from entspace.linalg import DENSE_BUDGET
-    from entspace.serialize import document_product_vectors
+    from entspace.codec import document_product_vectors
 
     big = Dims((2,) * 21)  # 2**21 entries, past the budget; 2**20 is within it
     assert big.total // 2 <= DENSE_BUDGET < big.total

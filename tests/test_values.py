@@ -17,10 +17,11 @@ from entspace import (
     prime_field,
     standard_product_vector,
 )
+from entspace.codec import document_vectors
 from entspace.construct import ProductVector
-from entspace.ff import ClassifyReport, UpbReport
-from entspace.linalg import NO_WITNESS, WITNESS, VerificationReport
-from entspace.serialize import document_vectors
+from entspace.ffobjects import ClassifyReport
+from entspace.grading import NO_WITNESS, WITNESS, VerificationReport
+from entspace.upb import UpbReport
 from entspace.verify import AlsResult
 
 D = Dims((2, 2))
@@ -45,13 +46,15 @@ IDS = [type(x).__name__ for x, _ in INSTANCES]
 
 
 def fields(x):
-    return [getattr(x, f) for f in x.__slots__]
+    return [getattr(x, f) for f in x._fields]
 
 
 @pytest.mark.parametrize("x, frozen", INSTANCES, ids=IDS)
 def test_repr_and_equality_match_the_generated_ones(x, frozen):
-    # a dataclass twin of the same name and fields gives the reference repr
-    twin = dataclasses.make_dataclass(type(x).__name__, x.__slots__, frozen=frozen)
+    # a dataclass twin of the same name and fields gives the reference repr;
+    # the fields are the slots, but for a field held in a private slot
+    # (AlsResult.witness, built on first access)
+    twin = dataclasses.make_dataclass(type(x).__name__, x._fields, frozen=frozen)
     assert repr(x) == repr(twin(*fields(x)))
     again = type(x)(*fields(x))
     assert again == x and not (again != x) and again is not x

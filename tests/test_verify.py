@@ -54,7 +54,8 @@ import entspace.verify as verify_module
 from entspace.ff import _site_index
 from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
-from entspace.serialize import encode_report, json_dumps
+from entspace.codec import encode_report
+from entspace.serialize import json_dumps
 from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
@@ -940,6 +941,28 @@ def test_level_sum_blocks_stay_within_block_entries(monkeypatch):
     assert {s[1:] for s in shapes} == {(31, 16)}
     assert max(math.prod(s) for s in shapes) <= cap
     assert sum(s[0] for s in shapes[::2]) == 1000  # two site updates per sweep
+
+
+def test_als_makes_its_witness_only_when_read(monkeypatch):
+    # S holds no product vector: its search reports none and makes none until
+    # the result's witness is read
+    dims = Dims((3, 4))
+    space = LevelSums(range(dims.max_level + 1))
+    want = max_product_overlap(space, dims, restarts=4, seed=5)
+    want_witness = want.witness
+
+    def no_vector(*args):
+        raise AssertionError("a ProductVector was made")
+
+    monkeypatch.setattr(ProductVector, "from_values", staticmethod(no_vector))
+    got = max_product_overlap(space, dims, restarts=4, seed=5)
+    assert got.report.verdict == NO_WITNESS and got.report.witness is None
+    monkeypatch.undo()
+    assert got.witness == want_witness and got.witness is got.witness
+    assert got == want
+    # a witness verdict makes it at once, as the report's
+    sperp = max_product_overlap(LevelSums(space.levels, sums=True), dims, restarts=4)
+    assert sperp.report.verdict == WITNESS and sperp.witness is sperp.report.witness
 
 
 def test_als_empty_basis():
