@@ -47,14 +47,22 @@ ORACLE = (
     + ["classify --dims 2,2 --prime 6007"]
 )
 # UPB shapes, sizes, points and default primes that GOLDEN and the workloads
-# leave out: past the batched kernel's cut, three factors, a point at
-# infinity among the --lambdas
+# leave out: every admissible size on six small shapes, past the batched
+# kernel's cut, three factors, a point at infinity among the --lambdas, and
+# shapes refused on the elimination budget of the basis or its complement
 UPB = (
-    "upb --dims 6,6 --size 20 --primes 11",
-    "upb --dims 5,5 --size 15",
-    "upb --dims 2,3,4 --min",
-    "upb --dims 3,3,3 --min",
-    "upb --dims 2,4 --size 7 --lambdas=inf,0,1/2,-3,5 --primes 7",
+    [f"upb --dims {a},{b} --size {m}"
+     for a, b in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4))
+     for m in range(a + b - 1, a * b + 1)]
+    + ["upb --dims 6,6 --size 20 --primes 11",
+       "upb --dims 5,5 --size 15",
+       "upb --dims 2,3,4 --min",
+       "upb --dims 3,3,3 --min",
+       "upb --dims 2,4 --size 7 --lambdas=inf,0,1/2,-3,5 --primes 7",
+       "upb --dims 3,3 --size 9 --lambdas=inf,0,1,-1,1/3",
+       "upb --dims 20,20 --min",
+       "upb --dims 17,17 --size 289",
+       "upb --dims 30,30 --size 800"]
 )
 # the ALS search on every graded space, witness runs included (Sperp on
 # 2,2,2 and 3,4), a witness on S under a loose tolerance, example2, a
@@ -131,7 +139,7 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + list(UPB) + ALS
+        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + UPB + ALS
         + list(REFUSALS)))
 
 

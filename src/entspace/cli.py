@@ -37,8 +37,8 @@ from .grading import (
 # text with ``serialize`` alone, the oracle writes its documents from its int
 # hits, the object encoders of ``codec`` load only where objects are made
 # (example2, ``upb``, ``onb``, ALS), numpy only for ALS and for enumerations
-# too large for plain ints, and exact elimination only for ``upb`` and a
-# ``verify`` of example2-R, which spans its product vectors.
+# too large for plain ints, and exact elimination only for a ``verify`` of
+# example2-R, which spans its product vectors: ``upb`` audits in closed form.
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -189,13 +189,13 @@ def cmd_upb(args: argparse.Namespace) -> int:
     from .codec import encode_upb_recipe, encode_upb_report, product_vectors_document
     from .fields import RATIONAL
     from .serialize import json_dumps
-    from .upb import _parse_points, upb_of_size, verify_upb
+    from .upb import _parse_points, audit_recipe, upb_of_size
 
     dims = parse_dims(args.dims)
-    points = None if args.lambdas is None else _parse_points(args.lambdas)
+    points = None if args.lambdas is None else _parse_points(args.lambdas, dims.max_level)
     size = dims.max_level + 1 if args.min else args.size
     record, vectors = upb_of_size(dims, size, points)
-    report = verify_upb(vectors, dims, primes=args.primes)
+    report = audit_recipe(record, primes=args.primes)
     doc = product_vectors_document(
         dims, RATIONAL, vectors,
         {"upb": encode_upb_recipe(record, RATIONAL), "report": encode_upb_report(report)},

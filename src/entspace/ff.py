@@ -30,7 +30,7 @@ This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
 depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
 fibres loads the batched numpy kernel in ``entspace.ffkernel``.  The UPB
-audit built on the oracle is ``entspace.upb.verify_upb``.
+audits in ``entspace.upb`` run on it, the ``upb`` command's on a ``LevelSums``.
 """
 
 from __future__ import annotations
@@ -145,14 +145,17 @@ def _solved_site(dims: Dims) -> int:
     return max(range(dims.k), key=lambda r: (dims.d[r], r))
 
 
-def _check_oracle(dims: Dims, p: int, budget: int) -> int:
-    """Refuse a bad prime or an over-budget enumeration; return the fibre count."""
+def _check_prime(dims: Dims, p: int) -> None:
+    """Refuse a prime the oracle cannot use: not prime, or not above the top level."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p <= dims.max_level:
-        raise ValueError(
-            f"prime {p} must exceed the top level {dims.max_level}"
-        )
+        raise ValueError(f"prime {p} must exceed the top level {dims.max_level}")
+
+
+def _check_oracle(dims: Dims, p: int, budget: int) -> int:
+    """Refuse a bad prime or an over-budget enumeration; return the fibre count."""
+    _check_prime(dims, p)
     s = _solved_site(dims)
     fibres = math.prod(
         _projective_count(d, p) for r, d in enumerate(dims.d) if r != s

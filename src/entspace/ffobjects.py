@@ -5,7 +5,7 @@ Each wraps an int core of ``entspace.ff`` (``_product_points``,
 ``_ff_runs``, ``_classify_points``) and makes the ``Fp`` scalars,
 ``ProductVector``s and reports from its hits.  The command line writes its
 documents from the int hits with no such object, so a ``verify --method ff``
-or ``classify`` run never loads this module; the UPB audit does.  The names
+or ``classify`` run never loads this module; a UPB audit does.  The names
 still resolve in ``entspace.ff`` and ``entspace.verify``.
 """
 

@@ -3,50 +3,67 @@
 A minimal UPB (size max_level + 1, any number of factors) is a set of
 Vandermonde product vectors at distinct points; for two factors, every
 larger admissible size adds the standard product vectors of chosen levels.
-Nothing is eliminated while a basis is built.  ``verify_upb`` audits any
-claimed UPB exactly, and its span of the expansions is the only one a
-``upb`` run makes: rank from that span, the complement read off it and
-reduced once (``elimination.orthocomplement``), membership of the
-complement in S from the level sums, then the finite-field oracle on the
-complement.
+Distinct points span Sperp (a Vandermonde determinant), and the standard
+vectors complete each chosen level, so ``audit_recipe`` audits a basis from
+its recipe in closed form, with its complement, the S-part of the unchosen
+levels, as a ``LevelSums`` for the oracle; nothing is eliminated.
+``verify_upb`` audits any claimed UPB by exact elimination.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from .construct import INFINITY, ProductVector, standard_product_vector, \
     vandermonde_vector
-from .elimination import orthocomplement, span
-from .ff import ENUMERATION_BUDGET
+from .ff import ENUMERATION_BUDGET, _check_prime
 from .ffobjects import ff_verify
 from .fields import Field, RATIONAL
-from .grading import WITNESS, Dims, LevelSums, MultiIndex, Record, _level_groups, \
-    enumerate_level, level_counts
-from .linalg import VerificationReport, check_elimination_cost
+from .grading import WITNESS, Dims, LevelSums, MultiIndex, Record, VerificationReport, \
+    _level_groups, enumerate_level, level_counts
+from .reduction import check_elimination_cost
+
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 
 
-def _parse_points(text: str) -> list:
-    """Comma-separated parameter points, each a rational or ``inf``/``oo``."""
+def _parse_points(text: str, top: int) -> list:
+    """Comma-separated parameter points, each a rational or ``inf``/``oo``;
+    one whose ``top``-th power has a numerator or denominator of more than
+    ``sys.get_int_max_str_digits()`` digits cannot be written and is refused,
+    before ``Fraction`` spends seconds on a large exponent's ``10**exp``."""
+    limit = sys.get_int_max_str_digits()
     pts = []
     for part in text.split(","):
         part = part.strip()
         if part in ("inf", "oo"):
             pts.append(INFINITY)
-        else:
-            try:
-                pts.append(Fraction(part))
-            except ZeroDivisionError:
-                raise ValueError(f"bad parameter point {part!r}") from None
+            continue
+        pt, m = None, _EXPONENT.fullmatch(part) if limit else None
+        try:  # past the limit, or 0: a mantissa times a large 10**exp
+            if abs(int(m[2])) > limit + len(part):
+                pt = Fraction(m[1] + "e0") * 10 ** (limit + len(part) + 1)
+        except (TypeError, ValueError):  # no exponent, or malformed: Fraction says how
+            pass
+        try:
+            pt = Fraction(part) if pt is None else pt
+        except ZeroDivisionError:
+            raise ValueError(f"bad parameter point {part!r}") from None
+        # x**top >= 2**((bits - 1) * top), and 2**3.33 > 10
+        if limit and any((x.bit_length() - 1) * top > 3.33 * limit or x**top >= 10**limit
+                         for x in (abs(pt.numerator), pt.denominator)):
+            raise ValueError(f"parameter point {part!r}: power {top} has over {limit} digits")
+        pts.append(pt)
     return pts
 
 
 def _upb_points(dims: Dims, points, field: Field) -> list:
     """The max_level + 1 distinct points of a minimal UPB, coerced to
     ``field``: ``points``, or the integers 0..max_level.  A shape whose
-    expansions the audit would refuse to eliminate is refused before any
-    point is made, as the distinctness check is quadratic."""
+    span the audit refuses (as it would an elimination of the expansions)
+    is refused before any point is made: the distinctness check is quadratic."""
     n_points = dims.max_level + 1
     check_elimination_cost(n_points, dims.total)
     if points is None:
@@ -71,8 +88,8 @@ def minimal_upb(
 
     Default points are the integers 0..max_level, all finite, keeping every
     coefficient rational.  Distinct points make the expansions span the
-    product-vector complement exactly; nothing is eliminated here, and
-    ``verify_upb`` audits that span.
+    product-vector complement exactly, so nothing is eliminated here or in
+    the audit.
     """
     return [vandermonde_vector(dims, pt, field) for pt in _upb_points(dims, points, field)]
 
@@ -118,8 +135,8 @@ def upb_of_size(
     basis product vector of that level except the lexicographically last.
     The orthocomplement of the result is the direct sum of the entangled
     slices of the unchosen levels, which sits inside the entangled subspace.
-    Nothing is eliminated here: ``verify_upb`` audits rank and
-    complement exactly.
+    Nothing is eliminated here: ``audit_recipe`` reads rank and complement
+    off the recipe.
     """
     top = dims.max_level
     lo, hi = top + 1, dims.total
@@ -164,19 +181,46 @@ class UpbReport(Record):
         self.witness = witness
 
 
+def _report(size: int, span_dim: int, complement_dim: int, inside: bool, complement,
+            dims: Dims, primes, budget: int) -> UpbReport:
+    """A UPB audit's report; the oracle runs on a nonempty ``complement``
+    (None skips it), so that even a set too small comes with a witness."""
+    reports = [] if complement_dim == 0 or complement is None else \
+        ff_verify(complement, dims, primes, budget)
+    witness = next((rep.witness for rep in reports if rep.verdict == WITNESS), None)
+    independent, meets_min = span_dim == size, span_dim >= dims.max_level + 1
+    return UpbReport(size, span_dim, independent, meets_min, complement_dim, inside,
+                     reports, independent and meets_min and witness is None, witness)
+
+
+def audit_recipe(recipe: UpbRecipe, primes=None,
+                 budget: int = ENUMERATION_BUDGET) -> UpbReport:
+    """``verify_upb`` of the rational basis ``upb_of_size`` builds from
+    ``recipe``, in closed form, refused as its elimination would be.  At
+    full size nothing is enumerated, but every prime is still checked."""
+    dims, m, total = recipe.dims, recipe.size, recipe.dims.total
+    check_elimination_cost(m, total)
+    check_elimination_cost(total - m, total)
+    for p in primes if primes and m == total else ():
+        _check_prime(dims, p)
+    unchosen = [n for n in range(dims.max_level + 1) if n not in recipe.levels]
+    return _report(m, m, total - m, True, LevelSums(unchosen), dims, primes, budget)
+
+
 def verify_upb(
     vectors: list[ProductVector],
     dims: Dims,
     primes=None,
     budget: int = ENUMERATION_BUDGET,
 ) -> UpbReport:
-    """Full audit of a claimed unextendible product basis.
+    """Full audit of a claimed unextendible product basis, by elimination.
 
-    Checks exact linear independence, the minimal-size bound, and then runs
-    the finite-field oracle on the orthocomplement of the span (rational
-    input only).  Size below the minimum already disqualifies the set, but
-    the oracle still runs so a failure comes with an explicit witness.
+    Checks exact linear independence, the minimal-size bound, membership of
+    the orthocomplement of the span in S, and then runs the finite-field
+    oracle on that complement (rational input only).
     """
+    from .elimination import orthocomplement, span
+
     if not vectors:
         raise ValueError("empty product-vector set")
     for v in vectors:
@@ -185,28 +229,11 @@ def verify_upb(
     fld = vectors[0].field
     if not fld.exact:
         raise TypeError("exact coefficients required for the rank audit")
-    expansions = [v.expand() for v in vectors]
-    spanned = span(expansions, dims=dims, field=fld)
-    independent = spanned.dim == len(vectors)
-    meets_min = spanned.dim >= dims.max_level + 1
+    spanned = span([v.expand() for v in vectors], dims=dims, field=fld)
     complement = orthocomplement(spanned)
-    # S is the annihilator of the level sums: a row lies in S when its
-    # entries on every level sum to zero
+    # a row lies in S, the annihilator of the level sums, when each is 0
     levels = list(_level_groups(dims, LevelSums(range(dims.max_level + 1))))
     inside = all(not sum(row.coeffs[i] for i in level) for row in complement.rows
                  for level in levels)
-
-    report = UpbReport(
-        size=len(vectors),
-        span_dim=spanned.dim,
-        independent=independent,
-        meets_min_size=meets_min,
-        complement_dim=complement.dim,
-        complement_in_entangled=inside,
-    )
-    if complement.dim > 0 and fld == RATIONAL:
-        report.ff_reports = ff_verify(complement, dims, primes, budget)
-        report.witness = next(
-            (rep.witness for rep in report.ff_reports if rep.verdict == WITNESS), None)
-    report.is_upb = independent and meets_min and report.witness is None
-    return report
+    return _report(len(vectors), spanned.dim, complement.dim, inside,
+                   complement if fld == RATIONAL else None, dims, primes, budget)

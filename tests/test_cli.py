@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,6 +209,57 @@ def test_upb_oversized_elimination_fails_fast(capsys):
     code, out, err = run(capsys, "upb", "--dims", "64,64", "--size", "200")
     assert code == 2 and out == ""
     assert "error: elimination needs at least" in err
+
+
+@pytest.mark.parametrize("dims, size, primes, message", [
+    ("2,2", "4", "4", "error: 4 is not prime\n"),
+    ("2,2", "4", "1", "error: 1 is not prime\n"),
+    ("3,3", "9", "9,15", "error: 9 is not prime\n"),
+    ("3,3", "9", "5,15", "error: 15 is not prime\n"),
+    ("3,3", "9", "3", "error: prime 3 must exceed the top level 4\n"),
+])
+def test_upb_at_full_size_checks_every_prime(capsys, dims, size, primes, message):
+    # the complement is empty, so nothing is enumerated, but a prime the
+    # oracle would refuse is refused all the same
+    code, out, err = run(capsys, "upb", "--dims", dims, "--size", size, "--primes", primes)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_upb_at_full_size_accepts_good_primes_without_a_report(capsys):
+    # past the fibre budget at p = 10007, which no enumeration applies here
+    code, out, _ = run(capsys, "upb", "--dims", "3,3", "--size", "9", "--primes", "5,10007")
+    report = json.loads(out)["report"]
+    assert code == 0 and report["is_upb"] and report["ff_reports"] == []
+
+
+@pytest.mark.parametrize("point", ["1e1000000", "-3.5e10000000", "1e-10000000",
+                                   "7E99999999999999", "2/3e99999999"])
+def test_upb_refuses_a_point_too_long_to_write_at_once(capsys, point):
+    # 10**exp alone would take seconds (1e10000000) or never end; the
+    # document could not write the point's square anyway
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "upb", "--dims", "2,2", "--min", f"--lambdas={point},1,2")
+    elapsed = time.perf_counter() - start
+    if point == "2/3e99999999":  # malformed: Fraction's own message, as before
+        assert (code, err) == (2, f"error: Invalid literal for Fraction: {point!r}\n")
+        return
+    assert (code, out) == (2, "") and elapsed < 1.0
+    assert err == f"error: parameter point {point!r}: power 2 has over {limit} digits\n"
+
+
+def test_upb_point_digit_limit_is_exact(capsys):
+    # on 3,3 (top level 4) the point 10**k is written as 10**(4k), which has
+    # 4k + 1 digits; a zero mantissa stays 0 whatever its exponent
+    limit = sys.get_int_max_str_digits()
+    k = (limit - 1) // 4
+    for exponent, refused in ((k, False), (k + 1, True), (-k, False), (-k - 1, True)):
+        code, out, err = run(capsys, "upb", "--dims", "3,3", "--min",
+                             f"--lambdas=1e{exponent},0,1,2,3")
+        message = f"error: parameter point '1e{exponent}': power 4 has over {limit} digits\n"
+        assert (code, err) == ((2, message) if refused else (0, "")), exponent
+    code, out, _ = run(capsys, "upb", "--dims", "2,2", "--min", "--lambdas=0e99999999999,1,2")
+    assert code == 0 and json.loads(out)["upb"]["points"] == ["0", "1", "2"]
 
 
 @pytest.mark.parametrize("prime, message", [
@@ -446,9 +498,13 @@ assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut))
 assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
 oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel", "json")
 assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
-assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
+# a upb run audits its basis in closed form: nothing is eliminated
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
 assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
+assert quiet("upb", "--dims", "3,3", "--size", "9", "--lambdas=inf,0,1,-1,1/3") == 0
+assert quiet("upb", "--dims", "2,3,4", "--min") == 0
+assert not loaded(("entspace.elimination",)), "elimination loaded by upb"
+assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
 assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
 assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
 import entspace

@@ -1,8 +1,10 @@
 """Verification: finite-field enumeration and alternating product-overlap search."""
 
 import contextlib
+import io
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -56,6 +58,7 @@ from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.codec import encode_report
 from entspace.serialize import json_dumps
+from entspace.upb import audit_recipe
 from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
@@ -351,13 +354,16 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
         {"fp(5)": 2, "rational": 2}, {"fp(7)": 2, "rational": 2}]
 
 
-@pytest.mark.parametrize("argv, reduced", [
-    ("upb --dims 3,4 --min --primes 7", [None, None, 7]),
-    ("upb --dims 3,3 --min", [None, None, 5, 7, 11]),
+@pytest.mark.parametrize("argv", [
+    "upb --dims 3,4 --min --primes 7",
+    "upb --dims 3,3 --min",
+    "upb --dims 3,3 --size 7 --lambdas=inf,0,1,-1,1/3",
+    "upb --dims 2,2,2 --min --primes 5",
+    "upb --dims 3,3 --size 9 --primes 5",
 ])
-def test_upb_reduces_each_matrix_once(monkeypatch, argv, reduced):
-    # the audit's span of the expansions, the one reduction of the kernel
-    # read off it, then the annihilator of the complement once per prime
+def test_upb_eliminates_nothing(monkeypatch, argv):
+    # the audit reads rank and complement off the recipe, and the oracle takes
+    # the complement's annihilator in closed form: only fibres are reduced
     from entspace.cli import main
 
     calls = []
@@ -368,14 +374,46 @@ def test_upb_reduces_each_matrix_once(monkeypatch, argv, reduced):
             calls.append(p)
         return real_reduce(rows, d, p, stop)
 
-    def no_span(*args, **kwargs):
-        raise AssertionError("a complement is read off its basis, not spanned again")
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a upb run spans or complements nothing")
 
     for module in (elimination_module, ff_module):
         monkeypatch.setattr(module, "_reduce_rows", counting_reduce)
-    monkeypatch.setattr(elimination_module, "span", no_span)
-    assert main(argv.split()) == 0  # the audit passed
-    assert calls == reduced
+    for name in ("span", "orthocomplement"):
+        monkeypatch.setattr(elimination_module, name, no_elimination)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0  # the audit passed
+    assert calls == []
+
+
+def _upb_cases(max_total):
+    """Every admissible (dims, size) up to ``max_total`` entries, with one
+    oracle prime above the top level."""
+    for k in (2, 3, 4):
+        for d in itertools.product(range(2, max_total // 2 ** (k - 1) + 1), repeat=k):
+            dims = Dims(d)
+            if dims.total > max_total:
+                continue
+            lo = dims.max_level + 1
+            prime = next(p for p in (5, 7, 11, 13, 17) if p > dims.max_level)
+            for m in range(lo, dims.total + 1) if k == 2 else (lo,):
+                yield dims, m, prime
+
+
+@pytest.mark.parametrize("with_infinity", [False, True])
+def test_closed_form_upb_audit_equals_verify_upb(with_infinity):
+    # 123 admissible (dims, size) up to 16 entries: the report read off the
+    # recipe equals the elimination audit's, witness search included
+    cases = list(_upb_cases(16))
+    assert len(cases) == 123
+    for dims, m, prime in cases:
+        points = None
+        if with_infinity:
+            points = [INFINITY] + [Fraction((-1) ** t, t) for t in range(1, dims.max_level + 1)]
+        recipe, vectors = upb_of_size(dims, m, points)
+        report = audit_recipe(recipe, [prime])
+        assert report == verify_upb(vectors, dims, [prime]), (dims, m)
+        assert report.is_upb and report.complement_in_entangled
 
 
 def fp_annihilator(generators, dims, p):
