@@ -49,7 +49,8 @@ ORACLE = (
 # UPB shapes, sizes, points and default primes that GOLDEN and the workloads
 # leave out: every admissible size on six small shapes, past the batched
 # kernel's cut, three factors, a point at infinity among the --lambdas, and
-# shapes refused on the elimination budget of the basis or its complement
+# shapes refused on the elimination budget of the basis or its complement,
+# and points too long to write refused only after every other refusal
 UPB = (
     [f"upb --dims {a},{b} --size {m}"
      for a, b in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4))
@@ -62,7 +63,12 @@ UPB = (
        "upb --dims 3,3 --size 9 --lambdas=inf,0,1,-1,1/3",
        "upb --dims 20,20 --min",
        "upb --dims 17,17 --size 289",
-       "upb --dims 30,30 --size 800"]
+       "upb --dims 30,30 --size 800",
+       "upb --dims 2,2 --min --lambdas=1e3000,1",
+       "upb --dims 2,2 --min --lambdas=1e3000,1e3000,1",
+       "upb --dims 2,2 --min --lambdas=1e3000,1,2 --primes 4",
+       "upb --dims 17,17 --size 289 --lambdas=1e200," + ",".join(map(str, range(32))),
+       "upb --dims 64,64 --size 200 --lambdas=" + ",".join(f"{t}e40" for t in range(1, 128))]
 )
 # the ALS search on every graded space, witness runs included (Sperp on
 # 2,2,2 and 3,4), a witness on S under a loose tolerance, example2, a

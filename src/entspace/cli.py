@@ -189,13 +189,15 @@ def cmd_upb(args: argparse.Namespace) -> int:
     from .codec import encode_upb_recipe, encode_upb_report, product_vectors_document
     from .fields import RATIONAL
     from .serialize import json_dumps
-    from .upb import _parse_points, audit_recipe, upb_of_size
+    from .upb import _check_point_digits, _parse_points, audit_recipe, upb_of_size
 
     dims = parse_dims(args.dims)
     points = None if args.lambdas is None else _parse_points(args.lambdas, dims.max_level)
     size = dims.max_level + 1 if args.min else args.size
     record, vectors = upb_of_size(dims, size, points)
     report = audit_recipe(record, primes=args.primes)
+    if points is not None:  # last, as only writing the document would fail
+        _check_point_digits(args.lambdas, points, dims.max_level)
     doc = product_vectors_document(
         dims, RATIONAL, vectors,
         {"upb": encode_upb_recipe(record, RATIONAL), "report": encode_upb_report(report)},

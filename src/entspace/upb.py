@@ -27,36 +27,41 @@ from .grading import WITNESS, Dims, LevelSums, MultiIndex, Record, VerificationR
 from .reduction import check_elimination_cost
 
 _EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+_TOO_LONG = "parameter point {!r}: power {} has over {} digits"
 
 
 def _parse_points(text: str, top: int) -> list:
-    """Comma-separated parameter points, each a rational or ``inf``/``oo``;
-    one whose ``top``-th power has a numerator or denominator of more than
-    ``sys.get_int_max_str_digits()`` digits cannot be written and is refused,
-    before ``Fraction`` spends seconds on a large exponent's ``10**exp``."""
+    """Comma-separated parameter points, each a rational or ``inf``/``oo``; a nonzero
+    mantissa times 10**exp, exp past the digit limit, is refused before ``Fraction``
+    spends seconds on it, as ``_check_point_digits`` would refuse the point."""
     limit = sys.get_int_max_str_digits()
     pts = []
-    for part in text.split(","):
-        part = part.strip()
+    for part in map(str.strip, text.split(",")):
         if part in ("inf", "oo"):
             pts.append(INFINITY)
             continue
-        pt, m = None, _EXPONENT.fullmatch(part) if limit else None
-        try:  # past the limit, or 0: a mantissa times a large 10**exp
-            if abs(int(m[2])) > limit + len(part):
-                pt = Fraction(m[1] + "e0") * 10 ** (limit + len(part) + 1)
+        m = _EXPONENT.fullmatch(part) if limit else None
+        try:  # past the limit: the mantissa, a Fraction, is 0 or refused
+            huge = abs(int(m[2])) > limit + len(part) and Fraction(m[1] + "e0")
         except (TypeError, ValueError):  # no exponent, or malformed: Fraction says how
-            pass
+            huge = False
+        if huge:
+            raise ValueError(_TOO_LONG.format(part, top, limit))
         try:
-            pt = Fraction(part) if pt is None else pt
+            pts.append(Fraction(part) if huge is False else huge)
         except ZeroDivisionError:
             raise ValueError(f"bad parameter point {part!r}") from None
-        # x**top >= 2**((bits - 1) * top), and 2**3.33 > 10
-        if limit and any((x.bit_length() - 1) * top > 3.33 * limit or x**top >= 10**limit
-                         for x in (abs(pt.numerator), pt.denominator)):
-            raise ValueError(f"parameter point {part!r}: power {top} has over {limit} digits")
-        pts.append(pt)
     return pts
+
+
+def _check_point_digits(text: str, points, top: int) -> None:
+    """Refuse a point whose ``top``-th power, which a UPB document writes, has a
+    numerator or denominator of over ``sys.get_int_max_str_digits()`` digits."""
+    limit = sys.get_int_max_str_digits()
+    for part, pt in zip(text.split(","), points):
+        big = 0 if pt is INFINITY else max(abs(pt.numerator), pt.denominator)
+        if limit and big**top >= 10**limit:
+            raise ValueError(_TOO_LONG.format(part.strip(), top, limit))
 
 
 def _upb_points(dims: Dims, points, field: Field) -> list:
@@ -193,18 +198,16 @@ def _report(size: int, span_dim: int, complement_dim: int, inside: bool, complem
                      reports, independent and meets_min and witness is None, witness)
 
 
-def audit_recipe(recipe: UpbRecipe, primes=None,
-                 budget: int = ENUMERATION_BUDGET) -> UpbReport:
-    """``verify_upb`` of the rational basis ``upb_of_size`` builds from
-    ``recipe``, in closed form, refused as its elimination would be.  At
-    full size nothing is enumerated, but every prime is still checked."""
+def audit_recipe(recipe: UpbRecipe, primes=None) -> UpbReport:
+    """``verify_upb`` of the basis ``upb_of_size`` builds from ``recipe``, in closed form,
+    refused as its elimination would be; at full size every prime is still checked."""
     dims, m, total = recipe.dims, recipe.size, recipe.dims.total
     check_elimination_cost(m, total)
     check_elimination_cost(total - m, total)
     for p in primes if primes and m == total else ():
         _check_prime(dims, p)
     unchosen = [n for n in range(dims.max_level + 1) if n not in recipe.levels]
-    return _report(m, m, total - m, True, LevelSums(unchosen), dims, primes, budget)
+    return _report(m, m, total - m, True, LevelSums(unchosen), dims, primes, ENUMERATION_BUDGET)
 
 
 def verify_upb(

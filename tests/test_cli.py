@@ -262,6 +262,21 @@ def test_upb_point_digit_limit_is_exact(capsys):
     assert code == 0 and json.loads(out)["upb"]["points"] == ["0", "1", "2"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--dims 2,2 --min --lambdas=1e3000,1", "need exactly 3 points, got 2"),
+    ("--dims 2,2 --min --lambdas=1e3000,1,2 --primes 4", "4 is not prime"),
+    ("--dims 17,17 --size 289 --lambdas=1e200," + ",".join(map(str, range(32))),
+     "elimination needs at least 24137569 multiply-adds, budget is 20000000"),
+    ("--dims 64,64 --size 200 --lambdas=" + ",".join(f"{t}e40" for t in range(1, 128)),
+     "elimination needs at least 66064384 multiply-adds, budget is 20000000"),
+])
+def test_upb_refuses_a_point_too_long_to_write_last(capsys, argv, message):
+    # a point whose power only the document could not write is refused
+    # after the count, the oracle's primes and both elimination budgets
+    code, out, err = run(capsys, "upb", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("prime, message", [
     ("1009", "error: elimination needs at least 1996002000 multiply-adds"),
     ("4", "error: 4 is not prime"),

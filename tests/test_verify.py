@@ -386,6 +386,24 @@ def test_upb_eliminates_nothing(monkeypatch, argv):
     assert calls == []
 
 
+def test_verify_upb_reduces_each_matrix_once(monkeypatch):
+    # the library audit's span of the expansions, the one reduction of the
+    # kernel read off it, then the complement's annihilator once per prime
+    calls = []
+    real_reduce = ff_module._reduce_rows
+
+    def counting_reduce(rows, d, p=None, stop=None):
+        if stop is None:  # a whole matrix's reduction, not a fibre's
+            calls.append(p)
+        return real_reduce(rows, d, p, stop)
+
+    for module in (elimination_module, ff_module):
+        monkeypatch.setattr(module, "_reduce_rows", counting_reduce)
+    dims = Dims((3, 4))
+    assert verify_upb(minimal_upb(dims), dims, [7]).is_upb
+    assert calls == [None, None, 7]
+
+
 def _upb_cases(max_total):
     """Every admissible (dims, size) up to ``max_total`` entries, with one
     oracle prime above the top level."""
