@@ -11,7 +11,7 @@ searched in their level-sum form, without building a basis.
 import argparse
 
 from entspace import LevelSums, max_product_overlap, parse_dims
-from entspace.cli import non_negative_int, positive_int
+from entspace.commands import non_negative_int, positive_int
 
 
 def main(argv=None) -> int:

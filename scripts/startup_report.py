@@ -26,7 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from entspace.cli import positive_int
+from entspace.commands import positive_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # one argv per command, and the ALS search with and without a witness
@@ -45,9 +45,8 @@ _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 def code_bytes(module: str) -> int:
     """Bytes of a package module's source without docstrings or comments."""
-    parts = module.split(".")
-    path = SRC.joinpath(*parts, "__init__.py") if len(parts) == 1 else \
-        SRC.joinpath(*parts).with_suffix(".py")
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, _DOCUMENTED) and node.body and isinstance(node.body[0], ast.Expr) \

@@ -27,7 +27,8 @@ _HOMES = {
     **dict.fromkeys((
         "Dims", "parse_dims", "enumerate_level", "level_counts", "LevelSums",
         "BudgetExceededError", "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS",
-        "DEFAULT_TOL", "NO_WITNESS", "WITNESS", "VerificationReport"), "grading"),
+        "DEFAULT_TOL", "NO_WITNESS", "WITNESS", "VerificationReport", "INFINITY"),
+        "grading"),
     **dict.fromkeys(("level", "level_count", "level_count_closed_form"), "counting"),
     **dict.fromkeys((
         "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
@@ -37,7 +38,7 @@ _HOMES = {
         "span", "orthocomplement", "intersect", "subspace_sum", "reduce_mod_p"),
         "elimination"),
     **dict.fromkeys((
-        "INFINITY", "ProductVector", "standard_product_vector",
+        "ProductVector", "standard_product_vector",
         "level_sum_vector", "vandermonde_vector",
         "entangled_subspace", "entangled_complement", "entangled_level",
         "level_sum_line", "antidiagonal_zero_space"), "construct"),

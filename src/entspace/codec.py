@@ -4,19 +4,20 @@ scalars, vectors, subspaces, product vectors and reports.
 Each encoder turns its object into rows of encoded entries or a plain dict
 for the text layer, ``entspace.serialize``, where these names still
 resolve too.  Only a command that makes such objects loads this module:
-example2, ``upb``, ``onb`` and the ALS search.  A point over F_p is
-written by the oracle's ``ff._point_entry`` and a ``ClassifyReport`` by
-``ff._classify_document``, the writers a graded oracle command calls on its
-int residues.  The scalar and vector types decoded into, and ``INFINITY``,
-are imported by the functions that use them, so an ALS search of a graded
-space without sums encodes its report with no exact layer loaded.
+``construct`` of example2, and ``onb``.  The other commands write their
+documents as text from what they compute, and these encoders are the tests'
+cross-check of those writers: the oracle's from its int residues
+(``ff._point_entry``, which also writes a point over F_p here, and
+``ff._classify_document``), ``upb``'s from its recipe (``upbtext``), and
+the ALS search's from its floats (``verify._als_entry``).  The scalar and
+vector types decoded into are imported by the functions that use them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .grading import DENSE_BUDGET, Dims
+from .grading import DENSE_BUDGET, INFINITY, Dims
 from .serialize import _document, rows_document
 
 if TYPE_CHECKING:
@@ -59,8 +60,6 @@ def decode_scalar(raw, field: Field):
 
 
 def encode_point(pt, field: Field):
-    from .construct import INFINITY
-
     if pt is INFINITY:
         return "inf"
     return encode_scalar(field.coerce(pt), field)

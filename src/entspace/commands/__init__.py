@@ -1,0 +1,99 @@
+"""The command handlers, one module per command, and what they share.
+
+``entspace.cli`` builds the parser and dispatches; the command ``name`` is
+the module ``entspace.commands.<name>``, whose ``add_arguments`` adds the
+arguments beside ``--dims``, ``--out`` and ``--seed`` and whose ``run``
+handles a parsed argv.  The parser loads only the invoked command's module,
+so a run compiles one handler.  Each handler imports the layers it runs:
+a graded ``construct`` writes its closed-form rows as text with
+``serialize`` alone, the oracle and ``upb`` write their documents from int
+hits and recipes, the ALS search from its floats, and the object encoders
+of ``codec`` load only where objects are made (example2 and ``onb``),
+numpy only for ALS and for enumerations too large for plain ints, and exact
+elimination only for a ``verify`` of example2-R, which spans its product
+vectors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from ..grading import NO_WITNESS, WITNESS, Dims, LevelSums
+
+SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
+
+
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return n
+
+
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return n
+
+
+def prime_list(text: str) -> tuple[int, ...]:
+    """Comma-separated oracle primes, each once; the oracle checks primality."""
+    primes = tuple(int(p) for p in text.split(","))
+    if len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError(f"repeated prime in {text}")
+    return primes
+
+
+def _level_selector(name: str) -> int:
+    try:
+        return int(name[len("level:"):])
+    except ValueError:
+        raise ValueError(f"bad level selector {name!r}") from None
+
+
+def _named_space(dims: Dims, name: str):
+    """Named space -> (space, expected verdict).
+
+    A graded space comes back unbuilt, as its ``LevelSums``; example2-M as
+    its exact subspace and example2-R as its product-vector list.
+    """
+    every = range(dims.max_level + 1)
+    if name == "S":
+        return LevelSums(every), NO_WITNESS
+    if name == "Sperp":
+        return LevelSums(every, sums=True), WITNESS
+    if name.startswith("level:"):
+        return LevelSums((_level_selector(name),)), NO_WITNESS
+    if name == "example1":
+        if dims.k != 2:
+            raise ValueError("example1 needs exactly two factors")
+        return LevelSums(every), NO_WITNESS
+    if name in ("example2-M", "example2-R"):
+        if dims.d != (4, 4):
+            raise ValueError("example2 is defined for dims 4,4")
+        from ..examples import split_antidiagonal_spaces
+
+        ex = split_antidiagonal_spaces()
+        if name == "example2-M":
+            return ex.m_space, NO_WITNESS
+        return ex.spanning_set, WITNESS
+    raise ValueError(f"unknown space {name!r}; choose from {SPACES}")
+
+
+def _as_subspace(target):
+    """A subspace as it is, or the span of a product-vector list."""
+    if isinstance(target, list):
+        from ..elimination import span
+
+        return span([pv.expand() for pv in target])
+    return target

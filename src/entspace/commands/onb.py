@@ -1,0 +1,25 @@
+"""``onb``: the character orthonormal basis of one level."""
+
+from __future__ import annotations
+
+import argparse
+
+from ..grading import parse_dims
+from . import _write
+
+
+def add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", type=int, required=True)
+
+
+def run(args: argparse.Namespace) -> int:
+    from ..codec import vectors_document
+    from ..examples import character_basis
+    from ..fields import COMPLEX
+    from ..serialize import json_dumps
+
+    dims = parse_dims(args.dims)
+    basis = character_basis(dims, args.level)
+    doc = vectors_document(dims, COMPLEX, basis, {"level": args.level})
+    _write(json_dumps(doc), args.out)
+    return 0

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .fields import Field, RATIONAL
-from .grading import Dims, LevelSums, MultiIndex, Value, _check_level_rows, \
+from .grading import INFINITY, Dims, LevelSums, MultiIndex, Value, _check_level_rows, \
     _group_entries, _level_groups, enumerate_level
 from .linalg import StateVector, Subspace
 
@@ -36,23 +36,6 @@ __getattr__ = _lazy_getattr(__name__, {
     # no longer used here, but perfbench's tracer test looks them up here
     **dict.fromkeys(("span", "orthocomplement"), "elimination"),
 })
-
-
-class _InfinityPoint:
-    """The point at infinity on the projective parameter line."""
-
-    _instance = None
-
-    def __new__(cls) -> "_InfinityPoint":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _InfinityPoint()
 
 
 class ProductVector(Value):

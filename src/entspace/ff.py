@@ -14,8 +14,8 @@ written down by ``grading``'s group-row writer, the level sums for S and
 a level slice (with a unit row at every position off the slice) and the S
 rows for Sperp.  No rational is made on a graded space.
 
-This module is what ``verify --method ff`` and ``classify`` run: the int
-cores (``_product_points``, ``_ff_runs``, ``_classify_points``) and the
+This module is what ``verify --method ff``, ``classify`` and the audit of
+``upb`` run: the int cores (``_product_points``, ``_ff_runs``, ``_classify_points``) and the
 writers of their documents from the int hits (``_point_entry``,
 ``_report_entry``, ``_classify_document``).  The library entry points that
 make ``Fp`` scalars, ``ProductVector``s and reports from the hits
@@ -30,7 +30,8 @@ This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
 depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
 fibres loads the batched numpy kernel in ``entspace.ffkernel``.  The UPB
-audits in ``entspace.upb`` run on it, the ``upb`` command's on a ``LevelSums``.
+audits run on it too: the ``upb`` command's in ``entspace.upbtext`` on a
+``LevelSums``, and the library's in ``entspace.upb``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ report objects.
 Each wraps an int core of ``entspace.ff`` (``_product_points``,
 ``_ff_runs``, ``_classify_points``) and makes the ``Fp`` scalars,
 ``ProductVector``s and reports from its hits.  The command line writes its
-documents from the int hits with no such object, so a ``verify --method ff``
-or ``classify`` run never loads this module; a UPB audit does.  The names
+documents from the int hits with no such object, so no command loads this
+module; the library's UPB audits in ``entspace.upb`` do.  The names
 still resolve in ``entspace.ff`` and ``entspace.verify``.
 """
 

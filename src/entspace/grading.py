@@ -10,9 +10,11 @@ level inherits that order.
 This is the base module every command loads, so it also holds what the
 command line needs before it knows the command: the budget error and the
 dense-size budget, the verdicts, the verifier defaults and the report type
-of both verifiers, and the graded spaces in closed form.  A ``LevelSums``
-names S, Sperp, a level slice or example1, and ``_group_entries`` writes
-its reduced echelon rows as lists of any three values for 0, 1 and -1: the
+of both verifiers, the point at infinity of the parameter line (a UPB
+point, which ``upb`` parses without loading ``construct``), and the graded
+spaces in closed form.  A ``LevelSums`` names S, Sperp, a level slice or
+example1, and ``_group_entries`` writes its reduced echelon rows as lists
+of any three values for 0, 1 and -1: the
 ``Fraction`` rows of ``entspace.construct``, the residues of the oracle's
 annihilator, or the text a graded ``construct`` writes straight into its
 document.  The names
@@ -78,6 +80,24 @@ def check_dense_size(rows: int, cols: int) -> None:
     entries = rows * cols
     if entries > DENSE_BUDGET:
         raise BudgetExceededError(entries, DENSE_BUDGET, "dense basis", "entries")
+
+
+class _InfinityPoint:
+    """The point at infinity on the projective parameter line: the
+    Vandermonde vectors' limit, and a UPB point ``inf``."""
+
+    _instance = None
+
+    def __new__(cls) -> "_InfinityPoint":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "INFINITY"
+
+
+INFINITY = _InfinityPoint()
 
 
 class Record:

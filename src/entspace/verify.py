@@ -13,9 +13,9 @@ presence of a product vector (overlap near 1) but never the absence.
 A search imports only ``grading`` and numpy at load.  The exact layers
 (``construct``, ``fields``, ``linalg``) load only to make a witness
 ``ProductVector``: the report's, when the verdict is a witness, and
-``AlsResult.witness`` on first access.  A graded space without sums holds
-no product vector, so a search of S, ``level:n`` or example1 normally
-compiles none of them.
+``AlsResult.witness`` on first access.  The command line makes neither: it
+runs the search's float core, ``_als_runs``, and writes the report, a
+witness included, from its floats with ``_als_entry``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 # The package modules load before numpy: a module compiled from source after
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from . import _lazy_getattr
-from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
+from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_BUDGET, \
     NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, \
     VerificationReport, level_counts
 
@@ -375,6 +375,42 @@ def max_product_overlap(
     execution order and block size.  Among restarts reaching the same best
     overlap, the lowest index wins.
     """
+    fields, factors, histories = _als_runs(basis, dims, restarts, max_sweeps, tol, seed)
+    witness = factors
+    if fields["verdict"] == WITNESS:
+        witness = fields["witness"] = _witness_vector(factors)
+    return AlsResult(fields["metrics"]["best_overlap"], witness, histories,
+                     VerificationReport(**fields))
+
+
+def _complex_entry(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def _als_entry(fields: dict, factors: list | None) -> dict:
+    """``encode_report`` of the report of an ``_als_runs`` search, written
+    from its floats: the witness is ``encode_witness`` of
+    ``_witness_vector(factors)``, expanded with the same complex products,
+    in the same order, as ``ProductVector.expand``."""
+    if fields["verdict"] == WITNESS:
+        sites = [f.tolist() for f in factors]
+        entry = {"field": "complex128-approx",
+                 "factors": [list(map(_complex_entry, f)) for f in sites]}
+        if math.prod(map(len, sites)) <= DENSE_BUDGET:
+            coeffs = [complex(1)]
+            for f in sites:
+                coeffs = [c * a for c in coeffs for a in f]
+            entry["coeffs"] = list(map(_complex_entry, coeffs))
+        fields["witness"] = entry
+    return fields
+
+
+def _als_runs(basis: np.ndarray | LevelSums, dims: Dims, restarts: int, max_sweeps: int,
+              tol: float, seed: int) -> tuple[dict, list | None, list[list[float]]]:
+    """The work of ``max_product_overlap`` on floats: the report's fields, in
+    the order of ``VerificationReport``'s and with no witness; the best
+    restart's phase-fixed factors, one array per site (None for a space of
+    dimension 0); and every restart's history."""
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_sweeps < 1:
@@ -403,14 +439,11 @@ def max_product_overlap(
                                       "polynomial multiply-adds")
     else:
         form, shift, m = _dense_form(basis, dims)
+    fields = {"method": "als", "params": params, "verdict": NO_WITNESS, "witness": None,
+              "metrics": {"best_overlap": 0.0, "total_sweeps": 0, "best_restart": -1},
+              "certified_dims": {"complex": m}}
     if m == 0:
-        report = VerificationReport(
-            method="als", params=params,
-            verdict=NO_WITNESS, witness=None,
-            metrics={"best_overlap": 0.0, "total_sweeps": 0, "best_restart": -1},
-            certified_dims={"complex": 0},
-        )
-        return AlsResult(0.0, None, [], report)
+        return fields, None, []
     block = max(1, _ALS_BLOCK_ENTRIES // per_restart)
     best = -1.0
     best_factors: list[np.ndarray] | None = None
@@ -429,20 +462,11 @@ def max_product_overlap(
     total_sweeps = sum(map(len, histories)) // dims.k
 
     best = min(max(best, 0.0), 1.0)
-    witness = _fix_phases(best_factors)
-    verdict = WITNESS if best > 1.0 - tol else NO_WITNESS
-    if verdict == WITNESS:
-        witness = _witness_vector(witness)
-    report = VerificationReport(
-        method="als",
-        params=params,
-        verdict=verdict,
-        witness=witness if verdict == WITNESS else None,
-        metrics={"best_overlap": best, "total_sweeps": total_sweeps,
-                 "best_restart": best_restart},
-        certified_dims={"complex": m},
-    )
-    return AlsResult(best, witness, histories, report)
+    if best > 1.0 - tol:
+        fields["verdict"] = WITNESS
+    fields["metrics"] = {"best_overlap": best, "total_sweeps": total_sweeps,
+                         "best_restart": best_restart}
+    return fields, _fix_phases(best_factors), histories
 
 
 def nearest_vandermonde(witness: ProductVector, dims: Dims):

@@ -194,7 +194,7 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
             out = capsys.readouterr().out
             assert code == 0
             dims, field, vecs = document_vectors(json.loads(out))
-            from entspace.cli import _named_space
+            from entspace.commands import _named_space
             from entspace.construct import _level_rows
 
             target = _level_rows(dims, _named_space(dims, space)[0])

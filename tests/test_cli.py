@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspace import (
+    DEFAULT_MAX_SWEEPS,
     INFINITY,
     Dims,
     LevelSums,
@@ -26,9 +27,14 @@ from entspace import (
     entangled_level,
     entangled_subspace,
     minimal_upb,
+    parse_dims,
     span,
 )
 import entspace.cli as entspace_cli
+import entspace.commands as commands
+import entspace.commands.classify as classify_command
+import entspace.commands.construct as construct_command
+import entspace.commands.verify as verify_command
 import entspace.ff as ff_module
 import entspace.ffobjects as ffobjects
 import entspace.verify as verify_module
@@ -103,7 +109,7 @@ def test_construct_round_trip_exact(capsys):
         code, out, _ = run(capsys, "construct", "--dims", dims_text, "--space", space)
         assert code == 0
         dims, field, vecs = document_vectors(json.loads(out))
-        target, _ = entspace_cli._named_space(dims, space)
+        target, _ = commands._named_space(dims, space)
         if isinstance(target, LevelSums):
             from entspace.construct import _level_rows
 
@@ -275,6 +281,50 @@ def test_upb_refuses_a_point_too_long_to_write_last(capsys, argv, message):
     # after the count, the oracle's primes and both elimination budgets
     code, out, err = run(capsys, "upb", *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_upb_refuses_a_huge_basis_before_making_a_vector(capsys, monkeypatch):
+    # 59 points of 4,301 digits on 30,30: making the vectors once took 7 s
+    # and 110 MB before the complement's elimination budget refused the run
+    import entspace.upbtext as upbtext
+
+    def no_vectors(recipe):
+        raise AssertionError("a vector was written before the refusal")
+
+    monkeypatch.setattr(upbtext, "_vector_entries", no_vectors)
+    points = ",".join(f"{t}e4300" for t in range(1, 60))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "upb", "--dims", "30,30", "--min", f"--lambdas={points}")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: elimination needs at least 636552900 multiply-adds, "
+               "budget is 20000000\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the prime passes, and the fibre count is refused
+    ("verify --dims 2,2 --space S --primes 1000000000000000003", 2,
+     "error: enumeration needs at least 1000000000000000004 "),
+    # 10**18 + 1 = 101 * 9901 * 999999000001
+    ("verify --dims 2,2 --space S --primes 1000000000000000001", 2,
+     "error: 1000000000000000001 is not prime\n"),
+    # at full size nothing is enumerated
+    ("upb --dims 2,2 --size 4 --primes 1000000000000000003", 0, ""),
+    ("upb --dims 2,2 --size 4 --primes 1000000000000000001", 2,
+     "error: 1000000000000000001 is not prime\n"),
+    # 2**89 - 1 is prime, past the range where the test is exact
+    (f"upb --dims 2,2 --size 4 --primes {2**89 - 1}", 2,
+     f"error: {2**89 - 1} is past the range of the primality test "
+     f"(below 3317044064679887385961981)\n"),
+])
+def test_large_primes_are_decided_at_once(capsys, argv, code, message):
+    # trial division up to sqrt(p) never ended on a prime near 10**18
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert got == code and err.startswith(message) and (code == 2 or err == "")
+    if code == 0:
+        assert json.loads(out)["report"]["ff_reports"] == []
 
 
 @pytest.mark.parametrize("prime, message", [
@@ -479,9 +529,13 @@ def loaded(names=("numpy", "entspace.verify", "dataclasses", "inspect")):
     # the value types are plain classes: start-up needs no code generator
     return [name for name in names if name in sys.modules]
 
-# the parser needs no construction, output layer or verifier
+def handlers():
+    return sorted(name for name in sys.modules if name.startswith("entspace.commands."))
+
+# the parser needs no construction, output layer, verifier or command handler
 assert not loaded(("entspace.construct", "entspace.serialize", "entspace.ff",
                    "entspace.verify")), "loaded by import entspace.cli"
+assert handlers() == [], handlers()
 
 # the closed forms need no elimination, UPB, example or verifier
 for space in ("S", "Sperp", "example1"):
@@ -490,6 +544,17 @@ assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") ==
 closed_form = ("entspace.elimination", "entspace.upb", "entspace.examples", "entspace.ff",
                "entspace.verify")
 assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct"
+# a command compiles its own handler alone
+assert handlers() == ["entspace.commands.construct"], handlers()
+
+# upb writes its basis from the recipe as text and audits it in closed form:
+# no scalar, vector, report or object encoder, and nothing eliminated
+assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
+assert quiet("upb", "--dims", "2,3,4", "--min") == 0
+text_only = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
+             "entspace.ffobjects", "entspace.upb", "entspace.elimination", "fractions")
+assert not loaded(text_only), str(loaded(text_only)) + " loaded by upb"
 
 # so is example2, also under the oracle
 for space in ("example2-M", "example2-R"):
@@ -513,12 +578,9 @@ assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut))
 assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
 oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel", "json")
 assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
-# a upb run audits its basis in closed form: nothing is eliminated
-assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
-assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
+# nor with --lambdas, which loads fractions alone
 assert quiet("upb", "--dims", "3,3", "--size", "9", "--lambdas=inf,0,1,-1,1/3") == 0
-assert quiet("upb", "--dims", "2,3,4", "--min") == 0
-assert not loaded(("entspace.elimination",)), "elimination loaded by upb"
+assert not loaded(("entspace.elimination", "entspace.upb")), "loaded by upb"
 assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
 assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
 assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
@@ -542,19 +604,21 @@ def quiet(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return entspace.cli.main(list(argv))
 
-# example2-R is built and spanned before numpy loads
-assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
-             "--restarts", "4") == 0
-assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
-             "--restarts", "2") == 0
+# a graded search writes its report, a witness included, from its floats
+for space in ("Sperp", "S", "level:1"):
+    assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
+                 "--restarts", "2") == 0
 for name in ("numpy", "entspace.verify"):
     assert name in sys.modules, name + " not loaded by verify --method als"
-for name in ("entspace.ff", "entspace.ffkernel", "json"):
-    assert name not in sys.modules, name + " loaded by verify --method als"
+for name in ("entspace.ff", "entspace.ffkernel", "json", "entspace.codec",
+             "entspace.construct", "entspace.fields", "entspace.linalg",
+             "entspace.reduction", "entspace.elimination"):
+    assert name not in sys.modules, name + " loaded by a graded verify --method als"
 # a module compiled after numpy raises the peak RSS
 order = list(sys.modules)
 assert order.index("entspace.serialize") < order.index("numpy")
-assert order.index("entspace.elimination") < order.index("numpy")
+assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
+             "--restarts", "4") == 0
 
 import entspace
 names = {}
@@ -597,18 +661,21 @@ for space in ("S", "Sperp", "level:2", "example1"):
 past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
 assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--primes", str(past_cut)) == 0
 assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
-assert not loaded(), str(loaded()) + " loaded by dims, verify --method ff or classify"
+# a upb document is written from its integer points as text
+assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
+assert not loaded(), str(loaded()) + " loaded by dims, verify --method ff, classify or upb"
 for space in ("S", "Sperp", "level:1"):
     assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
                  "--restarts", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by verify --method als"
 
-# the guard can fail: example2's basis over Q and a UPB are rational
+# the guard can fail: example2's basis over Q and --lambdas points are rational
 assert quiet("construct", "--dims", "4,4", "--space", "example2-M") == 0
 assert loaded() == ["fractions", "decimal"], loaded()
 for name in ("fractions", "decimal"):
     del sys.modules[name]
-assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
+assert quiet("upb", "--dims", "2,2", "--min", "--lambdas=0,1,2") == 0
 assert loaded() == ["fractions", "decimal"], loaded()
 """
 
@@ -651,7 +718,9 @@ rest = ("fractions", "decimal", "entspace.fields", "entspace.linalg",
         "entspace.construct", "numpy")
 assert not loaded(rest), str(loaded(rest)) + " loaded by a graded construct"
 package = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert package == ["entspace", "entspace.cli", "entspace.grading", "entspace.serialize"], package
+assert package == ["entspace", "entspace.cli", "entspace.commands",
+                   "entspace.commands.construct", "entspace.commands.dims",
+                   "entspace.grading", "entspace.serialize"], package
 objects = ("entspace.codec", "entspace.ffobjects")
 assert not loaded(objects), str(loaded(objects)) + " loaded by a graded construct"
 
@@ -688,7 +757,8 @@ from entspace.reduction import is_prime
 
 exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "fractions",
          "decimal")
-oracle = ["entspace", "entspace.cli", "entspace.ff", "entspace.grading",
+oracle = ["entspace", "entspace.cli", "entspace.commands", "entspace.commands.classify",
+          "entspace.commands.verify", "entspace.ff", "entspace.grading",
           "entspace.reduction", "entspace.serialize"]
 spaces = ("S", "Sperp", "level:2", "example1")
 
@@ -741,19 +811,20 @@ def loaded(names):
     return [name for name in names if name in sys.modules]
 
 # a graded space without sums holds no product vector: its search reports
-# no witness and makes no exact object
+# no witness and makes no exact object (nor does Sperp's: see ALS_PROBE)
 for space in ("S", "level:2", "example1"):
     assert quiet("verify", "--dims", "3,4", "--space", space, "--method", "als",
                  "--restarts", "4") == 0
 exact = ("entspace.construct", "entspace.fields", "entspace.linalg", "entspace.reduction",
-         "entspace.ff", "entspace.ffobjects", "fractions")
+         "entspace.codec", "entspace.ff", "entspace.ffobjects", "fractions")
 assert not loaded(exact), str(loaded(exact)) + " loaded by a graded ALS search"
 package = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert package == ["entspace", "entspace.cli", "entspace.codec", "entspace.grading",
-                   "entspace.serialize", "entspace.verify"], package
+assert package == ["entspace", "entspace.cli", "entspace.commands",
+                   "entspace.commands.verify", "entspace.grading", "entspace.serialize",
+                   "entspace.verify"], package
 
-# the guard can fail: Sperp's witness is a complex ProductVector
-assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--method", "als",
+# the guard can fail: example2-R's space is spanned from exact product vectors
+assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
              "--restarts", "2") == 0
 assert loaded(exact[:4]) == list(exact[:4]), loaded(exact[:4])
 """
@@ -784,18 +855,22 @@ print(code, *package)
 """
 
 
-@pytest.mark.parametrize("space, witness", [("S", False), ("Sperp", True)])
-def test_als_loads_every_package_module_before_numpy(space, witness):
-    # a module compiled after numpy raises the run's peak RSS
-    argv = ["verify", "--dims", "3,4", "--space", space, "--method", "als",
+@pytest.mark.parametrize("space, exact", [
+    ("S", False), ("Sperp", False), ("example2-R", True)])
+def test_als_loads_every_package_module_before_numpy(space, exact):
+    # a module compiled after numpy raises the run's peak RSS; only example2
+    # loads the exact layers, to build and span its space
+    dims = "4,4" if space == "example2-R" else "3,4"
+    argv = ["verify", "--dims", dims, "--space", space, "--method", "als",
             "--restarts", "4"]
     proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, *package = proc.stdout.split()
     assert code == "0"
-    assert "entspace.verify" in package and "entspace.codec" in package
-    assert ("entspace.construct" in package) is witness, package
+    assert "entspace.verify" in package and "entspace.codec" not in package
+    assert ("entspace.construct" in package) is exact, package
+    assert ("entspace.elimination" in package) is exact, package
 
 
 RUN_PROBE = """
@@ -881,7 +956,7 @@ def test_graded_construct_matches_the_exact_basis_byte_for_byte():
 
     cases = 0
     for dims, space in _graded_cases():
-        basis = _level_rows(dims, entspace_cli._named_space(dims, space)[0])
+        basis = _level_rows(dims, commands._named_space(dims, space)[0])
         want = {"json": json_dumps(subspace_document(basis, {"space": space}))}
         if dims.k == 2:
             want["csv"] = csv_matrices(list(basis.rows), dims)
@@ -890,7 +965,7 @@ def test_graded_construct_matches_the_exact_basis_byte_for_byte():
                                       format=fmt, out=None)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                assert entspace_cli.cmd_construct(args) == 0
+                assert construct_command.run(args) == 0
             assert out.getvalue() == text, (dims, space, fmt)
             cases += 1
     assert cases > 5000
@@ -911,14 +986,14 @@ def assert_verify_writers_agree(dims, space, primes):
     from entspace.grading import NO_WITNESS, WITNESS
     from entspace.serialize import json_dumps
 
-    target, expected = entspace_cli._named_space(dims, space)
-    reports = ffobjects.ff_verify(entspace_cli._as_subspace(target), dims, primes)
+    target, expected = commands._named_space(dims, space)
+    reports = ffobjects.ff_verify(commands._as_subspace(target), dims, primes)
     verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
     want = json_dumps({
         "dims": list(dims.d), "space": space, "method": "ff", "verdict": verdict,
         "expected": expected, "reports": [encode_report(r) for r in reports],
     })
-    got = _command_output(entspace_cli.cmd_verify, dims=",".join(map(str, dims.d)),
+    got = _command_output(verify_command.run, dims=",".join(map(str, dims.d)),
                           space=space, method="ff", primes=primes)
     assert got == (0 if verdict == expected else 3, want), (dims, space, primes)
 
@@ -930,7 +1005,7 @@ def assert_classify_writers_agree(dims, p):
     from entspace.serialize import json_dumps
 
     report = ffobjects.classify_product_vectors_fp(dims, p)
-    got = _command_output(entspace_cli.cmd_classify, dims=",".join(map(str, dims.d)),
+    got = _command_output(classify_command.run, dims=",".join(map(str, dims.d)),
                           prime=p)
     assert got == (0 if report.passed else 3,
                    json_dumps(encode_classify_report(report))), (dims, p)
@@ -990,6 +1065,45 @@ def test_oracle_documents_match_the_library_encoders_byte_for_byte():
     for space in ("S", "Sperp"):
         assert_verify_writers_agree(Dims((2, 3)), space, (5, 7, 11))
         assert_verify_writers_agree(Dims((2, 3)), space, None)
+
+
+@pytest.mark.parametrize("dims, space, restarts, tol, seed", [
+    ("2,2", "Sperp", 4, 1e-10, 0),
+    ("2,2,2", "Sperp", 8, 1e-10, 5),
+    ("3,4", "Sperp", 4, 1e-10, 1),
+    ("2,3,4", "Sperp", 4, 1e-10, 0),
+    pytest.param(",".join(["2"] * 21), "Sperp", 1, 1e-10, 0,
+                 id="21-twos-Sperp"),  # past the dense budget
+    ("3,4", "S", 4, 1e-10, 0),
+    ("3,4", "S", 4, 0.9, 0),  # a witness on S under a loose tolerance
+    ("2,3", "level:1", 4, 1e-10, 3),
+    ("4,4", "example2-R", 4, 1e-10, 0),
+    ("4,4", "example2-M", 2, 1e-10, 0),
+])
+def test_als_documents_match_the_library_encoder_byte_for_byte(dims, space, restarts, tol,
+                                                               seed):
+    # verify --method als writes its report, a witness included, from the
+    # search's floats: the document encode_report writes of the library's
+    from entspace.codec import encode_report
+    from entspace.serialize import json_dumps
+
+    shape = parse_dims(dims)
+    target, expected = commands._named_space(shape, space)
+    basis = commands._as_subspace(target)
+    if not isinstance(basis, LevelSums):
+        basis = verify_module.orthonormal_basis(basis)
+    result = verify_module.max_product_overlap(basis, shape, restarts=restarts, tol=tol,
+                                               seed=seed)
+    verdict = result.report.verdict
+    want = json_dumps({"dims": list(shape.d), "space": space, "method": "als",
+                       "verdict": verdict, "expected": expected,
+                       "reports": [encode_report(result.report)]})
+    got = _command_output(verify_command.run, dims=dims, space=space, method="als",
+                          primes=None, restarts=restarts, tol=tol,
+                          max_sweeps=DEFAULT_MAX_SWEEPS, seed=seed)
+    assert got == (0 if verdict == expected else 3, want)
+    if space == "Sperp" or tol == 0.9:
+        assert verdict == "witness-found"
 
 
 def test_classify_document_names_missing_and_extraneous_points(monkeypatch):

@@ -13,6 +13,27 @@ def test_is_prime_table():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # Miller-Rabin with the prime bases up to 41 decides every n below 3.3e24
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 20000))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime up to 23
+    assert 3215031751 == 151 * 751 * 28351 and not is_prime(3215031751)
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211 and not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    # past the bound a base still refutes a composite, but a number that
+    # passes every base is refused: the bound itself is the least composite
+    # that does, and 2**89 - 1 is prime
+    assert not is_prime(2**89 + 1) and not is_prime(10**30 + 1)
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="past the range of the primality test"):
+            is_prime(n)
+
+
 def test_fp_field_axioms_exhaustive():
     p = 7
     elems = [Fp(v, p) for v in range(p)]

@@ -1,5 +1,6 @@
 """Verification: finite-field enumeration and alternating product-overlap search."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -418,20 +419,74 @@ def _upb_cases(max_total):
                 yield dims, m, prime
 
 
-@pytest.mark.parametrize("with_infinity", [False, True])
-def test_closed_form_upb_audit_equals_verify_upb(with_infinity):
-    # 123 admissible (dims, size) up to 16 entries: the report read off the
-    # recipe equals the elimination audit's, witness search included
-    cases = list(_upb_cases(16))
-    assert len(cases) == 123
-    for dims, m, prime in cases:
+@pytest.fixture(scope="module", params=[False, True])
+def upb_builds(request):
+    """Every admissible (dims, size) up to 16 entries, built once for the
+    tests below: (dims, size, prime, points, recipe, vectors, closed-form
+    report).  The points are the defaults, or with the parameter ``inf``
+    and the alternating fractions -1, 1/2, -1/3, ..."""
+    builds = []
+    for dims, m, prime in _upb_cases(16):
         points = None
-        if with_infinity:
+        if request.param:
             points = [INFINITY] + [Fraction((-1) ** t, t) for t in range(1, dims.max_level + 1)]
         recipe, vectors = upb_of_size(dims, m, points)
-        report = audit_recipe(recipe, [prime])
+        builds.append((dims, m, prime, points, recipe, vectors, audit_recipe(recipe, [prime])))
+    assert len(builds) == 123
+    return builds
+
+
+def test_closed_form_upb_audit_equals_verify_upb(upb_builds):
+    # the report read off the recipe equals the elimination audit's, witness
+    # search included
+    for dims, m, prime, _, _, vectors, report in upb_builds:
         assert report == verify_upb(vectors, dims, [prime]), (dims, m)
         assert report.is_upb and report.complement_in_entangled
+
+
+def assert_upb_writers_agree(dims, m, prime, points, recipe, vectors, report):
+    """The upb command writes, from the recipe as text, the document the
+    library encoders write of upb_of_size's vectors and audit_recipe's
+    report, with the same exit code."""
+    from entspace.codec import encode_upb_recipe, encode_upb_report, \
+        product_vectors_document
+    from entspace.commands import upb as upb_command
+
+    want = json_dumps(product_vectors_document(dims, RATIONAL, vectors, {
+        "upb": encode_upb_recipe(recipe, RATIONAL), "report": encode_upb_report(report)}))
+    lambdas = None if points is None else \
+        ",".join("inf" if pt is INFINITY else str(pt) for pt in points)
+    minimal = m == dims.max_level + 1
+    args = argparse.Namespace(dims=",".join(map(str, dims.d)), min=minimal,
+                              size=None if minimal else m, lambdas=lambdas,
+                              primes=(prime,), out=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = upb_command.run(args)
+    assert (code, out.getvalue()) == (0 if report.is_upb else 3, want), (dims, m, lambdas)
+
+
+def test_upb_document_matches_the_library_encoders_byte_for_byte(upb_builds):
+    # through --min and --size, with and without --lambdas
+    for build in upb_builds:
+        assert_upb_writers_agree(*build)
+
+
+def test_upb_document_reports_a_witness_as_the_library_does(monkeypatch):
+    # an audited complement lies in S, so the oracle finds no point in it; a
+    # tampered oracle checks that both writers report one the same way
+    real = ff_module._rank_and_points
+
+    def tampered(target, dims, p, budget):
+        rank, hits = real(target, dims, p, budget)
+        return rank, hits + [((1, 2), (1, 1, 1))]
+
+    monkeypatch.setattr(ff_module, "_rank_and_points", tampered)
+    dims = Dims((2, 3))
+    recipe, vectors = upb_of_size(dims, 4)
+    report = audit_recipe(recipe, [5])
+    assert not report.is_upb and report.witness is not None
+    assert_upb_writers_agree(dims, 4, 5, None, recipe, vectors, report)
 
 
 def fp_annihilator(generators, dims, p):
