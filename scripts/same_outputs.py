@@ -7,8 +7,9 @@ PYTHONDONTWRITEBYTECODE=1 so that neither tree gains a bytecode cache, and
 the runs are compared on stdout sha256, exit code and stderr.  The argv are
 every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
 ``perfbench/workloads.py`` at each seed of ``--seeds``, every graded space
-in JSON and CSV on a few shapes, the finite-field oracle (``verify --method
-ff`` of every graded space on a few shapes, example2, and ``classify``),
+and example2 in JSON and CSV on a few shapes, the finite-field oracle
+(``verify --method ff`` of every graded space on a few shapes, example2 at
+the default primes and at 7, and ``classify``),
 below and past the batched kernel's cut, ``upb`` argv that neither of the
 first two lists reaches, the ALS search on every graded space and on
 example2 (witness runs included), ``onb`` and ``dims``, and a fixed list of
@@ -32,6 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRADED_SPACES = ("S", "Sperp", "level:1", "level:3", "example1")
 GRADED_SHAPES = ("3,4", "2,3,4", "12,14", "2,2,2,2,2,2")
+# example2, written from its eight groups and its eight points
+EXAMPLE2 = [f"construct --dims 4,4 --space {space}{fmt}"
+            for space in ("example2-M", "example2-R") for fmt in ("", " --format csv")]
 ORACLE_SHAPES = ("2,2", "3,4", "2,3,4", "2,2,2,2")
 # the oracle below and past the batched kernel's cut of 6,000 fibres: 2,2
 # at 6007 has 6,008
@@ -40,8 +44,8 @@ ORACLE = (
      for dims in ORACLE_SHAPES for space in GRADED_SPACES
      for primes in ("", " --primes 13,17")]
     + [f"verify --dims 2,2 --space {space} --primes 6007" for space in ("S", "Sperp")]
-    + [f"verify --dims 4,4 --space {space} --primes 7"
-       for space in ("example2-M", "example2-R")]
+    + [f"verify --dims 4,4 --space {space} --method ff{primes}"
+       for space in ("example2-M", "example2-R") for primes in ("", " --primes 7")]
     + [f"classify --dims {dims} --prime {p}"
        for dims in ("2,2", "2,3", "3,3") for p in (5, 7, 13)]
     + ["classify --dims 2,2 --prime 6007"]
@@ -120,6 +124,8 @@ REFUSALS = (
     "classify --dims 2,2 --prime 1000003",
     "verify --dims 2,1000 --space S --primes 1009",
     "verify --dims 8,8 --space S --method ff",
+    "construct --dims 9223372036854775807,2 --space S",
+    "verify --dims 99999999999999999999,2 --space Sperp --method ff --primes 7",
 )
 
 
@@ -149,7 +155,7 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + ORACLE + UPB + ALS
+        golden_argvs() + workload_argvs(seeds) + graded + EXAMPLE2 + ORACLE + UPB + ALS
         + list(REFUSALS)))
 
 

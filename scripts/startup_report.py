@@ -12,7 +12,8 @@ the code it compiles, in bytes of source with docstrings and comments
 stripped (``ast.unparse`` of the module without its docstrings).  Then the
 totals: the package code includes ``entspace.cli``, which runs as
 ``__main__`` and so is not an import.  With no ARGV, one argv per command
-runs, and ALS on S and on Sperp.
+runs, ``construct`` of example2-M and the oracle on example2-R, and ALS on
+S and on Sperp.
 
     python scripts/startup_report.py
     python scripts/startup_report.py "verify --dims 3,3 --space S --method ff --primes 13"
@@ -29,12 +30,16 @@ from pathlib import Path
 from entspace.commands import positive_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# one argv per command, and the ALS search with and without a witness
+# one argv per command, example2 (written and checked from its closed
+# forms) under construct and the oracle, and the ALS search with and
+# without a witness
 DEFAULT_ARGVS = (
     "dims --dims 3,3",
     "construct --dims 3,3 --space S",
+    "construct --dims 4,4 --space example2-M",
     "upb --dims 3,3 --min --primes 5",
     "verify --dims 3,3 --space S --method ff --primes 13",
+    "verify --dims 4,4 --space example2-R --method ff --primes 7",
     "classify --dims 2,3 --prime 7",
     "onb --dims 3,3 --level 2",
     "verify --dims 3,3 --space S --method als --restarts 4",

@@ -4,12 +4,13 @@ scalars, vectors, subspaces, product vectors and reports.
 Each encoder turns its object into rows of encoded entries or a plain dict
 for the text layer, ``entspace.serialize``, where these names still
 resolve too.  Only a command that makes such objects loads this module:
-``construct`` of example2, and ``onb``.  The other commands write their
-documents as text from what they compute, and these encoders are the tests'
-cross-check of those writers: the oracle's from its int residues
-(``ff._point_entry``, which also writes a point over F_p here, and
-``ff._classify_document``), ``upb``'s from its recipe (``upbtext``), and
-the ALS search's from its floats (``verify._als_entry``).  The scalar and
+``onb``.  The other commands write their documents as text from what they
+compute, and these encoders are the tests' cross-check of those writers:
+``construct``'s closed-form rows and example2-R's vectors
+(``producttext``), the oracle's from its int residues (``ff._point_entry``,
+which also writes a point over F_p here, and ``ff._classify_document``),
+``upb``'s from its recipe (``upbtext``), and the ALS search's from its
+floats (``verify._als_entry``).  The scalar and
 vector types decoded into are imported by the functions that use them.
 """
 

@@ -5,13 +5,14 @@ the module ``entspace.commands.<name>``, whose ``add_arguments`` adds the
 arguments beside ``--dims``, ``--out`` and ``--seed`` and whose ``run``
 handles a parsed argv.  The parser loads only the invoked command's module,
 so a run compiles one handler.  Each handler imports the layers it runs:
-a graded ``construct`` writes its closed-form rows as text with
-``serialize`` alone, the oracle and ``upb`` write their documents from int
-hits and recipes, the ALS search from its floats, and the object encoders
-of ``codec`` load only where objects are made (example2 and ``onb``),
-numpy only for ALS and for enumerations too large for plain ints, and exact
-elimination only for a ``verify`` of example2-R, which spans its product
-vectors.
+``construct`` writes its closed-form rows, and example2-R's Vandermonde
+vectors, as text with ``serialize`` alone (and ``producttext``), the oracle
+and ``upb`` write their documents from int hits and recipes, the ALS search
+from its floats, and the object encoders of ``codec`` and the exact layers
+load only where objects are made (``onb``), numpy only for ALS and for
+enumerations too large for plain ints.  No named space is eliminated: each
+is a ``LevelSums`` or a ``GroupSums``, or example2-R's points, whose
+Vandermonde vectors span Sperp.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..grading import NO_WITNESS, WITNESS, Dims, LevelSums
+from ..grading import INFINITY, NO_WITNESS, SPLIT_ANTIDIAGONAL, WITNESS, Dims, \
+    LevelSums
 
 SPACES = ("S", "Sperp", "level:n", "example1", "example2-M", "example2-R")
 
@@ -64,8 +66,8 @@ def _level_selector(name: str) -> int:
 def _named_space(dims: Dims, name: str):
     """Named space -> (space, expected verdict).
 
-    A graded space comes back unbuilt, as its ``LevelSums``; example2-M as
-    its exact subspace and example2-R as its product-vector list.
+    A space comes back unbuilt: a graded space as its ``LevelSums``,
+    example2-M as its ``GroupSums`` and example2-R as its parameter points.
     """
     every = range(dims.max_level + 1)
     if name == "S":
@@ -81,19 +83,7 @@ def _named_space(dims: Dims, name: str):
     if name in ("example2-M", "example2-R"):
         if dims.d != (4, 4):
             raise ValueError("example2 is defined for dims 4,4")
-        from ..examples import split_antidiagonal_spaces
-
-        ex = split_antidiagonal_spaces()
         if name == "example2-M":
-            return ex.m_space, NO_WITNESS
-        return ex.spanning_set, WITNESS
+            return SPLIT_ANTIDIAGONAL, NO_WITNESS
+        return [*every, INFINITY], WITNESS
     raise ValueError(f"unknown space {name!r}; choose from {SPACES}")
-
-
-def _as_subspace(target):
-    """A subspace as it is, or the span of a product-vector list."""
-    if isinstance(target, list):
-        from ..elimination import span
-
-        return span([pv.expand() for pv in target])
-    return target

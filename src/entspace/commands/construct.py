@@ -15,34 +15,28 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    from ..serialize import csv_matrices, json_dumps, rows_document
+    from ..serialize import _document, csv_matrices, json_dumps
 
     dims = parse_dims(args.dims)
     target, _ = _named_space(dims, args.space)
-    if isinstance(target, list):  # product vectors (example2-R)
-        if args.format == "csv":
-            _write(csv_matrices([pv.expand() for pv in target], dims), args.out)
-        else:
-            from ..codec import product_vectors_document
-            from ..fields import RATIONAL
+    if isinstance(target, list):  # example2-R's points: their Vandermonde vectors
+        from ..producttext import _vector_entries
 
-            doc = product_vectors_document(dims, RATIONAL, target, {"space": args.space})
-            _write(json_dumps(doc), args.out)
-        return 0
-    if isinstance(target, LevelSums):
-        # the closed form as text: every entry of a row e_i - e_last or u_n
-        # is 0, 1 or -1, so no scalar is made
-        _check_level_rows(dims, target)
+        entries = _vector_entries(dims, target)
+        rows = [entry["coeffs"] for entry in entries]
+    else:
+        # the closed form as text: every entry of a row e_i - e_last or a
+        # group sum is 0, 1 or -1, so no scalar is made
+        if isinstance(target, LevelSums):
+            _check_level_rows(dims, target)
         rows = _group_entries(dims.total, _level_groups(dims, target), target.sums,
                               "0", "1", "-1")
-    else:  # example2-M, an exact subspace
-        from ..codec import encode_rows
-
-        rows = encode_rows(target.rows)
+        entries = [{"coeffs": row} for row in rows]
     if args.format == "csv":
         if dims.k != 2:
             raise ValueError("csv output needs exactly two factors")
         _write(csv_matrices(rows, dims), args.out)
     else:
-        _write(json_dumps(rows_document(dims, rows, {"space": args.space})), args.out)
+        _write(json_dumps(_document(dims, "rational", True, entries, {"space": args.space})),
+               args.out)
     return 0

@@ -6,8 +6,8 @@ from __future__ import annotations
 import argparse
 
 from ..grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, NO_WITNESS, \
-    WITNESS, LevelSums, parse_dims
-from . import SPACES, _as_subspace, _named_space, _write, positive_int, prime_list
+    WITNESS, LevelSums, _group_entries, _level_groups, parse_dims
+from . import SPACES, _named_space, _write, positive_int, prime_list
 
 
 def tolerance(text: str) -> float:
@@ -32,10 +32,13 @@ def run(args: argparse.Namespace) -> int:
     from ..serialize import json_dumps
 
     dims = parse_dims(args.dims)
-    # example2 is built, and example2-R spanned, before numpy loads; a graded
-    # space stays a LevelSums, which both methods take with no basis
+    # a space stays unbuilt: the oracle takes its rank and annihilator in
+    # closed form, and the search a graded space's level sums; example2 is
+    # searched in dense form, on its rows
     space, expected = _named_space(dims, args.space)
-    space = _as_subspace(space)
+    dense = not isinstance(space, LevelSums)
+    if isinstance(space, list):  # example2-R: its Vandermonde vectors span Sperp
+        space = LevelSums(range(dims.max_level + 1), sums=True)
     if args.method == "ff":
         from ..ff import _ff_runs, _report_entry
 
@@ -47,8 +50,9 @@ def run(args: argparse.Namespace) -> int:
         # written from the search's floats, so no exact layer loads for it
         from ..verify import _als_entry, _als_runs, orthonormal_basis
 
-        if not isinstance(space, LevelSums):
-            space = orthonormal_basis(space)
+        if dense:
+            space = orthonormal_basis(_group_entries(
+                dims.total, _level_groups(dims, space), space.sums, 0, 1, -1))
         fields, factors, _ = _als_runs(space, dims, args.restarts, args.max_sweeps,
                                        args.tol, args.seed)
         reports = [_als_entry(fields, factors)]

@@ -11,9 +11,10 @@ scaled to integers and reduced without fractions.  ``orthocomplement``
 reads its kernel off the int rows of its input and reduces it once, with
 no vector made in between.  Scalars are made once, for the result.
 
-The closed-form constructions, the finite-field oracle and the ``upb``
-command's closed-form audit need none of this: only ``verify_upb``,
-``example2`` (example2-R spans product vectors) and the tests load it.
+The closed-form constructions, the finite-field oracle, the ``upb``
+command's closed-form audit and every command on example2 need none of
+this: only ``verify_upb``, the library's ``split_antidiagonal_spaces``
+(example2-R spans product vectors) and the tests load it.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 The character orthonormal basis of a level (complex floats, for ``onb``),
 and the 4x4 matrix-space example whose natural rank-one family undershoots
 its complement (``example2``), with the Gram matrix of product vectors.
+
+The command line writes example2 from its closed forms and loads this
+module only for ``onb``: example2-M from its eight groups, and example2-R
+from its points, whose Vandermonde vectors span Sperp of 4,4.  The
+``Subspace``s built here stay the reference the tests check those against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .construct import INFINITY, ProductVector, _group_rows, vandermonde_vector
 from .fields import COMPLEX, Field, RATIONAL
-from .grading import Dims, check_dense_size, enumerate_level
+from .grading import SPLIT_ANTIDIAGONAL, Dims, check_dense_size, enumerate_level
 from .linalg import StateVector, Subspace
 
 if TYPE_CHECKING:
@@ -51,28 +56,20 @@ def split_antidiagonal_spaces(field: Field = RATIONAL) -> SplitAntidiagonalExamp
     """4x4 matrix-space example where a natural rank-one family undershoots.
 
     The middle anti-diagonal constraint is split into two shorter runs, so
-    m_space has eight constraints, the sums of eight disjoint groups, and
-    dimension 8, strictly inside the entangled subspace.  Both m_space and
-    its complement m_perp, the span of those group sums, are written down in
-    closed form.  The returned rank-one family (Vandermonde points
-    0..6 plus the top corner matrix) spans only a 7-dimensional part of the
-    8-dimensional orthocomplement of m_space, yet its own orthocomplement is
-    already completely entangled.
+    m_space has eight constraints, the sums of eight disjoint groups
+    (``grading.SPLIT_ANTIDIAGONAL``: the levels of the 4x4 grid, with
+    (0,3), (1,2) apart from (2,1), (3,0)), and dimension 8, strictly inside
+    the entangled subspace.  Both m_space and its complement m_perp, the
+    span of those group sums, are written down in closed form from the
+    groups the command line writes example2-M from.  The returned rank-one
+    family (Vandermonde points 0..6 plus the top corner matrix) spans only a
+    7-dimensional part of the 8-dimensional orthocomplement of m_space, yet
+    its own orthocomplement is already completely entangled.
     """
     dims = Dims((4, 4))
-    groups = [
-        [(0, 0)],
-        [(0, 1), (1, 0)],
-        [(0, 2), (1, 1), (2, 0)],
-        [(0, 3), (1, 2)],
-        [(2, 1), (3, 0)],
-        [(1, 3), (2, 2), (3, 1)],
-        [(2, 3), (3, 2)],
-        [(3, 3)],
-    ]
-    positions = [[dims.position(idx) for idx in g] for g in groups]
-    m_space = _group_rows(dims, field, positions)
-    m_perp = _group_rows(dims, field, positions, sums=True)
+    groups = SPLIT_ANTIDIAGONAL.groups
+    m_space = _group_rows(dims, field, groups)
+    m_perp = _group_rows(dims, field, groups, sums=True)
     pts = [Fraction(t) for t in range(7)] + [INFINITY]
     family = [vandermonde_vector(dims, pt, field) for pt in pts]
     return SplitAntidiagonalExample(m_space, m_perp, family)

@@ -8,11 +8,12 @@ generators, one reduction gives the rank mod p, and the free-column
 read-off of that reduction gives the annihilator; both, and the read-off of
 each fibre's kernel, are ``reduction``'s, which ``orthocomplement`` uses
 over Q too.  A graded space named by
-a ``LevelSums`` (S, Sperp, ``level:n``, example1) needs neither: its rows
-have disjoint supports, so its rank is their number, and its annihilator is
-written down by ``grading``'s group-row writer, the level sums for S and
-a level slice (with a unit row at every position off the slice) and the S
-rows for Sperp.  No rational is made on a graded space.
+a ``LevelSums`` (S, Sperp, ``level:n``, example1), or a ``GroupSums``
+(example2-M), needs neither: its rows have disjoint supports, so its rank is
+their number, and its annihilator is written down by ``grading``'s
+group-row writer, the level sums for S and a level slice (with a unit row
+at every position off the slice) and the S rows for Sperp, and the same
+for each group.  No rational is made on such a space.
 
 This module is what ``verify --method ff``, ``classify`` and the audit of
 ``upb`` run: the int cores (``_product_points``, ``_ff_runs``, ``_classify_points``) and the
@@ -41,7 +42,8 @@ from itertools import product
 
 from . import _lazy_getattr
 from .grading import DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, \
-    LevelSums, _check_level_rows, _group_entries, _level_groups, check_dense_size
+    GroupSums, LevelSums, _check_level_rows, _group_entries, _level_groups, \
+    check_dense_size
 from .reduction import _kernel_basis, _reduce_rows, check_elimination_cost, is_prime
 
 # The object layers load only where a caller needs them: a command writes
@@ -261,19 +263,20 @@ def _annihilator(rows: list[list[int]], modulus: int | None, dims: Dims,
 
 
 def _level_rank(space: LevelSums, groups: list[list[int]]) -> int:
-    """Rank of a ``LevelSums`` space over any field: its rows, a sum or the
-    rows e_i - e_last per level, have disjoint supports."""
+    """Rank of a ``LevelSums`` or ``GroupSums`` space over any field: its
+    rows, a sum or the rows e_i - e_last per group, have disjoint supports."""
     return len(groups) if space.sums else sum(map(len, groups)) - len(groups)
 
 
 def _level_annihilator(space: LevelSums, groups: list[list[int]], dims: Dims,
                        p: int) -> tuple[int, list[list[int]]]:
-    """``_annihilator`` of a ``LevelSums`` space, in closed form.
+    """``_annihilator`` of a ``LevelSums`` or ``GroupSums`` space, in
+    closed form.
 
-    Per level, the annihilator holds the other half of the split of that
-    level: the level sum for the part orthogonal to it (S, ``level:n``), and
-    the rows e_i - e_last for the level sum (Sperp).  Every position off the
-    space's levels adds its unit row.  It is refused as the elimination of
+    Per level (or group), the annihilator holds the other half of the split
+    of that level: the level sum for the part orthogonal to it (S,
+    ``level:n``, example2-M), and the rows e_i - e_last for the level sum
+    (Sperp).  Every position off the space's levels adds its unit row.  It is refused as the elimination of
     the space's rows, and of their annihilator, would be.
     """
     total = dims.total
@@ -291,9 +294,9 @@ def _level_annihilator(space: LevelSums, groups: list[list[int]], dims: Dims,
 
 def _oracle_target(generators, dims: Dims) -> tuple:
     """The arguments, before ``dims`` and p, of the annihilator the oracle
-    contracts: a ``LevelSums`` and its level groups, or the generators'
-    integer rows and the prime they are residues modulo."""
-    if isinstance(generators, LevelSums):
+    contracts: a ``LevelSums`` or ``GroupSums`` and its groups, or the
+    generators' integer rows and the prime they are residues modulo."""
+    if isinstance(generators, (LevelSums, GroupSums)):
         return generators, list(_level_groups(dims, generators))
     return _integer_rows(generators, dims)
 
@@ -303,7 +306,7 @@ def _rank_and_points(target: tuple, dims: Dims, p: int,
     """Rank mod p of an ``_oracle_target``, and the oracle's hits in it as
     int tuples, one per site, in output order."""
     fibres = _check_oracle(dims, p, budget)
-    if isinstance(target[0], LevelSums):
+    if isinstance(target[0], (LevelSums, GroupSums)):
         rank, h = _level_annihilator(*target, dims, p)
     else:
         rank, h = _annihilator(*target, dims, p)
@@ -356,6 +359,7 @@ def _ff_runs(generators, dims: Dims, primes=None,
     target = rational_dim = None
     if isinstance(generators, LevelSums):
         _check_level_rows(dims, generators)  # before any level is listed
+    if isinstance(generators, (LevelSums, GroupSums)):
         target = _oracle_target(generators, dims)
         dim = rational_dim = _level_rank(*target)
         check_dense_size(dim, dims.total)  # the rows _level_rows would write

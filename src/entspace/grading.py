@@ -13,8 +13,9 @@ dense-size budget, the verdicts, the verifier defaults and the report type
 of both verifiers, the point at infinity of the parameter line (a UPB
 point, which ``upb`` parses without loading ``construct``), and the graded
 spaces in closed form.  A ``LevelSums`` names S, Sperp, a level slice or
-example1, and ``_group_entries`` writes its reduced echelon rows as lists
-of any three values for 0, 1 and -1: the
+example1, a ``GroupSums`` example2-M (``SPLIT_ANTIDIAGONAL``), and
+``_group_entries`` writes their reduced echelon rows as lists of any three
+values for 0, 1 and -1: the
 ``Fraction`` rows of ``entspace.construct``, the residues of the oracle's
 annihilator, or the text a graded ``construct`` writes straight into its
 document.  The names
@@ -317,6 +318,21 @@ class LevelSums(NamedTuple):
     sums: bool = False
 
 
+class GroupSums(NamedTuple):
+    """A space cut out, as a ``LevelSums`` is by its levels, by the sums of
+    ``groups``: disjoint runs of ascending positions, given as they are.
+    Without ``sums`` it is the part of the groups orthogonal to their sums,
+    with ``sums`` the span of those sums."""
+
+    groups: Sequence
+    sums: bool = False
+
+
+# example2-M on 4,4: every level's positions 4i + j, level 3's run split in two
+SPLIT_ANTIDIAGONAL = GroupSums(
+    ((0,), (1, 4), (2, 5, 8), (3, 6), (9, 12), (7, 10, 13), (11, 14), (15,)))
+
+
 def _group_entries(total: int, groups, sums: bool, zero, one, minus_one) -> list[list]:
     """Reduced echelon rows of a space cut out by group sums, written down
     without elimination, as lists of ``zero``, ``one`` and ``minus_one``:
@@ -356,17 +372,20 @@ def _check_level_rows(dims: Dims, space: LevelSums) -> None:
     level with sums, and at least one for each level 0 < n < N, which holds
     two indices or more."""
     top = dims.max_level
-    if space.sums:
-        rows = len(space.levels)
-    elif len(space.levels) == top + 1:
-        rows = dims.total - (top + 1)
-    else:
-        rows = sum(0 < n < top for n in space.levels)
+    levels = space.levels
+    # the levels are distinct, so their number is one past the last one's
+    # index: len() of a range overflows past sys.maxsize
+    rows = levels.index(levels[-1]) + 1 if levels else 0
+    if not space.sums:
+        rows = dims.total - rows if rows == top + 1 else sum(0 < n < top for n in levels)
     check_dense_size(rows, dims.total)
 
 
-def _level_groups(dims: Dims, space: LevelSums):
+def _level_groups(dims: Dims, space: LevelSums | GroupSums):
     """The ascending positions of each level of a ``LevelSums`` space, one
-    group per level, enumerated as they are consumed."""
+    group per level, enumerated as they are consumed; a ``GroupSums``'s own
+    groups."""
+    if isinstance(space, GroupSums):
+        return space.groups
     return ([dims.position(idx) for idx in enumerate_level(dims, n)]
             for n in space.levels)

@@ -7,12 +7,13 @@ chosen levels, and ``UpbRecipe`` records the choice.  So every entry of the
 document is known as text from the recipe: at a finite point t the factor
 (1, t, t^2, ...) and the coefficient t^n at each index of level n; at
 ``inf`` the top basis vector of each slot; and 0 or 1 for a standard
-vector.  The audit needs no basis either.  Distinct points span Sperp (a
-Vandermonde determinant) and the standard vectors complete each chosen
-level, so the basis has rank ``size``, and its complement is the S-part of
-the unchosen levels, a ``LevelSums`` the oracle takes in closed form.  No
-scalar, vector or report object is made, and ``fractions`` loads only to
-parse ``--lambdas``.
+vector (``entspace.producttext`` writes them, as it writes example2-R's
+vectors for ``construct``).  The audit needs no basis either.  Distinct
+points span Sperp (a Vandermonde determinant) and the standard vectors
+complete each chosen level, so the basis has rank ``size``, and its
+complement is the S-part of the unchosen levels, a ``LevelSums`` the
+oracle takes in closed form.  No scalar, vector or report object is made,
+and ``fractions`` loads only to parse ``--lambdas``.
 
 The library's ``upb_of_size`` and ``audit_recipe`` (``entspace.upb``) build
 the same recipe and run the same checks here, and make the vectors and the
@@ -27,8 +28,9 @@ import sys
 from typing import NamedTuple
 
 from .ff import _check_prime, _ff_runs, _report_entry
-from .grading import DENSE_BUDGET, INFINITY, WITNESS, Dims, LevelSums, MultiIndex, \
-    enumerate_level, level_counts
+from .grading import INFINITY, WITNESS, Dims, LevelSums, MultiIndex, enumerate_level, \
+    level_counts
+from .producttext import _vector_entries
 from .reduction import check_elimination_cost
 from .serialize import _document
 
@@ -176,45 +178,11 @@ def _audit_entry(recipe: UpbRecipe, primes=None) -> dict:
     }
 
 
-def _vector_entries(recipe: UpbRecipe) -> list[dict]:
-    """The document entries of the basis built from a rational ``recipe``:
-    the factors, and the expansion while one dense vector of ``total``
-    entries passes ``check_dense_size``, as ``codec`` writes them."""
-    dims = recipe.dims
-    top = dims.max_level
-    dense = dims.total <= DENSE_BUDGET
-    levels = [0]  # the level of every index, in lex order
-    if dense:
-        for d in dims.d:
-            levels = [n + i for n in levels for i in range(d)]
-    entries = []
-    for pt in recipe.points:
-        if pt is INFINITY:  # the top basis vector of each slot
-            entry = {"factors": [["0"] * (d - 1) + ["1"] for d in dims.d]}
-            powers = ["0"] * top + ["1"]
-        else:  # the coefficient at level n is pt**n, 0**0 being 1
-            powers = [str(pt**n) for n in range(top + 1)]
-            entry = {"factors": [powers[:d] for d in dims.d]}
-        if dense:
-            entry["coeffs"] = [powers[n] for n in levels]
-        entries.append(entry)
-    for n in recipe.levels:
-        for idx in enumerate_level(dims, n)[:-1]:
-            entry = {"factors": [["0"] * i + ["1"] + ["0"] * (d - i - 1)
-                                 for i, d in zip(idx, dims.d)]}
-            if dense:
-                coeffs = ["0"] * dims.total
-                coeffs[dims.position(idx)] = "1"
-                entry["coeffs"] = coeffs
-            entries.append(entry)
-    return entries
-
-
 def _upb_document(recipe: UpbRecipe, report: dict) -> dict:
     """The ``upb`` document of a rational ``recipe`` and its ``_audit_entry``:
     ``product_vectors_document`` of the basis, with the recipe and report."""
     points = ["inf" if pt is INFINITY else str(pt) for pt in recipe.points]
     upb = {"size": recipe.size, "levels": list(recipe.levels), "points": points,
            "dropped": [list(idx) for idx in recipe.dropped]}
-    return _document(recipe.dims, "rational", True, _vector_entries(recipe),
-                     {"upb": upb, "report": report})
+    entries = _vector_entries(recipe.dims, recipe.points, recipe.levels)
+    return _document(recipe.dims, "rational", True, entries, {"upb": upb, "report": report})

@@ -71,17 +71,23 @@ ALS_POLY_BUDGET = 10**9
 ALS_FORM_BUDGET = 2 * 10**6
 
 
-def orthonormal_basis(s: Subspace) -> np.ndarray:
+def orthonormal_basis(s: Subspace | list) -> np.ndarray:
     """Complex-float orthonormal rows spanning the same subspace.
 
-    One QR factorization of the rows; a diagonal entry of R below 1e-12 means
-    a row is numerically dependent on the ones before it.
+    ``s`` is a subspace over Q or C, or a nonempty list of rows of numbers:
+    the command line hands example2 over as the rows of its closed form,
+    whose entries 0, 1 and -1 give the same complex matrix as its exact
+    basis.  One QR factorization of the rows; a diagonal entry of R below
+    1e-12 means a row is numerically dependent on the ones before it.
     """
-    if s.field.kind == "fp":
+    if isinstance(s, list):
+        rows = np.array(s, dtype=complex)
+    elif s.field.kind == "fp":
         raise TypeError("prime-field subspaces have no complex embedding")
-    rows = np.array(
-        [[complex(c) for c in r.coeffs] for r in s.rows], dtype=complex
-    ).reshape(s.dim, s.dims.total)
+    else:
+        rows = np.array(
+            [[complex(c) for c in r.coeffs] for r in s.rows], dtype=complex
+        ).reshape(s.dim, s.dims.total)
     q, r = np.linalg.qr(rows.T)
     if not np.all(np.abs(np.diagonal(r)) >= 1e-12):  # also rejects nan
         raise ValueError("input rows are numerically dependent")

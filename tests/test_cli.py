@@ -29,6 +29,7 @@ from entspace import (
     minimal_upb,
     parse_dims,
     span,
+    split_antidiagonal_spaces,
 )
 import entspace.cli as entspace_cli
 import entspace.commands as commands
@@ -46,6 +47,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _library_space(dims, space):
+    """A named space as the library builds it, and its expected verdict: a
+    graded space as its ``LevelSums``, example2 as the exact ``Subspace``
+    of ``split_antidiagonal_spaces`` (example2-R the elimination span of its
+    product vectors), the reference of the command's closed forms."""
+    target, expected = commands._named_space(dims, space)
+    if space == "example2-M":
+        target = split_antidiagonal_spaces().m_space
+    elif space == "example2-R":
+        target = span([pv.expand() for pv in split_antidiagonal_spaces().spanning_set])
+    return target, expected
 
 
 def test_dims_table(capsys):
@@ -109,7 +123,7 @@ def test_construct_round_trip_exact(capsys):
         code, out, _ = run(capsys, "construct", "--dims", dims_text, "--space", space)
         assert code == 0
         dims, field, vecs = document_vectors(json.loads(out))
-        target, _ = commands._named_space(dims, space)
+        target, _ = _library_space(dims, space)
         if isinstance(target, LevelSums):
             from entspace.construct import _level_rows
 
@@ -288,7 +302,7 @@ def test_upb_refuses_a_huge_basis_before_making_a_vector(capsys, monkeypatch):
     # and 110 MB before the complement's elimination budget refused the run
     import entspace.upbtext as upbtext
 
-    def no_vectors(recipe):
+    def no_vectors(*args):
         raise AssertionError("a vector was written before the refusal")
 
     monkeypatch.setattr(upbtext, "_vector_entries", no_vectors)
@@ -396,12 +410,14 @@ def test_verify_als_graded_spaces_build_no_basis(capsys, monkeypatch):
 
 
 def test_verify_als_example2_uses_the_dense_basis(capsys, monkeypatch):
+    # the rows of example2's closed form, example2-R's those of Sperp
     calls = []
     real = verify_module.orthonormal_basis
 
-    def recording(space):
-        calls.append(space.dim)
-        return real(space)
+    def recording(rows):
+        assert isinstance(rows, list)
+        calls.append(len(rows))
+        return real(rows)
 
     monkeypatch.setattr(verify_module, "orthonormal_basis", recording)
     for space in ("example2-M", "example2-R"):
@@ -494,6 +510,18 @@ def test_huge_shapes_are_refused_before_a_level_is_enumerated(capsys, monkeypatc
     assert err.startswith("error: dense basis needs at least ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, bits", [
+    ("construct --dims 9223372036854775807,2 --space S", 126),
+    ("verify --dims 99999999999999999999,2 --space Sperp --method ff --primes 7", 133),
+])
+def test_levels_past_sys_maxsize_are_refused(capsys, argv, bits):
+    # max_level + 1 past sys.maxsize: len() of the range of every level
+    # overflowed, a traceback, before the dense basis was refused
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: dense basis needs at least 2**{bits} entries, budget is 2000000\n"
+
+
 @pytest.mark.parametrize("space", ["S", "Sperp"])
 def test_huge_als_forms_are_refused_before_the_level_counts(capsys, monkeypatch, space):
     # some level of 3,000 factors of 2 holds at least 2**3000 / 3001 indices
@@ -556,11 +584,15 @@ text_only = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspa
              "entspace.ffobjects", "entspace.upb", "entspace.elimination", "fractions")
 assert not loaded(text_only), str(loaded(text_only)) + " loaded by upb"
 
-# so is example2, also under the oracle
+# so is example2, from its groups and its points, also under the oracle: no
+# exact layer, object encoder, example, elimination or rational
 for space in ("example2-M", "example2-R"):
-    assert quiet("construct", "--dims", "4,4", "--space", space) == 0
-assert quiet("verify", "--dims", "4,4", "--space", "example2-M", "--method", "ff") == 0
-assert not loaded(("entspace.elimination",)), "elimination loaded by example2"
+    for fmt in ("json", "csv"):
+        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
+exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
+         "entspace.examples", "entspace.elimination", "fractions", "decimal")
+assert not loaded(exact), str(loaded(exact)) + " loaded by example2"
 
 assert quiet("dims", "--dims", "3,3") == 0
 assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
@@ -617,8 +649,13 @@ for name in ("entspace.ff", "entspace.ffkernel", "json", "entspace.codec",
 # a module compiled after numpy raises the peak RSS
 order = list(sys.modules)
 assert order.index("entspace.serialize") < order.index("numpy")
-assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
-             "--restarts", "4") == 0
+# example2 is searched in dense form, on the float rows of its closed form
+for space in ("example2-M", "example2-R"):
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
+                 "--restarts", "4") == 0
+for name in ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
+             "entspace.examples", "entspace.elimination", "fractions", "decimal"):
+    assert name not in sys.modules, name + " loaded by an example2 verify --method als"
 
 import entspace
 names = {}
@@ -664,14 +701,22 @@ assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
 # a upb document is written from its integer points as text
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
 assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
-assert not loaded(), str(loaded()) + " loaded by dims, verify --method ff, classify or upb"
+# example2 is written and searched from its closed forms
+for space in ("example2-M", "example2-R"):
+    for fmt in ("json", "csv"):
+        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
+assert not loaded(), str(loaded()) + " loaded by a command that makes no rational"
 for space in ("S", "Sperp", "level:1"):
     assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
                  "--restarts", "2") == 0
+for space in ("example2-M", "example2-R"):
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
+                 "--restarts", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by verify --method als"
 
-# the guard can fail: example2's basis over Q and --lambdas points are rational
-assert quiet("construct", "--dims", "4,4", "--space", "example2-M") == 0
+# the guard can fail: onb's basis over Q and --lambdas points are rational
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert loaded() == ["fractions", "decimal"], loaded()
 for name in ("fractions", "decimal"):
     del sys.modules[name]
@@ -724,8 +769,18 @@ assert package == ["entspace", "entspace.cli", "entspace.commands",
 objects = ("entspace.codec", "entspace.ffobjects")
 assert not loaded(objects), str(loaded(objects)) + " loaded by a graded construct"
 
-# the guard can fail: example2 is built over Q
-assert quiet("construct", "--dims", "4,4", "--space", "example2-M", "--format", "csv") == 0
+# so is example2: example2-M from its eight groups, and example2-R's
+# Vandermonde vectors from their points by the text writer upb shares
+for space in ("example2-M", "example2-R"):
+    for fmt in ("json", "csv"):
+        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
+exact = rest + objects + ("entspace.examples", "entspace.elimination")
+assert not loaded(exact), str(loaded(exact)) + " loaded by construct of example2"
+after = sorted(name for name in sys.modules if name.startswith("entspace"))
+assert after == sorted(package + ["entspace.producttext"]), after
+
+# the guard can fail: onb builds its basis over Q
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert loaded(rest) == list(rest[:-1]), loaded(rest)
 """
 
@@ -768,6 +823,9 @@ at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
 for space in spaces:
     assert quiet("verify", "--dims", "3,3", "--space", space, "--method", "ff") == 0
     assert quiet("verify", "--dims", "2,2", "--space", space, "--primes", str(at_cut)) == 0
+# so are example2's: its rank and annihilator come in closed form too
+for space in ("example2-M", "example2-R"):
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
 assert quiet("verify", "--dims", "2,3", "--space", "S", "--primes", "5,7,11") == 0
 assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
 assert quiet("classify", "--dims", "2,2", "--prime", str(at_cut)) == 0
@@ -787,8 +845,8 @@ assert package() == sorted(oracle + ["entspace.ffkernel"]), package()
 assert "numpy" in sys.modules
 assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
 
-# the guard can fail: example2-M is an exact subspace over Q
-assert quiet("verify", "--dims", "4,4", "--space", "example2-M", "--method", "ff") == 0
+# the guard can fail: onb builds its basis over Q
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert loaded(exact) == list(exact), loaded(exact)
 """
 
@@ -823,10 +881,18 @@ assert package == ["entspace", "entspace.cli", "entspace.commands",
                    "entspace.commands.verify", "entspace.grading", "entspace.serialize",
                    "entspace.verify"], package
 
-# the guard can fail: example2-R's space is spanned from exact product vectors
-assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--method", "als",
-             "--restarts", "2") == 0
-assert loaded(exact[:4]) == list(exact[:4]), loaded(exact[:4])
+# nor does example2's: it is searched in dense form, on the float rows of
+# its closed form
+for space in ("example2-M", "example2-R"):
+    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
+                 "--restarts", "2") == 0
+assert not loaded(exact), str(loaded(exact)) + " loaded by an example2 ALS search"
+after = sorted(name for name in sys.modules if name.startswith("entspace"))
+assert after == package, after
+
+# the guard can fail: onb builds its basis over Q
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+assert loaded(exact[:5]) == list(exact[:5]), loaded(exact[:5])
 """
 
 
@@ -855,12 +921,11 @@ print(code, *package)
 """
 
 
-@pytest.mark.parametrize("space, exact", [
-    ("S", False), ("Sperp", False), ("example2-R", True)])
-def test_als_loads_every_package_module_before_numpy(space, exact):
-    # a module compiled after numpy raises the run's peak RSS; only example2
-    # loads the exact layers, to build and span its space
-    dims = "4,4" if space == "example2-R" else "3,4"
+@pytest.mark.parametrize("space", ["S", "Sperp", "example2-M", "example2-R"])
+def test_als_loads_every_package_module_before_numpy(space):
+    # a module compiled after numpy raises the run's peak RSS; no search
+    # loads an exact layer, example2's included
+    dims = "4,4" if space.startswith("example2") else "3,4"
     argv = ["verify", "--dims", dims, "--space", space, "--method", "als",
             "--restarts", "4"]
     proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, *argv], env=_cli_env(),
@@ -868,9 +933,10 @@ def test_als_loads_every_package_module_before_numpy(space, exact):
     assert proc.returncode == 0, proc.stderr
     code, *package = proc.stdout.split()
     assert code == "0"
-    assert "entspace.verify" in package and "entspace.codec" not in package
-    assert ("entspace.construct" in package) is exact, package
-    assert ("entspace.elimination" in package) is exact, package
+    assert "entspace.verify" in package, package
+    for name in ("entspace.codec", "entspace.construct", "entspace.elimination",
+                 "entspace.examples"):
+        assert name not in package, package
 
 
 RUN_PROBE = """
@@ -971,6 +1037,29 @@ def test_graded_construct_matches_the_exact_basis_byte_for_byte():
     assert cases > 5000
 
 
+def test_example2_construct_matches_the_library_encoders_byte_for_byte():
+    # example2-M is written from its groups and example2-R from its points,
+    # as text: the documents the object encoders write of the library's
+    # exact subspace and product vectors
+    from entspace.codec import product_vectors_document, subspace_document
+    from entspace.serialize import csv_matrices, json_dumps
+
+    ex = split_antidiagonal_spaces()
+    dims = Dims((4, 4))
+    want = {
+        "example2-M": (subspace_document(ex.m_space, {"space": "example2-M"}),
+                       list(ex.m_space.rows)),
+        "example2-R": (product_vectors_document(dims, RATIONAL, ex.spanning_set,
+                                                {"space": "example2-R"}),
+                       [pv.expand() for pv in ex.spanning_set]),
+    }
+    for space, (doc, vectors) in want.items():
+        for fmt, text in (("json", json_dumps(doc)), ("csv", csv_matrices(vectors, dims))):
+            got = _command_output(construct_command.run, dims="4,4", space=space,
+                                  format=fmt)
+            assert got == (0, text), (space, fmt)
+
+
 def _command_output(command, **args) -> tuple[int, str]:
     """The exit code and stdout of one in-process run of a command handler."""
     out = io.StringIO()
@@ -986,8 +1075,8 @@ def assert_verify_writers_agree(dims, space, primes):
     from entspace.grading import NO_WITNESS, WITNESS
     from entspace.serialize import json_dumps
 
-    target, expected = commands._named_space(dims, space)
-    reports = ffobjects.ff_verify(commands._as_subspace(target), dims, primes)
+    target, expected = _library_space(dims, space)
+    reports = ffobjects.ff_verify(target, dims, primes)
     verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
     want = json_dumps({
         "dims": list(dims.d), "space": space, "method": "ff", "verdict": verdict,
@@ -1088,8 +1177,7 @@ def test_als_documents_match_the_library_encoder_byte_for_byte(dims, space, rest
     from entspace.serialize import json_dumps
 
     shape = parse_dims(dims)
-    target, expected = commands._named_space(shape, space)
-    basis = commands._as_subspace(target)
+    basis, expected = _library_space(shape, space)
     if not isinstance(basis, LevelSums):
         basis = verify_module.orthonormal_basis(basis)
     result = verify_module.max_product_overlap(basis, shape, restarts=restarts, tol=tol,

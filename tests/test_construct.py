@@ -361,6 +361,8 @@ def test_split_antidiagonal_example():
     for row in r_span.rows:
         assert ex.m_perp.contains(row)
     assert orthocomplement(r_span) == s
+    # the closed form the command line takes example2-R's span in: Sperp
+    assert r_span == entangled_complement(d44)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, prime_field(7)], ids=lambda f: f.label)
