@@ -2,15 +2,14 @@
 scalars, vectors, subspaces, product vectors and reports.
 
 Each encoder turns its object into rows of encoded entries or a plain dict
-for the text layer, ``entspace.serialize``, where these names still
-resolve too.  Only a command that makes such objects loads this module:
-``onb``.  The other commands write their documents as text from what they
-compute, and these encoders are the tests' cross-check of those writers:
-``construct``'s closed-form rows and example2-R's vectors
-(``producttext``), the oracle's from its int residues (``ff._point_entry``,
-which also writes a point over F_p here, and ``ff._classify_document``),
-``upb``'s from its recipe (``upbtext``), and the ALS search's from its
-floats (``verify._als_entry``).  The scalar and
+for the text layer, ``entspace.serialize``.  Only a command that makes such
+objects loads this module: ``onb``.  The other commands write their
+documents as text from what they compute, and these encoders are the
+tests' cross-check of those writers: ``construct``'s closed-form rows and
+example2-R's vectors (``producttext``), the oracle's from its int residues
+(``ff._point_entry``, which also writes a point over F_p here, and
+``ff._classify_document``), ``upb``'s from its recipe (``upbtext``), and
+the ALS search's from its floats (``verify._als_entry``).  The scalar and
 vector types decoded into are imported by the functions that use them.
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .grading import DENSE_BUDGET, INFINITY, Dims
-from .serialize import _document, rows_document
+from .serialize import _complex_entry, _document, rows_document
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -27,12 +26,8 @@ if TYPE_CHECKING:
     from .fields import Field
     from .grading import VerificationReport
     from .linalg import StateVector, Subspace
-    from .upb import UpbRecipe, UpbReport
-
-
-def _complex_entry(c) -> dict:
-    z = complex(c)
-    return {"re": z.real, "im": z.imag}
+    from .upb import UpbReport
+    from .upbtext import UpbRecipe
 
 
 def _scalar_encoder(field: Field):

@@ -3,7 +3,7 @@ of a multi-index, one level's dimension, its closed forms, and every shape
 up to a size for exhaustive sweeps.
 
 A command needs only ``grading.level_counts``, so these live apart from
-``grading``, which every command compiles; they still resolve there.
+``grading``, which every command compiles.
 """
 
 from __future__ import annotations

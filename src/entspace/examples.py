@@ -17,9 +17,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .construct import INFINITY, ProductVector, _group_rows, vandermonde_vector
+from .construct import ProductVector, _group_rows, vandermonde_vector
 from .fields import COMPLEX, Field, RATIONAL
-from .grading import SPLIT_ANTIDIAGONAL, Dims, check_dense_size, enumerate_level
+from .grading import INFINITY, SPLIT_ANTIDIAGONAL, Dims, check_dense_size, enumerate_level
 from .linalg import StateVector, Subspace
 
 if TYPE_CHECKING:

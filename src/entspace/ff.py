@@ -24,8 +24,7 @@ make ``Fp`` scalars, ``ProductVector``s and reports from the hits
 and ``ClassifyReport``) live in ``entspace.ffobjects``.  So this module
 imports only ``grading`` and ``reduction`` at load, and a graded oracle
 command compiles neither the wrappers nor ``fields``, ``linalg`` or
-``construct``; every name this module held or imported before still
-resolves here, loading its home on first access.
+``construct``.
 
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
@@ -40,23 +39,10 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from . import _lazy_getattr
 from .grading import DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, \
     GroupSums, LevelSums, _check_level_rows, _group_entries, _level_groups, \
     check_dense_size
 from .reduction import _kernel_basis, _reduce_rows, check_elimination_cost, is_prime
-
-# The object layers load only where a caller needs them: a command writes
-# its documents from the int hits, with no scalar, vector or report object.
-__getattr__ = _lazy_getattr(__name__, {
-    **dict.fromkeys(("ClassifyReport", "classify_product_vectors_fp", "ff_verify",
-                     "find_product_vectors_fp", "_product_vectors"), "ffobjects"),
-    **dict.fromkeys(("UpbReport", "verify_upb"), "upb"),
-    "ProductVector": "construct",
-    **dict.fromkeys(("Fp", "RATIONAL", "prime_field"), "fields"),
-    **dict.fromkeys(("Subspace", "integer_rows"), "linalg"),
-    "VerificationReport": "grading",
-})
 
 # Fibre solves plus product vectors found.  Every shape with at most 10**7
 # projective product tuples needs fewer fibres (the most: 537,824 for 2^6

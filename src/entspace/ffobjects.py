@@ -5,8 +5,7 @@ Each wraps an int core of ``entspace.ff`` (``_product_points``,
 ``_ff_runs``, ``_classify_points``) and makes the ``Fp`` scalars,
 ``ProductVector``s and reports from its hits.  The command line writes its
 documents from the int hits with no such object, so no command loads this
-module; the library's UPB audits in ``entspace.upb`` do.  The names
-still resolve in ``entspace.ff`` and ``entspace.verify``.
+module; the library's UPB audit in ``entspace.upb`` does.
 """
 
 from __future__ import annotations

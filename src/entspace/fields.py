@@ -10,7 +10,7 @@ on the field kind.
 process) is imported only where a rational is made or tested, so a command
 that makes none, such as the F_p oracle on a graded space, never loads it.
 Nor does that oracle load this module: ``is_prime`` lives in
-``entspace.reduction`` and still resolves here.
+``entspace.reduction``.
 """
 
 from __future__ import annotations

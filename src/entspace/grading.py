@@ -15,13 +15,11 @@ point, which ``upb`` parses without loading ``construct``), and the graded
 spaces in closed form.  A ``LevelSums`` names S, Sperp, a level slice or
 example1, a ``GroupSums`` example2-M (``SPLIT_ANTIDIAGONAL``), and
 ``_group_entries`` writes their reduced echelon rows as lists of any three
-values for 0, 1 and -1: the
-``Fraction`` rows of ``entspace.construct``, the residues of the oracle's
-annihilator, or the text a graded ``construct`` writes straight into its
-document.  The names
-still resolve in ``entspace.linalg`` and ``entspace.construct``.  Level
-counting that only the library uses (``level_count``, its closed forms,
-``iter_dims``) lives in ``entspace.counting`` and resolves here.
+values for 0, 1 and -1: the ``Fraction`` rows of ``entspace.construct``,
+the residues of the oracle's annihilator, or the text a graded
+``construct`` writes straight into its document.  Level counting that only
+the library uses (``level_count``, its closed forms, ``iter_dims``) lives
+in ``entspace.counting``.
 """
 
 from __future__ import annotations
@@ -32,14 +30,8 @@ from itertools import accumulate, product
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from . import _lazy_getattr
-
 if TYPE_CHECKING:
     from .construct import ProductVector
-
-# Level counting that only the library uses, on first access.
-__getattr__ = _lazy_getattr(__name__, dict.fromkeys(
-    ("level", "level_count", "level_count_closed_form", "iter_dims"), "counting"))
 
 MultiIndex = tuple[int, ...]
 

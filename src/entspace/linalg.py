@@ -5,11 +5,7 @@ two subspaces are equal iff their stored rows are identical.  The one exact
 row reduction, ``_reduce_rows`` on ints over Q or F_p, and the elimination
 budget live in ``entspace.reduction``, which the F_p oracle loads without
 this module; the subspace calculus built on them (``span``,
-``orthocomplement``, ``intersect``, ...) lives in ``entspace.elimination``,
-and its names still resolve here, loading it on first access.  The budget
-error, the dense-size budget, the verdicts, the verifier defaults and the
-verification report are defined in ``entspace.grading``.  Both modules' names are imported here, so
-they resolve in this module too.
+``orthocomplement``, ``intersect``, ...) lives in ``entspace.elimination``.
 """
 
 from __future__ import annotations
@@ -19,18 +15,16 @@ from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .fields import Field
-from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, \
-    DENSE_BUDGET, NO_WITNESS, WITNESS, BudgetExceededError, Dims, MultiIndex, \
-    Record, Value, VerificationReport, check_dense_size  # noqa: F401
-from .reduction import ELIMINATION_BUDGET, _clear, _primitive, _reduce_rows, \
-    check_elimination_cost  # noqa: F401
+from .grading import Dims, MultiIndex, Value
+from .reduction import _reduce_rows
 
 if TYPE_CHECKING:
     from .fields import Scalar
 
+# Aliases that perfbench's tracer looks up here, until it names the homes
+# (ROADMAP item 1).
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(
-    ("span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p"),
-    "elimination"))
+    ("span", "orthocomplement", "reduce_mod_p"), "elimination"))
 
 
 class StateVector(Value):

@@ -8,9 +8,7 @@ calculus in ``entspace.linalg`` and ``entspace.elimination`` builds on them,
 and the F_p oracle in ``entspace.ff`` reduces its inputs and reads its
 annihilator and every fibre's kernel off with them, so each imports what
 it uses from here.  The module imports only ``grading`` at load, so a graded
-oracle command compiles neither ``fields`` nor ``linalg``.  ``is_prime``,
-``check_elimination_cost`` and the reduction still resolve in
-``entspace.fields`` and ``entspace.linalg``.
+oracle command compiles neither ``fields`` nor ``linalg``.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ Vandermonde product vectors at distinct points; for two factors, every
 larger admissible size adds the standard product vectors of chosen levels.
 The recipe of that choice, its parameter points and its closed-form checks
 live in ``entspace.upbtext``, which the ``upb`` command runs on text alone;
-here they become ``ProductVector``s and a ``UpbReport``.  ``audit_recipe``
-audits a basis from its recipe in closed form, with its complement, the
-S-part of the unchosen levels, as a ``LevelSums`` for the oracle; nothing is
-eliminated.  ``verify_upb`` audits any claimed UPB by exact elimination.
+here they become ``ProductVector``s.  ``verify_upb`` audits any claimed UPB
+by exact elimination, the independent check of the command's closed-form
+audit.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .ffobjects import ff_verify
 from .fields import Field, RATIONAL
 from .grading import WITNESS, Dims, LevelSums, Record, VerificationReport, \
     _level_groups, enumerate_level
-from .upbtext import UpbRecipe, _recipe_complement, _upb_points, _upb_recipe
+from .upbtext import UpbRecipe, _upb_points, _upb_recipe
 
 
 def minimal_upb(
@@ -47,8 +46,6 @@ def upb_of_size(
     basis product vector of that level except the lexicographically last.
     The orthocomplement of the result is the direct sum of the entangled
     slices of the unchosen levels, which sits inside the entangled subspace.
-    Nothing is eliminated here: ``audit_recipe`` reads rank and complement
-    off the recipe.
     """
     recipe = _upb_recipe(dims, m, points, field.coerce)
     extras = [standard_product_vector(dims, idx, field)
@@ -75,26 +72,6 @@ class UpbReport(Record):
         self.ff_reports = [] if ff_reports is None else ff_reports
         self.is_upb = is_upb
         self.witness = witness
-
-
-def _report(size: int, span_dim: int, complement_dim: int, inside: bool, complement,
-            dims: Dims, primes, budget: int) -> UpbReport:
-    """A UPB audit's report; the oracle runs on a nonempty ``complement``
-    (None skips it), so that even a set too small comes with a witness."""
-    reports = [] if complement_dim == 0 or complement is None else \
-        ff_verify(complement, dims, primes, budget)
-    witness = next((rep.witness for rep in reports if rep.verdict == WITNESS), None)
-    independent, meets_min = span_dim == size, span_dim >= dims.max_level + 1
-    return UpbReport(size, span_dim, independent, meets_min, complement_dim, inside,
-                     reports, independent and meets_min and witness is None, witness)
-
-
-def audit_recipe(recipe: UpbRecipe, primes=None) -> UpbReport:
-    """``verify_upb`` of the basis ``upb_of_size`` builds from ``recipe``, in closed form,
-    refused as its elimination would be; at full size every prime is still checked."""
-    dims, m = recipe.dims, recipe.size
-    complement = _recipe_complement(recipe, primes)
-    return _report(m, m, dims.total - m, True, complement, dims, primes, ENUMERATION_BUDGET)
 
 
 def verify_upb(
@@ -125,5 +102,13 @@ def verify_upb(
     levels = list(_level_groups(dims, LevelSums(range(dims.max_level + 1))))
     inside = all(not sum(row.coeffs[i] for i in level) for row in complement.rows
                  for level in levels)
-    return _report(len(vectors), spanned.dim, complement.dim, inside,
-                   complement if fld == RATIONAL else None, dims, primes, budget)
+    # the oracle runs on a nonempty rational complement, so that even a set
+    # too small comes with a witness
+    reports = ff_verify(complement, dims, primes, budget) \
+        if complement.dim and fld == RATIONAL else []
+    witness = next((rep.witness for rep in reports if rep.verdict == WITNESS), None)
+    independent = spanned.dim == len(vectors)
+    meets_min = spanned.dim >= dims.max_level + 1
+    return UpbReport(len(vectors), spanned.dim, independent, meets_min, complement.dim,
+                     inside, reports, independent and meets_min and witness is None,
+                     witness)

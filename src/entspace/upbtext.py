@@ -15,10 +15,9 @@ complement is the S-part of the unchosen levels, a ``LevelSums`` the
 oracle takes in closed form.  No scalar, vector or report object is made,
 and ``fractions`` loads only to parse ``--lambdas``.
 
-The library's ``upb_of_size`` and ``audit_recipe`` (``entspace.upb``) build
-the same recipe and run the same checks here, and make the vectors and the
-report as objects; the tests check that ``codec`` writes them to the same
-bytes.
+The library's ``upb_of_size`` (``entspace.upb``) builds the same recipe and
+makes the vectors as objects, and its ``verify_upb`` audits them by
+elimination; the tests check that ``codec`` writes both to the same bytes.
 """
 
 from __future__ import annotations
@@ -143,24 +142,19 @@ def _upb_recipe(dims: Dims, m: int, points=None, coerce=None) -> UpbRecipe:
     return UpbRecipe(dims, m, tuple(chosen), tuple(points), dropped)
 
 
-def _recipe_complement(recipe: UpbRecipe, primes=None) -> LevelSums:
-    """The complement of the basis built from ``recipe``: the S-part of the
-    unchosen levels.  It is refused as the elimination of the basis and of
-    its complement would be, and at full size, where the oracle has nothing
-    to search, every prime is still checked."""
+def _audit_entry(recipe: UpbRecipe, primes=None) -> dict:
+    """``encode_upb_report`` of ``verify_upb`` of the basis built from
+    ``recipe``, from the oracle's int runs with no scalar, vector or report
+    made.  The basis has rank ``size``, and its complement is the S-part of
+    the unchosen levels.  Both are refused as their elimination would be,
+    and at full size, where the oracle has nothing to search, every prime
+    is still checked."""
     dims, m, total = recipe.dims, recipe.size, recipe.dims.total
     check_elimination_cost(m, total)
     check_elimination_cost(total - m, total)
     for p in primes if primes and m == total else ():
         _check_prime(dims, p)
-    return LevelSums([n for n in range(dims.max_level + 1) if n not in recipe.levels])
-
-
-def _audit_entry(recipe: UpbRecipe, primes=None) -> dict:
-    """``encode_upb_report`` of ``audit_recipe(recipe, primes)``, from the
-    oracle's int runs with no scalar, vector or report made."""
-    dims, m, total = recipe.dims, recipe.size, recipe.dims.total
-    complement = _recipe_complement(recipe, primes)
+    complement = LevelSums([n for n in range(dims.max_level + 1) if n not in recipe.levels])
     runs = _ff_runs(complement, dims, primes) if m < total else []
     reports = [_report_entry(dims, *run) for run in runs]
     witness = next((rep["witness"] for rep in reports if rep["verdict"] == WITNESS), None)

@@ -4,8 +4,7 @@ The finite-field route (``entspace.ff``, with its batched numpy kernel in
 ``entspace.ffkernel`` and its library entry points in
 ``entspace.ffobjects``; the UPB audit is ``entspace.upb``) enumerates every
 projective product vector of the subspace reduced mod p, giving a
-definitive statement about the reduced subspace.  Its public names still
-resolve here, loading the oracle on first access.  This module is the
+definitive statement about the reduced subspace.  This module is the
 numerical route: alternating single-site maximization of the product
 overlap over complex floats, which reports a margin; it can certify the
 presence of a product vector (overlap near 1) but never the absence.
@@ -28,8 +27,9 @@ from typing import TYPE_CHECKING
 # numpy (as when bytecode caching is off) raises the peak RSS of an ALS run.
 from . import _lazy_getattr
 from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_BUDGET, \
-    NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, \
+    INFINITY, NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, \
     VerificationReport, level_counts
+from .serialize import _complex_entry
 
 import numpy as np
 
@@ -37,20 +37,12 @@ if TYPE_CHECKING:
     from .construct import ProductVector
     from .linalg import Subspace
 
-# The oracle's names, and the exact layers' names this module imported at
-# load before, on first access: an ALS search never loads ``entspace.ff``,
-# whose compile and import cost about 15 ms.
+# Aliases that perfbench's tracer looks up here, until it names the homes
+# (ROADMAP item 1).
 __getattr__ = _lazy_getattr(__name__, {
-    **dict.fromkeys((
-        "DEFAULT_PRIME_POOL", "ENUMERATION_BUDGET", "candidate_count",
-        "default_primes"), "ff"),
-    **dict.fromkeys((
-        "ClassifyReport", "classify_product_vectors_fp", "ff_verify",
-        "find_product_vectors_fp"), "ffobjects"),
-    **dict.fromkeys(("UpbReport", "verify_upb"), "upb"),
-    **dict.fromkeys(("INFINITY", "ProductVector", "vandermonde_vector"), "construct"),
-    "COMPLEX": "fields",
-    "Subspace": "linalg",
+    **dict.fromkeys(("ff_verify", "find_product_vectors_fp",
+                     "classify_product_vectors_fp"), "ffobjects"),
+    "verify_upb": "upb",
 })
 
 
@@ -389,10 +381,6 @@ def max_product_overlap(
                      VerificationReport(**fields))
 
 
-def _complex_entry(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _als_entry(fields: dict, factors: list | None) -> dict:
     """``encode_report`` of the report of an ``_als_runs`` search, written
     from its floats: the witness is ``encode_witness`` of
@@ -483,7 +471,7 @@ def nearest_vandermonde(witness: ProductVector, dims: Dims):
     is expanded: the overlap of two product vectors is the product of their
     factors' overlaps, and so is each norm.
     """
-    from .construct import INFINITY, vandermonde_vector
+    from .construct import vandermonde_vector
     from .fields import COMPLEX
 
     factors = [np.asarray([complex(c) for c in f]) for f in witness.factors]

@@ -601,7 +601,7 @@ assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
 assert not loaded(("json",)), "json loaded by construct"
 
 from entspace.ff import _BATCH_FIBRES
-from entspace.fields import is_prime
+from entspace.reduction import is_prime
 
 # the finite-field oracle on plain ints: 2,2 at p has p + 1 fibres, so the
 # largest prime at the cut stays numpy-free
@@ -617,7 +617,7 @@ assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7"
 assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
 assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
 import entspace
-assert entspace.ff_verify is entspace.ff.ff_verify
+assert entspace.ff_verify is entspace.ffobjects.ff_verify
 assert entspace.UpbReport is entspace.upb.UpbReport
 assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
 
@@ -663,8 +663,8 @@ exec("from entspace import *", names)
 missing = [n for n in entspace.__all__ if n not in names]
 assert not missing, missing
 assert entspace.max_product_overlap is entspace.verify.max_product_overlap
-assert entspace.verify_upb is entspace.verify.verify_upb
-assert entspace.verify.VerificationReport is entspace.ff.VerificationReport
+assert entspace.verify_upb is entspace.upb.verify_upb
+assert entspace.verify.VerificationReport is entspace.grading.VerificationReport
 assert "max_product_overlap" in dir(entspace) and "ff_verify" in dir(entspace)
 try:
     entspace.no_such_name
@@ -687,7 +687,7 @@ def loaded():
     return [name for name in ("fractions", "decimal") if name in sys.modules]
 
 from entspace.ff import _BATCH_FIBRES
-from entspace.fields import is_prime
+from entspace.reduction import is_prime
 
 # no command below makes a rational: the oracle takes a graded space's rank
 # and annihilator in closed form, and the ALS search its level-sum form
@@ -979,19 +979,25 @@ def test_main_leaves_the_collector_and_blas_threads_alone(capsys, monkeypatch):
     assert not [name for name in entspace_cli.BLAS_THREADS if name in os.environ]
 
 
-def test_tracer_layer_names_still_resolve():
-    # perfbench's tracer patches these (module, name) pairs; a moved encoder
-    # or wrapper would break it.  spans.py is read, not imported.
+def _tracer_layers():
+    """perfbench's tracer's ``LAYERS``: layer -> (module, the names it
+    patches there).  spans.py is read, not imported."""
     import ast
-    import importlib
 
     tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "spans.py")
                      .read_text())
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+
+
+def test_tracer_layer_names_still_resolve():
+    # perfbench's tracer patches these (module, name) pairs; a moved encoder
+    # or wrapper would break it
+    import importlib
+
     checked = 0
-    for module_name, names in layers.values():
+    for module_name, names in _tracer_layers().values():
         module = importlib.import_module(module_name)
         for name in names:
             if "." in name:  # the tracer patches the class attribute itself
@@ -1002,6 +1008,45 @@ def test_tracer_layer_names_still_resolve():
             assert callable(fn), (module_name, name)
             checked += 1
     assert checked > 30
+
+
+def test_every_name_has_one_home():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import entspace
+
+    for name in entspace.__all__:
+        home = importlib.import_module(f"entspace.{entspace._HOMES[name]}")
+        assert getattr(entspace, name) is vars(home)[name], name
+        assert name in dir(entspace), name
+    # the only aliases left are the names the tracer looks up in a module
+    # that does not define them (and perfbench's test's ``construct.span``)
+    wanted = {"entspace.construct": {"span"}}
+    for module_name, names in _tracer_layers().values():
+        module = importlib.import_module(module_name)
+        wanted.setdefault(module_name, set()).update(
+            name for name in names if "." not in name and name not in vars(module))
+    wanted = {module_name: names for module_name, names in wanted.items() if names}
+    tables = {}
+    for info in pkgutil.walk_packages(entspace.__path__, "entspace."):
+        module = importlib.import_module(info.name)
+        if "__getattr__" in vars(module):
+            tables[info.name] = inspect.getclosurevars(module.__getattr__).nonlocals["homes"]
+    assert {name: set(homes) for name, homes in tables.items()} == wanted
+    assert "__getattr__" not in vars(entspace.ff) and "__getattr__" not in vars(entspace.grading)
+    for module_name, homes in tables.items():
+        module = importlib.import_module(module_name)
+        for name, home in homes.items():
+            assert getattr(module, name) is \
+                vars(importlib.import_module(f"entspace.{home}"))[name], (module_name, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    # ``from .serialize import ...`` probes for ``__path__``, which loads nothing
+    assert not hasattr(entspace.serialize, "__path__")
+    # one kernel read-off, for the oracle and orthocomplement alike
+    assert entspace.ff._kernel_basis is entspace.reduction._kernel_basis
 
 
 def _graded_cases():
@@ -1338,122 +1383,6 @@ def test_thousand_factor_shapes_exit_cleanly():
                               env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 2), proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
-
-
-# name -> (the module that defined it before, the module that defines it now)
-MOVED_NAMES = {
-    **{name: ("construct", "upb") for name in ("UpbRecipe", "minimal_upb", "upb_of_size")},
-    **{name: ("construct", "examples") for name in (
-        "SplitAntidiagonalExample", "split_antidiagonal_spaces", "gram_matrix",
-        "character_basis")},
-    **{name: ("linalg", "elimination") for name in (
-        "span", "orthocomplement", "subspace_sum", "intersect", "reduce_mod_p")},
-    **{name: ("ff", "upb") for name in ("UpbReport", "verify_upb")},
-    "LevelSums": ("verify", "construct"),
-    # the object encoders and readers, apart from the text writers
-    **{name: ("serialize", "codec") for name in (
-        "_complex_entry", "_scalar_encoder", "encode_scalar", "decode_scalar",
-        "encode_point", "_product_entry", "encode_rows", "subspace_document",
-        "vectors_document", "product_vectors_document", "encode_witness",
-        "encode_report", "encode_upb_report", "encode_upb_recipe",
-        "encode_classify_report", "document_vectors", "document_product_vectors",
-        "parse_csv")},
-    # the oracle's library wrappers, apart from its int core
-    **{name: ("ff", "ffobjects") for name in (
-        "ff_verify", "find_product_vectors_fp", "_product_vectors",
-        "classify_product_vectors_fp", "ClassifyReport")},
-    # level counting that no command runs
-    **{name: ("grading", "counting") for name in (
-        "level", "level_count", "level_count_closed_form", "iter_dims")},
-}
-# the names verify imported at load before an ALS search stopped loading the
-# exact layers, by their homes
-VERIFY_NAMES = {
-    **dict.fromkeys(("INFINITY", "ProductVector", "vandermonde_vector"), "construct"),
-    "COMPLEX": "fields",
-    "Subspace": "linalg",
-    **dict.fromkeys(("ff_verify", "find_product_vectors_fp", "classify_product_vectors_fp",
-                     "ClassifyReport"), "ffobjects"),
-}
-
-
-def test_moved_names_resolve_in_their_old_modules():
-    import importlib
-
-    import entspace
-    import entspace.reduction
-
-    for name in entspace.__all__:
-        getattr(entspace, name)
-        assert name in dir(entspace), name
-    for name, (old, new) in MOVED_NAMES.items():
-        old_module = importlib.import_module(f"entspace.{old}")
-        new_module = importlib.import_module(f"entspace.{new}")
-        assert getattr(old_module, name) is getattr(new_module, name), name
-    assert entspace.verify.verify_upb is entspace.upb.verify_upb
-    assert entspace.verify.UpbReport is entspace.upb.UpbReport
-    for name, home in VERIFY_NAMES.items():
-        home_module = importlib.import_module(f"entspace.{home}")
-        assert getattr(entspace.verify, name) is getattr(home_module, name), name
-    # the text layer forwards exactly the moved names: the ``__path__`` that
-    # ``from .serialize import ...`` probes for is not one of them
-    assert not hasattr(entspace.serialize, "__path__")
-    with pytest.raises(AttributeError, match="no_such_name"):
-        entspace.serialize.no_such_name
-    # construct no longer eliminates, but perfbench's tracer test looks span up there
-    assert entspace.construct.span is entspace.elimination.span
-    # one kernel read-off, for the oracle and orthocomplement alike
-    assert entspace.ff._kernel_basis is entspace.reduction._kernel_basis
-    with pytest.raises(AttributeError, match="no_such_name"):
-        entspace.construct.no_such_name
-
-
-# names that moved into grading, which every command loads, by the module
-# that defined them before
-MOVED_TO_GRADING = {
-    **dict.fromkeys(("BudgetExceededError", "DENSE_BUDGET", "check_dense_size",
-                     "DEFAULT_RESTARTS", "DEFAULT_MAX_SWEEPS", "DEFAULT_TOL",
-                     "NO_WITNESS", "WITNESS"), "linalg"),
-    **dict.fromkeys(("LevelSums", "_group_entries", "_level_groups", "_check_level_rows"),
-                    "construct"),
-    **dict.fromkeys(("VerificationReport", "Record"), "linalg"),
-}
-
-
-# names that moved into reduction, by the module that defined them before
-MOVED_TO_REDUCTION = {
-    **dict.fromkeys(("_reduce_rows", "_clear", "_primitive", "check_elimination_cost",
-                     "ELIMINATION_BUDGET"), "linalg"),
-    "is_prime": "fields",
-}
-# the names ff imported at load before, by their homes: it still resolves them
-FF_NAMES = {
-    "ProductVector": "construct",
-    **dict.fromkeys(("Fp", "RATIONAL", "prime_field"), "fields"),
-    **dict.fromkeys(("Subspace", "integer_rows"), "linalg"),
-    "VerificationReport": "grading",
-    **dict.fromkeys(("is_prime", "_reduce_rows", "check_elimination_cost"), "reduction"),
-}
-
-
-def test_names_moved_to_grading_resolve_in_their_old_modules():
-    import importlib
-
-    import entspace
-    import entspace.grading
-    import entspace.reduction
-
-    for name, old in MOVED_TO_GRADING.items():
-        old_module = importlib.import_module(f"entspace.{old}")
-        assert getattr(old_module, name) is getattr(entspace.grading, name), name
-        if name in entspace.__all__:
-            assert entspace._HOMES[name] == "grading", name
-    for name, old in MOVED_TO_REDUCTION.items():
-        old_module = importlib.import_module(f"entspace.{old}")
-        assert getattr(old_module, name) is getattr(entspace.reduction, name), name
-    for name, home in FF_NAMES.items():
-        home_module = importlib.import_module(f"entspace.{home}")
-        assert getattr(ff_module, name) is getattr(home_module, name), name
 
 
 @pytest.mark.parametrize("argv", [

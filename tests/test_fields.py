@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from entspace import COMPLEX, RATIONAL, Field, Fp, parse_field, prime_field
-from entspace.fields import is_prime
+from entspace.reduction import is_prime
 
 
 def test_is_prime_table():

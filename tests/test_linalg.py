@@ -23,8 +23,9 @@ from entspace import (
 )
 from entspace import verify
 from entspace.counting import iter_dims
-from entspace.linalg import ELIMINATION_BUDGET, BudgetExceededError, Subspace, \
-    _reduce_rows, integer_generators, integer_rows
+from entspace.grading import BudgetExceededError
+from entspace.linalg import Subspace, integer_generators, integer_rows
+from entspace.reduction import ELIMINATION_BUDGET, _reduce_rows
 
 D23 = Dims((2, 3))
 

@@ -217,7 +217,7 @@ def test_flat_string_lists_are_quoted_in_one_pass(items):
 
 def test_product_vector_past_the_dense_budget_is_written_from_its_factors(monkeypatch):
     from entspace import ProductVector, vandermonde_vector
-    from entspace.linalg import DENSE_BUDGET
+    from entspace.grading import DENSE_BUDGET
     from entspace.codec import document_product_vectors
 
     big = Dims((2,) * 21)  # 2**21 entries, past the budget; 2**20 is within it

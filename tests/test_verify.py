@@ -41,6 +41,7 @@ from entspace import (
     nearest_vandermonde,
     orthocomplement,
     orthonormal_basis,
+    prime_field,
     reduce_mod_p,
     span,
     split_antidiagonal_spaces,
@@ -59,7 +60,7 @@ from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.codec import encode_report
 from entspace.serialize import json_dumps
-from entspace.upb import audit_recipe
+from entspace.upbtext import _audit_entry
 from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
@@ -422,8 +423,8 @@ def _upb_cases(max_total):
 @pytest.fixture(scope="module", params=[False, True])
 def upb_builds(request):
     """Every admissible (dims, size) up to 16 entries, built once for the
-    tests below: (dims, size, prime, points, recipe, vectors, closed-form
-    report).  The points are the defaults, or with the parameter ``inf``
+    tests below: (dims, size, prime, points, recipe, vectors, elimination
+    audit's report).  The points are the defaults, or with the parameter ``inf``
     and the alternating fractions -1, 1/2, -1/3, ..."""
     builds = []
     for dims, m, prime in _upb_cases(16):
@@ -431,22 +432,26 @@ def upb_builds(request):
         if request.param:
             points = [INFINITY] + [Fraction((-1) ** t, t) for t in range(1, dims.max_level + 1)]
         recipe, vectors = upb_of_size(dims, m, points)
-        builds.append((dims, m, prime, points, recipe, vectors, audit_recipe(recipe, [prime])))
+        builds.append((dims, m, prime, points, recipe, vectors,
+                       verify_upb(vectors, dims, [prime])))
     assert len(builds) == 123
     return builds
 
 
 def test_closed_form_upb_audit_equals_verify_upb(upb_builds):
-    # the report read off the recipe equals the elimination audit's, witness
-    # search included
-    for dims, m, prime, _, _, vectors, report in upb_builds:
-        assert report == verify_upb(vectors, dims, [prime]), (dims, m)
+    # the report read off the recipe writes the elimination audit's bytes,
+    # witness search included
+    from entspace.codec import encode_upb_report
+
+    for dims, m, prime, _, recipe, _, report in upb_builds:
+        assert json_dumps(_audit_entry(recipe, [prime])) == \
+            json_dumps(encode_upb_report(report)), (dims, m)
         assert report.is_upb and report.complement_in_entangled
 
 
 def assert_upb_writers_agree(dims, m, prime, points, recipe, vectors, report):
     """The upb command writes, from the recipe as text, the document the
-    library encoders write of upb_of_size's vectors and audit_recipe's
+    library encoders write of upb_of_size's vectors and verify_upb's
     report, with the same exit code."""
     from entspace.codec import encode_upb_recipe, encode_upb_report, \
         product_vectors_document
@@ -484,7 +489,7 @@ def test_upb_document_reports_a_witness_as_the_library_does(monkeypatch):
     monkeypatch.setattr(ff_module, "_rank_and_points", tampered)
     dims = Dims((2, 3))
     recipe, vectors = upb_of_size(dims, 4)
-    report = audit_recipe(recipe, [5])
+    report = verify_upb(vectors, dims, [5])
     assert not report.is_upb and report.witness is not None
     assert_upb_writers_agree(dims, 4, 5, None, recipe, vectors, report)
 
@@ -492,7 +497,7 @@ def test_upb_document_reports_a_witness_as_the_library_does(monkeypatch):
 def fp_annihilator(generators, dims, p):
     """The oracle's rank mod p and its annihilator, as a subspace over F_p."""
     rank, h = ff_module._annihilator(*ff_module._integer_rows(generators, dims), dims, p)
-    fld = ff_module.prime_field(p)
+    fld = prime_field(p)
     rows = [StateVector.from_values(dims, fld, row) for row in h]
     return rank, span(rows, dims=dims, field=fld)
 
@@ -706,7 +711,7 @@ def test_classify_vandermonde_points():
 @pytest.mark.parametrize("dims,p", [(Dims((2, 3)), 5), (Dims((3, 4)), 7),
                                     (Dims((2, 3, 4)), 11)], ids=str)
 def test_vandermonde_points_match_the_constructions(dims, p):
-    fld = ff_module.prime_field(p)
+    fld = prime_field(p)
     want = [_factor_values([vandermonde_vector(dims, pt, fld)])[0]
             for pt in [*range(p), INFINITY]]
     assert ff_module._vandermonde_points(dims, p) == want
@@ -727,7 +732,7 @@ def test_classify_reports_missing_and_extraneous_points(monkeypatch):
     assert rep.found == want[1:] + rep.extraneous
     assert rep.missing == [want[0]]
     assert [_factor_values([pv])[0] for pv in rep.extraneous] == [((1, 2), (1, 1, 1))]
-    assert rep.missing[0] == vandermonde_vector(dims, 0, ff_module.prime_field(p))
+    assert rep.missing[0] == vandermonde_vector(dims, 0, prime_field(p))
 
 
 def test_orthonormal_basis():
