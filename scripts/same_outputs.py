@@ -13,7 +13,9 @@ the default primes and at 7, and ``classify``),
 below and past the batched kernel's cut, ``upb`` argv that neither of the
 first two lists reaches, the ALS search on every graded space and on
 example2 (witness runs included), ``onb`` and ``dims``, and a fixed list of
-misuse and refusal argv;
+misuse and refusal argv, with argv on both sides of the option reader's
+edge (``--name=value`` forms it reads; abbreviations, repeats, ``--``,
+``-h`` and values led by ``-``, which it leaves to argparse);
 ``--argv`` replaces them all.  The argv that differ are printed, and the
 exit code is 1 if any do.
 
@@ -92,7 +94,9 @@ ALS = (
        "onb --dims 3,3 --level 2", "onb --dims 2,3,4 --level 3",
        "dims --dims 3,4", "dims --dims 2,3,4"]
 )
-# misuse and refusals: each must fail the same way, with the same message
+# misuse, refusals and the edge of the option reader (the = forms it reads,
+# and the forms it leaves to argparse): each must end the same way, with the
+# same message
 REFUSALS = (
     "",
     "bogus",
@@ -126,6 +130,24 @@ REFUSALS = (
     "verify --dims 8,8 --space S --method ff",
     "construct --dims 9223372036854775807,2 --space S",
     "verify --dims 99999999999999999999,2 --space Sperp --method ff --primes 7",
+    "construct --dims=3,3 --space=S",
+    "verify --dims 3,3 --space S --method=als --restarts=2 --max-sweeps=2",
+    "upb --dims 2,2 --min --lambdas=-1,0,1",
+    "construct --dim 3,3 --space S",
+    "verify --dims 3,3 --space S --method als --restarts 2 --max 2",
+    "construct --dims 3,3 --space S --space Sperp",
+    "construct --dims 3,3 --space S --seed -1",
+    "upb --dims 2,2 --min --lambdas -1,0,1",
+    "construct --dims 3,3 -- --space S",
+    "-- construct --dims 3,3 --space S",
+    "construct --dims 3,3 --space S -h",
+    "upb --dims 2,2",
+    "upb --dims 2,2 --min --size 3",
+    "upb --dims 2,2 --min=1",
+    "verify --dims 3,3 --space S --method lsq",
+    "verify --dims 3,3 --space S --tol=nan",
+    "dims --dims 3,3 stray",
+    "dims --dims",
 )
 
 

@@ -7,24 +7,27 @@ Subcommands map one-to-one onto the library: ``dims`` (level-count table),
 (per-level character basis).  Exit codes: 0 success, 2 invalid input,
 3 verification contradiction.
 
-This module holds the parser, ``main`` and the console entry point
-``run``.  Each command's arguments and handler are its module of
-``entspace.commands``, which the parser loads for that command alone, so a
-run compiles only the handler it runs.
+This module holds the option reader, the parser, ``main`` and the console
+entry point ``run``.  Each command's options and handler are its module of
+``entspace.commands``, which a run loads for that command alone, so a run
+compiles only the handler it runs.  A well-formed argv is read from the
+option tables by ``read_argv`` and loads no ``argparse`` (nor the
+``gettext`` and ``locale`` it loads); any other argv goes to the parser,
+which alone writes usage, help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .commands import non_negative_int
 from .grading import BudgetExceededError
 
-# command -> its help.  The command's other arguments and its handler are
-# the ``add_arguments`` and ``run`` of its module, ``entspace.commands.<command>``.
+# command -> its help.  The command's other options and its handler are
+# the ``OPTIONS`` and ``run`` of its module, ``entspace.commands.<command>``.
 COMMANDS = {
     "dims": "level-count table and dimensions",
     "construct": "write a basis of a named space",
@@ -33,15 +36,32 @@ COMMANDS = {
     "classify": "product vectors in the complement over F_p",
     "onb": "character orthonormal basis of one level",
 }
+# every command's options, before its own: (flag, add_argument keywords)
+OPTIONS = (
+    ("--dims", {"required": True, "help": "comma-separated local dimensions, e.g. 2,3"}),
+    ("--out", {"default": None, "help": "output path (default stdout)"}),
+    ("--seed", {"type": non_negative_int, "default": 0}),
+)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+def _command(name: str):
+    # __import__ is what an import statement runs, which -X importtime
+    # reports (importlib.import_module is not)
+    return __import__(f"{__package__}.commands.{name}", fromlist=["run"])
+
+
+def build_parser(only: str | None = None):
     """The command-line parser, with every subcommand or with ``only``.
 
-    A parser with one subcommand parses that command's argv as the full one
-    does, byte for byte: argparse names a subcommand's siblings only in the
-    top-level usage, which then lists every command as its metavar.
+    It is built from the same ``OPTIONS`` tables ``read_argv`` reads, and
+    ``main`` builds it only for an argv the reader declines, so argparse
+    loads only for help and errors.  A parser with one subcommand parses
+    that command's argv as the full one does, byte for byte: argparse names
+    a subcommand's siblings only in the top-level usage, which then lists
+    every command as its metavar.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="entspace",
         description="Completely entangled subspaces and unextendible "
@@ -53,25 +73,84 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name, help_text in COMMANDS.items():
         if only not in (None, name):
             continue
-        # __import__ is what an import statement runs, which -X importtime
-        # reports (importlib.import_module is not)
-        command = __import__(f"{__package__}.commands.{name}", fromlist=["run"])
+        command = _command(name)
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dims", required=True,
-                       help="comma-separated local dimensions, e.g. 2,3")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=non_negative_int, default=0)
-        command.add_arguments(p)
+        one_of = getattr(command, "ONE_OF", ())
+        group = p.add_mutually_exclusive_group(required=True) if one_of else None
+        for flag, kwargs in OPTIONS + command.OPTIONS:
+            (group if flag in one_of else p).add_argument(flag, **kwargs)
         p.set_defaults(func=command.run)
     return parser
 
 
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the parser makes of a plain argv, or None for the parser.
+
+    Plain is a command, then each of its options at most once by its full
+    name, as ``--name value`` (a value not led by ``-``) or ``--name=value``;
+    each value passes its option's type and choices, the required options
+    and one of a one-of are given, and the rest take their defaults as
+    argparse gives them.  Help, abbreviations, repeats, ``--``, values led
+    by ``-`` and refused values are not plain.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = _command(argv[0])
+    table = dict(OPTIONS + command.OPTIONS)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = table.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # the parser reports the refusal, or raises it again
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    one_of = getattr(command, "ONE_OF", ())
+    if one_of and sum(flag in given for flag in one_of) != 1:
+        return None
+    args = {"command": argv[0], "func": command.run}
+    for flag, kwargs in table.items():
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
+    """Run the command of ``argv`` (default ``sys.argv[1:]``): its exit code.
+
+    A well-formed argv is read by ``read_argv``; any other goes to the
+    parser, which prints usage, help or an error and raises ``SystemExit``.
+    A handler's input error is one ``error:`` line and exit 2.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command needs only its own subparser; --help, a missing or an
-    # unknown command get the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = read_argv(argv)
+    if args is None:
+        # a named command needs only its own subparser; --help, a missing or
+        # an unknown command get the full parser
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None
+                            ).parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, ValueError, OSError) as exc:

@@ -1,23 +1,25 @@
 """The command handlers, one module per command, and what they share.
 
-``entspace.cli`` builds the parser and dispatches; the command ``name`` is
-the module ``entspace.commands.<name>``, whose ``add_arguments`` adds the
-arguments beside ``--dims``, ``--out`` and ``--seed`` and whose ``run``
-handles a parsed argv.  The parser loads only the invoked command's module,
-so a run compiles one handler.  Each handler imports the layers it runs:
-``construct`` writes its closed-form rows, and example2-R's Vandermonde
-vectors, as text with ``serialize`` alone (and ``producttext``), the oracle
-and ``upb`` write their documents from int hits and recipes, the ALS search
-from its floats, and the object encoders of ``codec`` and the exact layers
-load only where objects are made (``onb``), numpy only for ALS and for
-enumerations too large for plain ints.  No named space is eliminated: each
-is a ``LevelSums`` or a ``GroupSums``, or example2-R's points, whose
-Vandermonde vectors span Sperp.
+``entspace.cli`` reads the argv and dispatches; the command ``name`` is
+the module ``entspace.commands.<name>``, whose ``OPTIONS`` table declares
+its options beside ``--dims``, ``--out`` and ``--seed`` (each as a flag and
+its argparse ``add_argument`` keywords) and whose ``run`` handles a parsed
+argv.  ``cli`` loads only the invoked command's module, so a run compiles
+one handler, and nothing here loads argparse: a type function imports it
+only to refuse a value, which argparse then reports.  Each handler imports
+the layers it runs: ``construct`` writes its closed-form rows, and
+example2-R's Vandermonde vectors, as text with ``serialize`` alone (and
+``producttext``), the oracle and ``upb`` write their documents from int
+hits and recipes, the ALS search from its floats, and the object encoders
+of ``codec`` and the exact layers load only where objects are made
+(``onb``), numpy only for ALS and for enumerations too large for plain
+ints.  No named space is eliminated: each is a ``LevelSums`` or a
+``GroupSums``, or example2-R's points, whose Vandermonde vectors span
+Sperp.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from ..grading import INFINITY, NO_WITNESS, SPLIT_ANTIDIAGONAL, WITNESS, Dims, \
@@ -34,17 +36,24 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def bad_value(message: str) -> Exception:
+    """argparse's error for a refused value: only a refusal loads argparse."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        raise bad_value(f"must be at least 1, got {text}")
     return n
 
 
 def non_negative_int(text: str) -> int:
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        raise bad_value(f"must be at least 0, got {text}")
     return n
 
 
@@ -52,7 +61,7 @@ def prime_list(text: str) -> tuple[int, ...]:
     """Comma-separated oracle primes, each once; the oracle checks primality."""
     primes = tuple(int(p) for p in text.split(","))
     if len(set(primes)) != len(primes):
-        raise argparse.ArgumentTypeError(f"repeated prime in {text}")
+        raise bad_value(f"repeated prime in {text}")
     return primes
 
 

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import parse_dims
 from . import _write
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime", type=int, required=True)
+OPTIONS = (("--prime", {"type": int, "required": True}),)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..ff import _classify_document, _classify_points
     from ..serialize import json_dumps
 

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import LevelSums, _check_level_rows, _group_entries, _level_groups, \
     parse_dims
 from . import SPACES, _named_space, _write
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", required=True, help=f"one of {SPACES}")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+OPTIONS = (
+    ("--space", {"required": True, "help": f"one of {SPACES}"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..serialize import _document, csv_matrices, json_dumps
 
     dims = parse_dims(args.dims)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import BudgetExceededError, level_counts, parse_dims
 from . import _write
 
@@ -13,11 +11,11 @@ from . import _write
 TABLE_BUDGET = 2 * 10**6
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    """None beside --dims, --out and --seed."""
+# none beside --dims, --out and --seed
+OPTIONS = ()
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     d = parse_dims(args.dims)
     steps = d.k * (d.max_level + 1)
     if steps > TABLE_BUDGET:

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import parse_dims
 from . import _write
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--level", type=int, required=True)
+OPTIONS = (("--level", {"type": int, "required": True}),)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..codec import vectors_document
     from ..examples import character_basis
     from ..fields import COMPLEX

@@ -3,24 +3,23 @@ recipe as text (``entspace.upbtext``)."""
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import parse_dims
 from . import _write, prime_list
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--min", action="store_true", help="minimal size N+1")
-    group.add_argument("--size", type=int,
-                       help="requested size (above N+1, two factors only)")
-    p.add_argument("--lambdas", default=None,
-                   help="comma-separated parameter points, rationals or inf")
-    p.add_argument("--primes", type=prime_list, default=None,
-                   help="comma-separated oracle primes")
+OPTIONS = (
+    ("--min", {"action": "store_true", "help": "minimal size N+1"}),
+    ("--size", {"type": int, "help": "requested size (above N+1, two factors only)"}),
+    ("--lambdas", {"default": None,
+                   "help": "comma-separated parameter points, rationals or inf"}),
+    ("--primes", {"type": prime_list, "default": None,
+                  "help": "comma-separated oracle primes"}),
+)
+# exactly one of these is given
+ONE_OF = ("--min", "--size")
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..serialize import json_dumps
     from ..upbtext import _audit_entry, _check_point_digits, _parse_points, \
         _upb_document, _upb_recipe

@@ -3,32 +3,30 @@ oracle or the ALS search."""
 
 from __future__ import annotations
 
-import argparse
-
 from ..grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, NO_WITNESS, \
     WITNESS, LevelSums, _group_entries, _level_groups, parse_dims
-from . import SPACES, _named_space, _write, positive_int, prime_list
+from . import SPACES, _named_space, _write, bad_value, positive_int, prime_list
 
 
 def tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 < tol < 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+        raise bad_value(f"must lie in (0, 1), got {text}")
     return tol
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", required=True, help=f"one of {SPACES}")
-    p.add_argument("--method", choices=("ff", "als"), default="ff")
-    p.add_argument("--primes", type=prime_list, default=None,
-                   help="comma-separated oracle primes")
-    p.add_argument("--restarts", type=positive_int, default=DEFAULT_RESTARTS)
-    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=positive_int,
-                   default=DEFAULT_MAX_SWEEPS)
+OPTIONS = (
+    ("--space", {"required": True, "help": f"one of {SPACES}"}),
+    ("--method", {"choices": ("ff", "als"), "default": "ff"}),
+    ("--primes", {"type": prime_list, "default": None,
+                  "help": "comma-separated oracle primes"}),
+    ("--restarts", {"type": positive_int, "default": DEFAULT_RESTARTS}),
+    ("--tol", {"type": tolerance, "default": DEFAULT_TOL}),
+    ("--max-sweeps", {"type": positive_int, "default": DEFAULT_MAX_SWEEPS}),
+)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..serialize import json_dumps
 
     dims = parse_dims(args.dims)

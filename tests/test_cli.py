@@ -560,9 +560,12 @@ def loaded(names=("numpy", "entspace.verify", "dataclasses", "inspect")):
 def handlers():
     return sorted(name for name in sys.modules if name.startswith("entspace.commands."))
 
-# the parser needs no construction, output layer, verifier or command handler
+PARSER = ("argparse", "gettext", "locale")
+
+# the reader needs no construction, output layer, verifier, command handler
+# or parser
 assert not loaded(("entspace.construct", "entspace.serialize", "entspace.ff",
-                   "entspace.verify")), "loaded by import entspace.cli"
+                   "entspace.verify") + PARSER), "loaded by import entspace.cli"
 assert handlers() == [], handlers()
 
 # the closed forms need no elimination, UPB, example or verifier
@@ -620,6 +623,28 @@ import entspace
 assert entspace.ff_verify is entspace.ffobjects.ff_verify
 assert entspace.UpbReport is entspace.upb.UpbReport
 assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
+# every command above read its argv from the option tables, so argparse,
+# which loads gettext and locale, never loaded
+assert not loaded(PARSER), str(loaded(PARSER)) + " loaded by a well-formed run"
+
+def parsed(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            entspace.cli.main(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} did not end in the parser")
+
+# help and refusals are the parser's, which loads them all
+code, out, err = parsed("construct", "--help")
+assert code == 0 and err == "", (code, err)
+assert out.startswith("usage: entspace construct [-h] --dims DIMS"), out
+code, out, err = parsed("verify", "--dims", "3,3", "--space", "S", "--seed", "x")
+assert code == 2 and out == "" and err.startswith("usage: entspace verify [-h]"), err
+assert err.splitlines()[-1] == ("entspace verify: error: argument --seed: "
+                                "invalid non_negative_int value: 'x'"), err
+assert loaded(PARSER) == list(PARSER), loaded(PARSER)
 
 # just past the cut the batched kernel loads, and the ALS search does not
 past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
@@ -635,6 +660,9 @@ import entspace.cli
 def quiet(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return entspace.cli.main(list(argv))
+
+PARSER = ("argparse", "gettext", "locale")
+assert not [name for name in PARSER if name in sys.modules], "loaded by import entspace.cli"
 
 # a graded search writes its report, a witness included, from its floats
 for space in ("Sperp", "S", "level:1"):
@@ -656,6 +684,9 @@ for space in ("example2-M", "example2-R"):
 for name in ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
              "entspace.examples", "entspace.elimination", "fractions", "decimal"):
     assert name not in sys.modules, name + " loaded by an example2 verify --method als"
+# nor does any search read its argv with argparse
+for name in PARSER:
+    assert name not in sys.modules, name + " loaded by verify --method als"
 
 import entspace
 names = {}
@@ -1594,6 +1625,8 @@ def test_one_subcommand_parser_parses_as_the_full_one(command, flags):
 
 
 def test_main_builds_the_full_parser_only_without_a_command(capsys, monkeypatch):
+    # a well-formed argv is read from the option tables and builds no parser;
+    # any other builds its command's parser, or the full one without a command
     built = []
     real = entspace_cli.build_parser
 
@@ -1603,11 +1636,41 @@ def test_main_builds_the_full_parser_only_without_a_command(capsys, monkeypatch)
 
     monkeypatch.setattr(entspace_cli, "build_parser", recording)
     assert main(["dims", "--dims", "2,2"]) == 0
-    for argv in (["--help"], ["bogus"], []):
+    assert main(["dims", "--dims", "2,2", "--dims", "2,3"]) == 0  # a repeat: the last wins
+    for argv in (["dims", "--help"], ["--help"], ["bogus"], []):
         with pytest.raises(SystemExit):
             main(argv)
     capsys.readouterr()
-    assert built == ["dims", None, None, None]
+    assert built == ["dims", "dims", None, None, None]
+
+
+def _reads_as_the_parser(argv):
+    """Whether the option reader takes ``argv``; where it does, its namespace
+    must be the one the full parser makes."""
+    args = entspace_cli.read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(entspace_cli.build_parser().parse_args(argv)), argv
+    return args is not None
+
+
+def test_reader_takes_every_listed_argv_as_the_parser_does():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argvs = script.default_argvs([1, 4242])
+    taken = {text for text in argvs if _reads_as_the_parser(text.split())}
+    # every GOLDEN and workload argv is well formed, and so skips argparse
+    assert set(GOLDEN) | set(script.workload_argvs([1, 4242])) <= taken
+    # the edge: = forms are read, and help, abbreviations, repeats, values
+    # led by -, -- and a missing one-of are left to the parser
+    assert "construct --dims=3,3 --space=S" in taken
+    assert "upb --dims 2,2 --min --lambdas=-1,0,1" in taken
+    for text in ("construct --dims 3,3 --space S -h", "construct --dim 3,3 --space S",
+                 "construct --dims 3,3 --space S --space Sperp",
+                 "upb --dims 2,2 --min --lambdas -1,0,1", "construct --dims 3,3 -- --space S",
+                 "upb --dims 2,2", "upb --dims 2,2 --min --size 3", "upb --dims 2,2 --min=1"):
+        assert text in argvs and text not in taken, text
 
 
 @pytest.mark.parametrize("argv", [["--repeats", "0"], ["--bogus"], ["--repeats", "x"]],
@@ -1676,7 +1739,7 @@ _VALUES = {
                  "example2-R"], ["level:9", "level:x", "T"]),
     "--format": (["json", "csv"], ["xml"]),
     "--size": (["3", "5", "7", "9"], ["-1", "0", "x"]),
-    "--lambdas": (["0,1,2", "0,1,2,3,4", "inf,1/2,3"], ["1/0", "0,0,1", "a", ""]),
+    "--lambdas": (["0,1,2", "0,1,2,3,4", "inf,1/2,3", "-1,0,1"], ["1/0", "0,0,1", "a", ""]),
     "--primes": (["5", "7,11"], ["2", "4", "0", "-5", "x", ""]),
     "--method": (["ff", "als"], ["lsq"]),
     "--restarts": (["1", "3"], ["0", "-2", "x"]),
@@ -1701,23 +1764,47 @@ _GRAMMAR = {  # command -> (required flags, optional flags); a tuple is a choice
 def cli_argv(draw):
     """An argv of the CLI grammar: a required flag is left out one time in
     eight, an optional one half the time, a value is bad one time in six,
-    and a flag foreign to the command comes in one time in eight."""
+    and a flag foreign to the command comes in one time in eight.  A value
+    is written ``--flag=value`` one time in four, and one argv in three
+    takes a form the option reader leaves to argparse: an abbreviated or a
+    repeated flag, a bare ``--``, or ``-h`` after the other flags (a value
+    led by ``-`` comes from the values)."""
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
     required, optional = _GRAMMAR[command]
     flags = [(f, 7) for f in ["--dims"] + required]  # (flag, times in eight)
     flags += [(f, 4) for f in ["--out", "--seed"] + optional]
     flags.append((draw(st.sampled_from(sorted(_VALUES))), 1))
-    argv = [command]
+    words = []  # each flag with its value, as one or two words
     for flag, keep in flags:
         if isinstance(flag, tuple):
             flag = draw(st.sampled_from(flag))
         if draw(st.integers(0, 7)) >= keep:
             continue
-        argv.append(flag)
-        if flag != "--min":
-            good, bad = _VALUES[flag]
-            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad)))
-    return argv
+        if flag == "--min":
+            words.append([flag])
+            continue
+        good, bad = _VALUES[flag]
+        value = draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+        words.append([f"{flag}={value}"] if draw(st.integers(0, 3)) == 0 else [flag, value])
+    edge = draw(st.sampled_from(["abbreviate", "repeat", "--", "-h"] + [""] * 8))
+    if words and edge == "abbreviate":  # --dims -> --dim, --max-sweeps -> --max-sweep
+        at = draw(st.integers(0, len(words) - 1))
+        flag, eq, value = words[at][0].partition("=")
+        words[at][0] = flag[:-1] + eq + value
+    elif words and edge == "repeat":
+        words.append(list(draw(st.sampled_from(words))))
+    elif edge == "--":
+        words.insert(draw(st.integers(0, len(words))), ["--"])
+    elif edge == "-h":
+        words.append(["-h"])
+    return [command] + [word for option in words for word in option]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+def test_reader_reads_grammar_draws_as_the_parser(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        _reads_as_the_parser(argv)
 
 
 @settings(max_examples=60, deadline=None)
