@@ -13,7 +13,8 @@ the default primes and at 7, and ``classify``),
 below and past the batched kernel's cut, ``upb`` argv that neither of the
 first two lists reaches, the ALS search on every graded space and on
 example2 (witness runs included), ``onb`` and ``dims``, and a fixed list of
-misuse and refusal argv, with argv on both sides of the option reader's
+misuse and refusal argv (``onb``'s among them, in the order it refuses),
+with argv on both sides of the option reader's
 edge (``--name=value`` forms it reads; abbreviations, repeats, ``--``,
 ``-h`` and values led by ``-``, which it leaves to argparse);
 ``--argv`` replaces them all.  The argv that differ are printed, and the
@@ -82,7 +83,8 @@ UPB = (
 )
 # the ALS search on every graded space, witness runs included (Sperp on
 # 2,2,2 and 3,4), a witness on S under a loose tolerance, example2, a
-# one-sweep cap, and the commands no other list reaches
+# one-sweep cap, and the commands no other list reaches: onb at its end
+# levels (one index each) and on five factors
 ALS = (
     [f"verify --dims {dims} --space {space} --method als --restarts 8"
      for dims in ("2,2,2", "3,4") for space in GRADED_SPACES]
@@ -92,6 +94,8 @@ ALS = (
        for space in ("S", "Sperp")]
     + ["verify --dims 3,4 --space S --method als --restarts 4 --tol 0.9",
        "onb --dims 3,3 --level 2", "onb --dims 2,3,4 --level 3",
+       "onb --dims 5,7 --level 0", "onb --dims 5,7 --level 10",
+       "onb --dims 2,2,2,2,2 --level 2",
        "dims --dims 3,4", "dims --dims 2,3,4"]
 )
 # misuse, refusals and the edge of the option reader (the = forms it reads,
@@ -148,6 +152,14 @@ REFUSALS = (
     "verify --dims 3,3 --space S --tol=nan",
     "dims --dims 3,3 stray",
     "dims --dims",
+    # onb's refusals, in their order: the dense size of one vector, the
+    # level's range, then the dense size of the level's basis
+    "onb --dims 200,200 --level 150",
+    "onb --dims 3,3 --level 9",
+    "onb --dims 3,3 --level -1",
+    "onb --dims 2,2 --level 99999999999999999999",
+    "onb --dims 9223372036854775807,2 --level 1",
+    "onb --dims " + ",".join(["2"] * 1100) + " --level 3",
 )
 
 

@@ -29,7 +29,8 @@ _HOMES = {
         "BudgetExceededError", "DEFAULT_MAX_SWEEPS", "DEFAULT_RESTARTS",
         "DEFAULT_TOL", "NO_WITNESS", "WITNESS", "VerificationReport", "INFINITY"),
         "grading"),
-    **dict.fromkeys(("level", "level_count", "level_count_closed_form"), "counting"),
+    **dict.fromkeys(("multi_index", "all_indices", "level", "level_count",
+                     "level_count_closed_form"), "counting"),
     **dict.fromkeys((
         "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
         "fields"),

@@ -2,15 +2,15 @@
 scalars, vectors, subspaces, product vectors and reports.
 
 Each encoder turns its object into rows of encoded entries or a plain dict
-for the text layer, ``entspace.serialize``.  Only a command that makes such
-objects loads this module: ``onb``.  The other commands write their
-documents as text from what they compute, and these encoders are the
-tests' cross-check of those writers: ``construct``'s closed-form rows and
-example2-R's vectors (``producttext``), the oracle's from its int residues
-(``ff._point_entry``, which also writes a point over F_p here, and
-``ff._classify_document``), ``upb``'s from its recipe (``upbtext``), and
-the ALS search's from its floats (``verify._als_entry``).  The scalar and
-vector types decoded into are imported by the functions that use them.
+for the text layer, ``entspace.serialize``.  No command loads this module:
+each writes its document as text from what it computes, and these encoders
+are the tests' cross-check of those writers: ``construct``'s closed-form
+rows, example2-R's vectors and ``onb``'s character rows (``producttext``),
+the oracle's from its int residues (``ff._point_entry``, which also writes
+a point over F_p here, and ``ff._classify_document``), ``upb``'s from its
+recipe (``upbtext``), and the ALS search's from its floats
+(``verify._als_entry``).  The scalar and vector types decoded into are
+imported by the functions that use them.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ its argparse ``add_argument`` keywords) and whose ``run`` handles a parsed
 argv.  ``cli`` loads only the invoked command's module, so a run compiles
 one handler, and nothing here loads argparse: a type function imports it
 only to refuse a value, which argparse then reports.  Each handler imports
-the layers it runs: ``construct`` writes its closed-form rows, and
-example2-R's Vandermonde vectors, as text with ``serialize`` alone (and
-``producttext``), the oracle and ``upb`` write their documents from int
-hits and recipes, the ALS search from its floats, and the object encoders
-of ``codec`` and the exact layers load only where objects are made
-(``onb``), numpy only for ALS and for enumerations too large for plain
-ints.  No named space is eliminated: each is a ``LevelSums`` or a
-``GroupSums``, or example2-R's points, whose Vandermonde vectors span
+the layers it runs, and each writes text: ``construct`` its closed-form
+rows, and example2-R's Vandermonde vectors, with ``serialize`` alone (and
+``producttext``), ``onb`` its character rows the same way, the oracle and
+``upb`` their documents from int hits and recipes, and the ALS search from
+its floats.  No command loads the object encoders of ``codec`` or the
+exact layers, and numpy loads only for ALS and for enumerations too large
+for plain ints.  No named space is eliminated: each is a ``LevelSums`` or
+a ``GroupSums``, or example2-R's points, whose Vandermonde vectors span
 Sperp.
 """
 
@@ -65,13 +65,6 @@ def prime_list(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _level_selector(name: str) -> int:
-    try:
-        return int(name[len("level:"):])
-    except ValueError:
-        raise ValueError(f"bad level selector {name!r}") from None
-
-
 def _named_space(dims: Dims, name: str):
     """Named space -> (space, expected verdict).
 
@@ -84,7 +77,10 @@ def _named_space(dims: Dims, name: str):
     if name == "Sperp":
         return LevelSums(every, sums=True), WITNESS
     if name.startswith("level:"):
-        return LevelSums((_level_selector(name),)), NO_WITNESS
+        try:
+            return LevelSums((int(name[len("level:"):]),)), NO_WITNESS
+        except ValueError:
+            raise ValueError(f"bad level selector {name!r}") from None
     if name == "example1":
         if dims.k != 2:
             raise ValueError("example1 needs exactly two factors")

@@ -10,13 +10,11 @@ OPTIONS = (("--level", {"type": int, "required": True}),)
 
 
 def run(args) -> int:
-    from ..codec import vectors_document
-    from ..examples import character_basis
-    from ..fields import COMPLEX
-    from ..serialize import json_dumps
+    from ..producttext import _character_rows
+    from ..serialize import _complex_entry, json_dumps, rows_document
 
     dims = parse_dims(args.dims)
-    basis = character_basis(dims, args.level)
-    doc = vectors_document(dims, COMPLEX, basis, {"level": args.level})
+    rows = [list(map(_complex_entry, row)) for row in _character_rows(dims, args.level)]
+    doc = rows_document(dims, rows, {"level": args.level}, "complex128-approx", False)
     _write(json_dumps(doc), args.out)
     return 0

@@ -1,17 +1,31 @@
-"""Level counting the library offers beyond what a command runs: the level
-of a multi-index, one level's dimension, its closed forms, and every shape
-up to a size for exhaustive sweeps.
+"""Index and level bookkeeping the library offers beyond what a command
+runs: the multi-indices of a shape in order and at a position, the level of
+a multi-index, one level's dimension, its closed forms, and every shape up
+to a size for exhaustive sweeps.
 
-A command needs only ``grading.level_counts``, so these live apart from
-``grading``, which every command compiles.
+A command runs none of these, so they live apart from ``grading``, which
+every command compiles.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterator
 
 from .grading import Dims, MultiIndex, level_counts
+
+
+def multi_index(dims: Dims, pos: int) -> MultiIndex:
+    """Inverse of ``dims.position``."""
+    if not 0 <= pos < dims.total:
+        raise ValueError(f"position {pos} out of range for total {dims.total}")
+    return tuple(pos // math.prod(dims.d[r + 1:]) % dr for r, dr in enumerate(dims.d))
+
+
+def all_indices(dims: Dims) -> Iterator[MultiIndex]:
+    """All multi-indices in global lexicographic order."""
+    return product(*(range(dr) for dr in dims.d))
 
 
 def level(idx: MultiIndex) -> int:

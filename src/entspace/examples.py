@@ -1,26 +1,25 @@
 """Worked examples beside the paper's construction.
 
-The character orthonormal basis of a level (complex floats, for ``onb``),
-and the 4x4 matrix-space example whose natural rank-one family undershoots
-its complement (``example2``), with the Gram matrix of product vectors.
+The character orthonormal basis of a level, and the 4x4 matrix-space
+example whose natural rank-one family undershoots its complement
+(``example2``), with the Gram matrix of product vectors.
 
-The command line writes example2 from its closed forms and loads this
-module only for ``onb``: example2-M from its eight groups, and example2-R
-from its points, whose Vandermonde vectors span Sperp of 4,4.  The
-``Subspace``s built here stay the reference the tests check those against.
+No command loads this module: ``onb`` writes the rows its character basis
+wraps (``producttext._character_rows``), and ``construct`` example2-M from
+its eight groups and example2-R from its points, whose Vandermonde vectors
+span Sperp of 4,4.  The objects built here are the tests' reference.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .construct import ProductVector, _group_rows, vandermonde_vector
 from .fields import COMPLEX, Field, RATIONAL
-from .grading import INFINITY, SPLIT_ANTIDIAGONAL, Dims, check_dense_size, enumerate_level
+from .grading import INFINITY, SPLIT_ANTIDIAGONAL, Dims
 from .linalg import StateVector, Subspace
+from .producttext import _character_rows
 
 if TYPE_CHECKING:
     from .fields import Scalar
@@ -32,18 +31,8 @@ def character_basis(dims: Dims, n: int) -> list[StateVector]:
     Entry 0 is the normalized level sum; entries 1.. span the entangled slice
     of the level.  The Gram matrix is the identity up to float roundoff.
     """
-    check_dense_size(1, dims.total)  # before the level is enumerated
-    idxs = enumerate_level(dims, n)
-    a = len(idxs)
-    check_dense_size(a, dims.total)
-    scale = 1.0 / math.sqrt(a)
-    out = []
-    for j in range(a):
-        coeffs = [0j] * dims.total
-        for t, idx in enumerate(idxs):
-            coeffs[dims.position(idx)] = scale * cmath.exp(2j * math.pi * j * t / a)
-        out.append(StateVector.from_values(dims, COMPLEX, coeffs))
-    return out
+    return [StateVector.from_values(dims, COMPLEX, row)
+            for row in _character_rows(dims, n)]
 
 
 class SplitAntidiagonalExample(NamedTuple):
@@ -77,7 +66,5 @@ def split_antidiagonal_spaces(field: Field = RATIONAL) -> SplitAntidiagonalExamp
 
 def gram_matrix(vectors: list[ProductVector]) -> list[list[Scalar]]:
     """Gram matrix of the expansions, conjugate-linear in the row index."""
-    if not vectors:
-        return []
     expanded = [v.expand() for v in vectors]
     return [[a.inner(b) for b in expanded] for a in expanded]

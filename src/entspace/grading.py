@@ -17,18 +17,19 @@ example1, a ``GroupSums`` example2-M (``SPLIT_ANTIDIAGONAL``), and
 ``_group_entries`` writes their reduced echelon rows as lists of any three
 values for 0, 1 and -1: the ``Fraction`` rows of ``entspace.construct``,
 the residues of the oracle's annihilator, or the text a graded
-``construct`` writes straight into its document.  Level counting that only
-the library uses (``level_count``, its closed forms, ``iter_dims``) lives
-in ``entspace.counting``.
+``construct`` writes straight into its document.  Index bookkeeping and
+level counting that only the library uses (``multi_index``,
+``all_indices``, ``level_count``, its closed forms, ``iter_dims``) live in
+``entspace.counting``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .construct import ProductVector
@@ -215,20 +216,6 @@ class Dims(Value):
         for i, dr in zip(idx, self.d):
             pos = pos * dr + i
         return pos
-
-    def multi_index(self, pos: int) -> MultiIndex:
-        """Inverse of :meth:`position`."""
-        if not 0 <= pos < self.total:
-            raise ValueError(f"position {pos} out of range for total {self.total}")
-        out = []
-        for dr in reversed(self.d):
-            out.append(pos % dr)
-            pos //= dr
-        return tuple(reversed(out))
-
-    def all_indices(self) -> Iterator[MultiIndex]:
-        """All multi-indices in global lexicographic order."""
-        return product(*(range(dr) for dr in self.d))
 
     def __str__(self) -> str:
         return "x".join(str(x) for x in self.d)

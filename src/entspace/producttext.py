@@ -1,5 +1,5 @@
-"""Product vectors written as document text: the Vandermonde vectors at
-rational parameter points, and standard product vectors.
+"""Vectors written as document text: Vandermonde vectors at rational
+parameter points, standard product vectors, and a level's character basis.
 
 At a finite point t the Vandermonde vector's factor is (1, t, t^2, ...) and
 its coefficient at each index of level n is t^n, written as the text of the
@@ -8,12 +8,33 @@ standard vector is 0s and a 1.  So a document of such vectors is written
 with no scalar or vector made.  ``upb`` writes its basis with it
 (``entspace.upbtext``), and ``construct`` the eight vectors of example2-R;
 the tests check both against ``codec``'s encoding of the library's
-``ProductVector``s.
+``ProductVector``s.  ``onb`` writes a level's character basis from its
+closed form, whose rows ``examples.character_basis`` wraps as vectors.
 """
 
 from __future__ import annotations
 
-from .grading import DENSE_BUDGET, INFINITY, Dims, enumerate_level
+import math
+
+from .grading import DENSE_BUDGET, INFINITY, Dims, check_dense_size, enumerate_level
+
+
+def _character_rows(dims: Dims, n: int) -> list[list[complex]]:
+    """The character basis of level n as rows of complex floats: row j is
+    ``exp(2 pi i j t / a) / sqrt(a)`` at the t-th of the level's ``a``
+    indices and 0 elsewhere, so row 0 is the normalized level sum."""
+    import cmath  # upb and construct load this module without it
+
+    check_dense_size(1, dims.total)  # before the level is enumerated
+    positions = [dims.position(idx) for idx in enumerate_level(dims, n)]
+    a = len(positions)
+    check_dense_size(a, dims.total)
+    scale = 1.0 / math.sqrt(a)
+    rows = [[0j] * dims.total for _ in range(a)]
+    for j, row in enumerate(rows):
+        for t, pos in enumerate(positions):
+            row[pos] = scale * cmath.exp(2j * math.pi * j * t / a)
+    return rows
 
 
 def _vector_entries(dims: Dims, points, chosen=()) -> list[dict]:

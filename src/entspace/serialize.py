@@ -40,10 +40,6 @@ def _complex_entry(c) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % x
-
-
 def _plain(s: str) -> bool:
     """Whether ``s`` needs no JSON escape: printable ASCII with no quote or
     backslash.  So does a list of strings whose concatenation is plain."""
@@ -66,7 +62,7 @@ def _scalar(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return "%.17g" % obj
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:

@@ -41,6 +41,7 @@ import entspace.ffobjects as ffobjects
 import entspace.verify as verify_module
 from entspace.cli import main
 from entspace.codec import document_product_vectors, document_vectors, parse_csv
+from entspace.counting import all_indices
 
 
 def run(capsys, *argv):
@@ -103,7 +104,7 @@ def test_construct_csv_antidiagonal_sums(capsys):
         for n in range(d.max_level + 1):
             total = sum(
                 v.coeffs[d.position(idx)]
-                for idx in d.all_indices() if sum(idx) == n
+                for idx in all_indices(d) if sum(idx) == n
             )
             assert total == 0
     assert span(vecs, dims=d, field=RATIONAL) == entangled_subspace(d)
@@ -501,9 +502,9 @@ def test_huge_shapes_are_refused_before_a_level_is_enumerated(capsys, monkeypatc
         raise AssertionError(f"level {n} enumerated")
 
     import entspace.construct
-    import entspace.examples
+    import entspace.producttext
 
-    for module in (entspace.construct, entspace.examples):
+    for module in (entspace.construct, entspace.producttext):
         monkeypatch.setattr(module, "enumerate_level", no_enumeration)
     code, out, err = run(capsys, *argv.format(twos=",".join(["2"] * 3000)).split())
     assert code == 2 and out == ""
@@ -578,6 +579,21 @@ assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct
 # a command compiles its own handler alone
 assert handlers() == ["entspace.commands.construct"], handlers()
 
+# onb writes its character basis from its closed form as text: no exact
+# layer, object encoder, example, counting or rational, and no numpy
+def package():
+    return sorted(name for name in sys.modules if name.startswith("entspace"))
+
+before = package()
+for dims, level in (("3,3", "2"), ("2,3,4", "3"), ("2,2,2,2,2", "0")):
+    assert quiet("onb", "--dims", dims, "--level", level) == 0
+objects = ("entspace.fields", "entspace.linalg", "entspace.elimination", "entspace.construct",
+           "entspace.examples", "entspace.codec", "entspace.ffobjects", "entspace.upb",
+           "entspace.counting", "entspace.reduction", "fractions", "decimal", "numpy")
+assert not loaded(objects), str(loaded(objects)) + " loaded by onb"
+gained = sorted(set(package()) - set(before))
+assert gained == ["entspace.commands.onb", "entspace.producttext"], gained
+
 # upb writes its basis from the recipe as text and audits it in closed form:
 # no scalar, vector, report or object encoder, and nothing eliminated
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
@@ -598,7 +614,6 @@ exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.c
 assert not loaded(exact), str(loaded(exact)) + " loaded by example2"
 
 assert quiet("dims", "--dims", "3,3") == 0
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
 # the JSON writer quotes the documents' strings itself
 assert not loaded(("json",)), "json loaded by construct"
@@ -737,6 +752,8 @@ for space in ("example2-M", "example2-R"):
     for fmt in ("json", "csv"):
         assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
     assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
+# and onb's character basis from its complex closed form
+assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by a command that makes no rational"
 for space in ("S", "Sperp", "level:1"):
     assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
@@ -746,8 +763,9 @@ for space in ("example2-M", "example2-R"):
                  "--restarts", "2") == 0
 assert not loaded(), str(loaded()) + " loaded by verify --method als"
 
-# the guard can fail: onb's basis over Q and --lambdas points are rational
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+# the guard can fail: the library's exact S and --lambdas points are rational
+import entspace
+entspace.entangled_subspace(entspace.Dims((3, 3)))
 assert loaded() == ["fractions", "decimal"], loaded()
 for name in ("fractions", "decimal"):
     del sys.modules[name]
@@ -810,8 +828,9 @@ assert not loaded(exact), str(loaded(exact)) + " loaded by construct of example2
 after = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert after == sorted(package + ["entspace.producttext"]), after
 
-# the guard can fail: onb builds its basis over Q
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+# the guard can fail: the library builds S over Q
+import entspace
+entspace.entangled_subspace(entspace.Dims((3, 3)))
 assert loaded(rest) == list(rest[:-1]), loaded(rest)
 """
 
@@ -876,8 +895,9 @@ assert package() == sorted(oracle + ["entspace.ffkernel"]), package()
 assert "numpy" in sys.modules
 assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
 
-# the guard can fail: onb builds its basis over Q
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+# the guard can fail: the library builds S over Q
+import entspace
+entspace.entangled_subspace(entspace.Dims((3, 3)))
 assert loaded(exact) == list(exact), loaded(exact)
 """
 
@@ -921,8 +941,10 @@ assert not loaded(exact), str(loaded(exact)) + " loaded by an example2 ALS searc
 after = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert after == package, after
 
-# the guard can fail: onb builds its basis over Q
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
+# the guard can fail: the library builds S over Q and encodes it
+import entspace
+from entspace.codec import subspace_document
+subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))
 assert loaded(exact[:5]) == list(exact[:5]), loaded(exact[:5])
 """
 
@@ -1481,6 +1503,23 @@ def test_onb(capsys):
     for entry in doc["vectors"]:
         norm = sum(c["re"] ** 2 + c["im"] ** 2 for c in entry["coeffs"])
         assert abs(norm - 1.0) < 1e-12
+
+
+def test_onb_matches_the_library_encoder_byte_for_byte(capsys):
+    # onb writes the character basis from its closed form as text: the
+    # document vectors_document writes of the library's complex vectors
+    from entspace.codec import vectors_document
+    from entspace.examples import character_basis
+    from entspace.fields import COMPLEX
+    from entspace.serialize import json_dumps
+
+    for text in ("2,2", "2,3", "3,3", "2,3,4", "2,2,2,2"):
+        dims = parse_dims(text)
+        for n in range(dims.max_level + 1):
+            want = json_dumps(vectors_document(dims, COMPLEX, character_basis(dims, n),
+                                               {"level": n}))
+            assert run(capsys, "onb", "--dims", text, "--level", str(n)) == (0, want, ""), \
+                (text, n)
 
 
 def test_byte_determinism(tmp_path, capsys):

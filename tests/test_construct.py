@@ -37,7 +37,7 @@ from entspace import (
     vandermonde_vector,
     verify_upb,
 )
-from entspace.counting import iter_dims
+from entspace.counting import all_indices, iter_dims, multi_index
 
 
 def _level_differences(dims, n, field=RATIONAL):
@@ -226,7 +226,7 @@ def test_character_basis_unitary():
             for v in basis[1:]:
                 assert abs(u.inner(v)) < 1e-12
                 for pos, c in enumerate(v.coeffs):
-                    if sum(dims.multi_index(pos)) != n:
+                    if sum(multi_index(dims, pos)) != n:
                         assert c == 0
 
 
@@ -401,7 +401,7 @@ def test_gram_values():
 
 def test_standard_product_vector():
     d = Dims((2, 3))
-    for idx in d.all_indices():
+    for idx in all_indices(d):
         pv = standard_product_vector(d, idx)
         assert pv.expand() == StateVector.basis_vector(d, RATIONAL, idx)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from entspace import (
     level_counts,
     parse_dims,
 )
-from entspace.counting import iter_dims
+from entspace.counting import all_indices, iter_dims, multi_index
 
 
 def test_dims_basic():
@@ -38,10 +38,10 @@ def test_dims_validation():
 def test_position_roundtrip():
     d = Dims((2, 3, 4))
     for pos in range(d.total):
-        idx = d.multi_index(pos)
+        idx = multi_index(d, pos)
         assert d.position(idx) == pos
-    assert list(d.all_indices())[0] == (0, 0, 0)
-    assert list(d.all_indices())[-1] == (1, 2, 3)
+    assert list(all_indices(d))[0] == (0, 0, 0)
+    assert list(all_indices(d))[-1] == (1, 2, 3)
 
 
 def test_enumerate_level_examples():

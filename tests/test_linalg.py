@@ -22,7 +22,7 @@ from entspace import (
     vandermonde_vector,
 )
 from entspace import verify
-from entspace.counting import iter_dims
+from entspace.counting import all_indices, iter_dims, multi_index
 from entspace.grading import BudgetExceededError
 from entspace.linalg import Subspace, integer_generators, integer_rows
 from entspace.reduction import ELIMINATION_BUDGET, _reduce_rows
@@ -152,7 +152,7 @@ def test_orthocomplement_involution_and_dims():
         for a in s.rows:
             for b in oc.rows:
                 assert not a.inner(b)
-    full = span([StateVector.basis_vector(D23, RATIONAL, idx) for idx in D23.all_indices()])
+    full = span([StateVector.basis_vector(D23, RATIONAL, idx) for idx in all_indices(D23)])
     assert orthocomplement(full).dim == 0
     assert orthocomplement(orthocomplement(full)) == full
 
@@ -206,7 +206,7 @@ def test_reduce_mod_p_from_generators():
 
 def test_span_refuses_oversized_elimination():
     dims = Dims((20, 20))
-    rows = [StateVector.basis_vector(dims, RATIONAL, dims.multi_index(p))
+    rows = [StateVector.basis_vector(dims, RATIONAL, multi_index(dims, p))
             for p in range(dims.total)]
     with pytest.raises(BudgetExceededError) as exc:
         span(rows)
@@ -279,7 +279,7 @@ def assert_orthocomplements_match_reference(*spaces):
     """``orthocomplement`` against the reference on ``spaces``, and on the
     empty and the full space of the first."""
     dims, field = spaces[0].dims, spaces[0].field
-    full = tuple(StateVector.basis_vector(dims, field, dims.multi_index(i))
+    full = tuple(StateVector.basis_vector(dims, field, multi_index(dims, i))
                  for i in range(dims.total))
     for s in spaces + (Subspace(dims, field, ()), Subspace(dims, field, full)):
         assert orthocomplement(s) == reference_orthocomplement(s)

@@ -59,6 +59,7 @@ from entspace.ff import _site_index
 from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.codec import encode_report
+from entspace.counting import all_indices
 from entspace.serialize import json_dumps
 from entspace.upbtext import _audit_entry
 from entspace.verify import _fix_phases, _start_factors, _top_eigvec
@@ -103,7 +104,7 @@ def test_oracle_budget_counts_found_points():
     # as soon as the found points push it past the budget
     dims = Dims((2, 2))
     gens = [StateVector.basis_vector(dims, RATIONAL, idx)
-            for idx in dims.all_indices()]
+            for idx in all_indices(dims)]
     with pytest.raises(BudgetExceededError) as exc:
         find_product_vectors_fp(gens, dims, 5, budget=20)
     assert exc.value.estimate == 24
@@ -162,7 +163,7 @@ def test_full_space_contains_every_candidate():
     dims = Dims((2, 2))
     gens = [
         StateVector.basis_vector(dims, RATIONAL, idx)
-        for idx in dims.all_indices()
+        for idx in all_indices(dims)
     ]
     found = find_product_vectors_fp(gens, dims, 5)
     assert len(found) == candidate_count(dims, 5)
@@ -171,7 +172,7 @@ def test_full_space_contains_every_candidate():
 @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
 def test_full_and_zero_space_match_brute_force(dims):
     full = [StateVector.basis_vector(dims, RATIONAL, idx)
-            for idx in dims.all_indices()]
+            for idx in all_indices(dims)]
     found = find_product_vectors_fp(full, dims, 5)
     assert len(found) == candidate_count(dims, 5)
     assert _factor_values(found) == brute_force_product_vectors(full, dims, 5)
@@ -196,7 +197,7 @@ def test_fibre_solve_is_independent_of_block_size(monkeypatch, chunk):
     monkeypatch.setattr(ffkernel_module, "_CHUNK_ENTRIES", chunk)
     dims = Dims((2, 2, 3))
     full = [StateVector.basis_vector(dims, RATIONAL, idx)
-            for idx in dims.all_indices()]
+            for idx in all_indices(dims)]
     for gens in (integer_generators(entangled_subspace(dims)),
                  integer_generators(entangled_complement(dims)), full[::3]):
         found = find_product_vectors_fp(gens, dims, 5)
@@ -957,7 +958,7 @@ def sperp_overlap(witness: ProductVector) -> float:
     dims = witness.dims
     x = np.array([complex(c) for c in witness.expand().coeffs])
     x = x / np.linalg.norm(x)
-    level = np.array([sum(idx) for idx in dims.all_indices()])
+    level = np.array([sum(idx) for idx in all_indices(dims)])
     sums = np.bincount(level, weights=x.real) + 1j * np.bincount(level, weights=x.imag)
     return float(np.sum(np.abs(sums) ** 2 / np.bincount(level)))
 
@@ -1268,7 +1269,7 @@ def test_verify_upb_rejects_extendible_set():
 
 def test_verify_upb_trivial_full_basis():
     dims = Dims((2, 2))
-    vectors = [standard_product_vector(dims, idx) for idx in dims.all_indices()]
+    vectors = [standard_product_vector(dims, idx) for idx in all_indices(dims)]
     report = verify_upb(vectors, dims)
     assert report.is_upb
     assert report.complement_dim == 0
