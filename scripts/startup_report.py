@@ -11,9 +11,10 @@ package, standard-library or third-party module, and for a package module
 the code it compiles, in bytes of source with docstrings and comments
 stripped (``ast.unparse`` of the module without its docstrings).  Then the
 totals: the package code includes ``entspace.cli``, which runs as
-``__main__`` and so is not an import.  With no ARGV, one argv per command
-runs, ``construct`` of example2-M and the oracle on example2-R, and ALS on
-S and on Sperp.
+``__main__`` and so is not an import, and the run's peak RSS, the median
+over the runs of the child's ``ru_maxrss`` as ``os.wait4`` reports it.
+With no ARGV, one argv per command runs, ``construct`` of example2-M and
+the oracle on example2-R, and ALS on S and on Sperp.
 
     python scripts/startup_report.py
     python scripts/startup_report.py "verify --dims 3,3 --space S --method ff --primes 13"
@@ -68,17 +69,20 @@ def _kind(module: str) -> str:
     return "stdlib" if top in sys.stdlib_module_names else "third-party"
 
 
-def import_times(argv: str) -> dict[str, int]:
+def import_times(argv: str) -> tuple[dict[str, int], int]:
     """Self time in microseconds of each module one run of ``argv`` loads
-    after ``site``, in load order."""
+    after ``site``, in load order, and the run's peak RSS in KB."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "entspace.cli",
+    with subprocess.Popen([sys.executable, "-X", "importtime", "-m", "entspace.cli",
                            *argv.split()],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True, timeout=600)
+                          text=True) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     times: dict[str, int] = {}
-    for line in proc.stderr.splitlines():
+    for line in stderr.splitlines():
         if not line.startswith("import time:"):
             continue
         self_us, _, name = line[len("import time:"):].split("|")
@@ -89,11 +93,11 @@ def import_times(argv: str) -> dict[str, int]:
             times.clear()  # everything so far is the interpreter's own start-up
             continue
         times[module] = times.get(module, 0) + int(self_us)
-    return times
+    return times, usage.ru_maxrss
 
 
 def report(argv: str, repeats: int) -> str:
-    runs = [import_times(argv) for _ in range(repeats)]
+    runs, peaks = zip(*(import_times(argv) for _ in range(repeats)))
     order = list(dict.fromkeys(name for run in runs for name in run))
     median = {name: statistics.median(run.get(name, 0) for run in runs) for name in order}
     lines = [f"entspace {argv}  (median of {repeats} runs, self time in ms; "
@@ -111,7 +115,8 @@ def report(argv: str, repeats: int) -> str:
         lines.append(f"  {median[name] / 1000:8.2f}  {kind:<11}  {size:>6}  {name}")
     lines.append("  " + "  ".join(f"{kind} {t / 1000:.2f}" for kind, t in totals.items())
                  + f"  total {sum(totals.values()) / 1000:.2f}"
-                 + f"  package code {code} bytes ({code / 1000:.1f} KB)")
+                 + f"  package code {code} bytes ({code / 1000:.1f} KB)"
+                 + f"  peak RSS {statistics.median(peaks) / 1024:.1f} MB")
     return "\n".join(lines)
 
 

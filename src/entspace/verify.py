@@ -9,8 +9,10 @@ numerical route: alternating single-site maximization of the product
 overlap over complex floats, which reports a margin; it can certify the
 presence of a product vector (overlap near 1) but never the absence.
 
-A search imports only ``grading`` and numpy at load.  The exact layers
-(``construct``, ``fields``, ``linalg``) load only to make a witness
+A search imports only ``grading``, ``serialize``, ``normals`` and numpy at
+load, and never ``numpy.random``: ``normals`` draws each restart's start
+factors as ``default_rng([seed, t])`` would, in plain Python.  The exact
+layers (``construct``, ``fields``, ``linalg``) load only to make a witness
 ``ProductVector``: the report's, when the verdict is a witness, and
 ``AlsResult.witness`` on first access.  The command line makes neither: it
 runs the search's float core, ``_als_runs``, and writes the report, a
@@ -29,6 +31,7 @@ from . import _lazy_getattr
 from .grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_BUDGET, \
     INFINITY, NO_WITNESS, WITNESS, BudgetExceededError, Dims, LevelSums, Record, \
     VerificationReport, level_counts
+from .normals import pcg64, seed_sequence_words, standard_normals, uint32_words
 from .serialize import _complex_entry
 
 import numpy as np
@@ -218,17 +221,24 @@ def _top_eigvec(a: np.ndarray, previous: np.ndarray) -> tuple[float, np.ndarray]
 def _start_factors(dims: Dims, ts: range, seed: int) -> list[np.ndarray]:
     """Unit start factors of the restarts ``ts``, one (B, d_s) array per site.
 
-    Restart t draws all its sites at once from ``default_rng([seed, t])``:
-    the site vectors in order, each entry a (real, imaginary) pair of
-    standard normals.  Each restart fills its row of one block array, and
-    each site of every restart is normalized in one batched inner product,
-    the ddot of ``np.linalg.norm``.
+    Restart t draws all its sites at once, as ``default_rng([seed, t])``
+    would: the site vectors in order, each entry a (real, imaginary) pair
+    of standard normals.  ``entspace.normals`` repeats numpy's draw without
+    loading ``numpy.random``: the block's seed sequences are hashed
+    together, one uint64 entry per restart, then each restart's PCG64 draws
+    its normals in plain Python.  Each restart fills its row of one block
+    array, and each site of every restart is normalized in one batched
+    inner product, the ddot of ``np.linalg.norm``.
     """
     ends = np.cumsum(dims.d).tolist()
-    draws = np.empty((len(ts), 2 * ends[-1]))
-    for row, t in zip(draws, ts):
-        # default_rng([seed, t]) without its wrapper's overhead
-        np.random.Generator(np.random.PCG64([seed, t])).standard_normal(out=row)
+    n = 2 * ends[-1]
+    # a restart index is one 32-bit word: ALS_BUDGET keeps it below 2**32
+    indices = np.arange(ts.start, ts.stop, dtype=np.uint64)
+    words = seed_sequence_words(uint32_words(seed) + [indices])
+    flat = []
+    for w in np.stack(words, axis=1).tolist():
+        flat += standard_normals(*pcg64(w), n)
+    draws = np.array(flat).reshape(len(ts), n)
     factors = []
     for a, b in zip([0] + ends, ends):
         z = draws[:, 2 * a:2 * b]

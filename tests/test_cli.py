@@ -929,8 +929,13 @@ exact = ("entspace.construct", "entspace.fields", "entspace.linalg", "entspace.r
 assert not loaded(exact), str(loaded(exact)) + " loaded by a graded ALS search"
 package = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert package == ["entspace", "entspace.cli", "entspace.commands",
-                   "entspace.commands.verify", "entspace.grading", "entspace.serialize",
-                   "entspace.verify"], package
+                   "entspace.commands.verify", "entspace.grading", "entspace.normals",
+                   "entspace.serialize", "entspace.verify"], package
+# the starts are drawn by entspace.normals, not numpy.random
+assert "numpy" in sys.modules
+assert quiet("verify", "--dims", "3,4", "--space", "Sperp", "--method", "als",
+             "--restarts", "4") == 0
+assert not loaded(("numpy.random",)), "numpy.random loaded by a graded ALS search"
 
 # nor does example2's: it is searched in dense form, on the float rows of
 # its closed form
@@ -940,12 +945,17 @@ for space in ("example2-M", "example2-R"):
 assert not loaded(exact), str(loaded(exact)) + " loaded by an example2 ALS search"
 after = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert after == package, after
+assert not loaded(("numpy.random",)), "numpy.random loaded by an example2 ALS search"
 
 # the guard can fail: the library builds S over Q and encodes it
 import entspace
 from entspace.codec import subspace_document
 subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))
 assert loaded(exact[:5]) == list(exact[:5]), loaded(exact[:5])
+# and numpy's own draw loads numpy.random
+import numpy
+numpy.random.default_rng(0)
+assert loaded(("numpy.random",)) == ["numpy.random"]
 """
 
 
@@ -986,7 +996,8 @@ def test_als_loads_every_package_module_before_numpy(space):
     assert proc.returncode == 0, proc.stderr
     code, *package = proc.stdout.split()
     assert code == "0"
-    assert "entspace.verify" in package, package
+    # entspace.normals, which draws the starts, loads before numpy too
+    assert "entspace.verify" in package and "entspace.normals" in package, package
     for name in ("entspace.codec", "entspace.construct", "entspace.elimination",
                  "entspace.examples"):
         assert name not in package, package
@@ -1728,6 +1739,9 @@ def test_startup_report_script_rejects_bad_flags(capsys, argv):
     assert script.main(["--repeats", "1", "dims --dims 2,2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("entspace dims --dims 2,2")
+    # and its peak RSS, from os.wait4
+    peak = lines[-1].split("  peak RSS ")[1]
+    assert peak.endswith(" MB") and float(peak[:-3]) > 0, lines[-1]
     assert any(line.split()[-1] == "entspace.grading" for line in lines[1:-1])
     assert not any(line.split()[-1] in ("site", "fractions") for line in lines[1:-1])
     assert " total " in lines[-1]

@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -54,11 +57,13 @@ import entspace.construct as construct_module
 import entspace.elimination as elimination_module
 import entspace.ff as ff_module
 import entspace.ffkernel as ffkernel_module
+import entspace.normals as normals_module
 import entspace.verify as verify_module
 from entspace.ff import _site_index
 from entspace.ffkernel import _site_points
 from entspace.linalg import integer_generators
 from entspace.codec import encode_report
+from entspace.normals import pcg64, seed_sequence_words, standard_normals, uint32_words
 from entspace.counting import all_indices
 from entspace.serialize import json_dumps
 from entspace.upbtext import _audit_entry
@@ -1025,6 +1030,51 @@ def test_start_factors_match_the_per_site_draw():
                 x = raw[:, 0] + 1j * raw[:, 1]
                 want = x / np.linalg.norm(x)
                 assert f[i].tobytes() == want.tobytes(), (seed, dims, t)
+
+
+def test_standard_normals_match_numpy_bit_for_bit(monkeypatch):
+    # 120 normals from each of 900 streams: every START_SEEDS seed (one to
+    # 32 words of entropy) with restart indices 0 to 99, its entropy words
+    # hashed as ints.  Only the tail branch calls log1p, and only the
+    # wedges call exp, so counting the calls shows both were taken.
+    calls = Counter()
+
+    def counted(branch, f):
+        def wrapped(x):
+            calls[branch] += 1
+            return f(x)
+        return wrapped
+
+    monkeypatch.setattr(normals_module, "log1p", counted("tail", math.log1p))
+    monkeypatch.setattr(normals_module, "exp", counted("wedge", math.exp))
+    drawn = 0
+    for seed, t in itertools.product(START_SEEDS, range(100)):
+        state, inc = pcg64(seed_sequence_words(uint32_words(seed) + [t]))
+        bits = np.random.PCG64([seed, t])
+        assert bits.state["state"] == {"state": state, "inc": inc}, (seed, t)
+        got = standard_normals(state, inc, 120)
+        want = np.random.Generator(bits).standard_normal(120)
+        assert np.array(got).tobytes() == want.tobytes(), (seed, t)
+        drawn += len(got)
+    assert drawn >= 10**5
+    assert calls["tail"] and calls["wedge"], calls
+
+
+def test_ziggurat_tables_are_the_installed_numpys(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "ziggurat_tables.py"
+    spec = importlib.util.spec_from_file_location("ziggurat_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    if not script.archive_path().is_file():
+        pytest.skip("the installed numpy ships no numpy/random/lib/libnpyrandom.a")
+    assert script.main(["--check"]) == 0
+    # the check can fail: one bit of wi_double flipped
+    tables = bytearray(normals_module._TABLES)
+    tables[2048 + 8 * 100] ^= 1
+    monkeypatch.setattr(normals_module, "_TABLES", bytes(tables))
+    assert script.main(["--check"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"wi_double differs from {script.archive_path()}"]
 
 
 def test_orthonormal_basis_rejects_dependent_rows():
