@@ -120,6 +120,10 @@ REFUSALS = (
     "construct --dims 4,4 --space example2-R --format csv",
     "construct --dims " + ",".join(["2"] * 1100) + " --space S",
     "dims --dims 0,2",
+    "dims --dims 2,2000000",
+    "verify --dims 2,1000000 --space S --method als --restarts 1 --max-sweeps 1",
+    "verify --dims " + ",".join(["2"] * 1100)
+    + " --space level:550 --method als --restarts 1 --max-sweeps 1",
     "upb --dims 2,2 --min --lambdas=1,1,2",
     "upb --dims 2,2 --min --lambdas=1/2,2/4,3",
     "upb --dims 2,2 --min --lambdas=inf,oo,1",

@@ -130,7 +130,7 @@ class Record:
 class VerificationReport(Record):
     """One verifier's verdict on one space: the F_p oracle's at one prime,
     or an ALS search's.  It lives here, beside ``Record``, so a search
-    reports without loading the exact layers; ``linalg`` re-exports it."""
+    reports without loading the exact layers; the package exports it."""
 
     __slots__ = ("method", "params", "verdict", "witness", "metrics",
                  "certified_dims")

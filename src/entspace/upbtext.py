@@ -3,17 +3,21 @@ oracle's int core, and its document as text: what the ``upb`` command runs.
 
 A minimal UPB is the Vandermonde product vectors at max_level + 1 distinct
 points; on two factors a larger one adds the standard product vectors of
-chosen levels, and ``UpbRecipe`` records the choice.  So every entry of the
-document is known as text from the recipe: at a finite point t the factor
-(1, t, t^2, ...) and the coefficient t^n at each index of level n; at
-``inf`` the top basis vector of each slot; and 0 or 1 for a standard
-vector (``entspace.producttext`` writes them, as it writes example2-R's
-vectors for ``construct``).  The audit needs no basis either.  Distinct
-points span Sperp (a Vandermonde determinant) and the standard vectors
-complete each chosen level, so the basis has rank ``size``, and its
-complement is the S-part of the unchosen levels, a ``LevelSums`` the
-oracle takes in closed form.  No scalar, vector or report object is made,
-and ``fractions`` loads only to parse ``--lambdas``.
+chosen levels, and ``UpbRecipe`` records the choice.  Level n weighs its
+count less one, the standard vectors it adds.  The levels are chosen
+greedily from level 0, each taken while the size still missing, less its
+weight, is at most the sum of the weights past it: on two factors every
+sum up to that one is a sum of some of them, so no search is needed.  So
+every entry of the document is known as text from the recipe: at a finite
+point t the factor (1, t, t^2, ...) and the coefficient t^n at each index
+of level n; at ``inf`` the top basis vector of each slot; and 0 or 1 for a
+standard vector (``entspace.producttext`` writes them, as it writes
+example2-R's vectors for ``construct``).  The audit needs no basis
+either.  Distinct points span Sperp (a Vandermonde determinant) and the
+standard vectors complete each chosen level, so the basis has rank
+``size``, and its complement is the S-part of the unchosen levels, a
+``LevelSums`` the oracle takes in closed form.  No scalar, vector or
+report object is made, and ``fractions`` loads only to parse ``--lambdas``.
 
 The library's ``upb_of_size`` (``entspace.upb``) builds the same recipe and
 makes the vectors as objects, and its ``verify_upb`` audits them by
@@ -104,23 +108,17 @@ class UpbRecipe(NamedTuple):
 
 
 def _choose_levels(weights: list[int], target: int) -> list[int]:
-    # Suffix-achievability table, then greedy from the smallest level.
-    # Only levels that actually contribute (weight > 0) are recorded.
-    n = len(weights)
-    achievable: list[set[int]] = [set() for _ in range(n + 1)]
-    achievable[n] = {0}
-    for i in range(n - 1, -1, -1):
-        nxt = achievable[i + 1]
-        achievable[i] = nxt | {w + weights[i] for w in nxt}
-    if target not in achievable[0]:
-        raise RuntimeError(f"no level subset reaches target {target}")
-    chosen, rem = [], target
-    for i in range(n):
-        if weights[i] and weights[i] <= rem and rem - weights[i] in achievable[i + 1]:
-            chosen.append(i)
-            rem -= weights[i]
-    if rem != 0:
-        raise RuntimeError("level selection lost feasibility mid-walk")
+    """Levels of positive weight summing to ``target``, greedy from level 0:
+    level n is taken when ``0 < w_n <= rem`` and ``rem - w_n`` is at most the
+    sum of the weights past n.  On two factors the weights run 0, 1, 2, ...,
+    2, 1, 0, so a suffix's subset sums are exactly 0 up to its sum; on more
+    factors the target is 0 and no level is taken."""
+    chosen, rem, rest = [], target, sum(weights)
+    for n, w in enumerate(weights):
+        rest -= w
+        if 0 < w <= rem and rem - w <= rest:
+            chosen.append(n)
+            rem -= w
     return chosen
 
 

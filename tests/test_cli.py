@@ -537,6 +537,21 @@ def test_huge_als_forms_are_refused_before_the_level_counts(capsys, monkeypatch,
                    "past the float range of the ALS search\n"), err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("construct --dims 2,3 --space level:x", "bad level selector 'level:x'"),
+    ("verify --dims 2,1000000 --space S --method als --restarts 1 --max-sweeps 1",
+     "ALS site form needs at least 1000001000000 entries per restart, budget is 2000000"),
+    ("dims --dims 2,2000000",
+     "level table needs at least 4000002 factors * levels, budget is 2000000"),
+    # 1,100 factors of 2: level 550 holds C(1100, 550), about 10**329
+    ("verify --dims {twos} --space level:550 --method als --restarts 1 --max-sweeps 1",
+     "level 550 has 1095-bit dimension, past the float range of the ALS search"),
+], ids=["level-selector", "als-site-form", "level-table", "als-float-range"])
+def test_refusals_name_their_cause(capsys, argv, message):
+    code, out, err = run(capsys, *argv.format(twos=",".join(["2"] * 1100)).split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_huge_estimates_print_as_powers_of_two(capsys):
     # the fibre count has about 6,600 digits, past the interpreter's limit
     # on converting an int to text

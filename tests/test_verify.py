@@ -66,7 +66,8 @@ from entspace.codec import encode_report
 from entspace.normals import pcg64, seed_sequence_words, standard_normals, uint32_words
 from entspace.counting import all_indices
 from entspace.serialize import json_dumps
-from entspace.upbtext import _audit_entry
+from entspace.grading import level_counts
+from entspace.upbtext import _audit_entry, _choose_levels, _upb_recipe
 from entspace.verify import _fix_phases, _start_factors, _top_eigvec
 
 SMALL_DIMS = [Dims((2, 2)), Dims((2, 3)), Dims((3, 3)), Dims((2, 2, 2))]
@@ -91,6 +92,19 @@ def test_oracle_rejects_bad_primes():
         find_product_vectors_fp(s, Dims((3, 3)), 9)
     with pytest.raises(ValueError):
         find_product_vectors_fp(s, Dims((3, 3)), 3)  # prime but <= top level
+
+
+def test_oracle_refuses_primes_past_int64_residues():
+    # max(d) * p**2 must stay below 2**63; only a budget far above the
+    # default lets the fibre count of so large a prime through
+    dims, big = Dims((2, 2)), 2147483659  # 2**31 + 11, prime
+    message = f"prime {big} is too large for int64 residues"
+    with pytest.raises(ValueError, match=message):
+        ff_module._check_oracle(dims, big, 10**30)
+    with pytest.raises(ValueError, match=message):
+        find_product_vectors_fp(entangled_subspace(dims), dims, big, budget=10**30)
+    # 2**31 - 1, the prime just below, passes with its p + 1 fibres
+    assert ff_module._check_oracle(dims, 2**31 - 1, 10**30) == 2**31
 
 
 def test_oracle_budget():
@@ -498,6 +512,49 @@ def test_upb_document_reports_a_witness_as_the_library_does(monkeypatch):
     report = verify_upb(vectors, dims, [5])
     assert not report.is_upb and report.witness is not None
     assert_upb_writers_agree(dims, 4, 5, None, recipe, vectors, report)
+
+
+def reference_choose_levels(weights, target):
+    """The level choice by search: a table of the subset sums of every
+    suffix of the weights, then greedy from level 0, taking a level when the
+    rest of the target is a subset sum of the weights past it."""
+    n = len(weights)
+    achievable = [set() for _ in range(n + 1)]
+    achievable[n] = {0}
+    for i in range(n - 1, -1, -1):
+        nxt = achievable[i + 1]
+        achievable[i] = nxt | {w + weights[i] for w in nxt}
+    assert target in achievable[0]
+    chosen, rem = [], target
+    for i in range(n):
+        if weights[i] and weights[i] <= rem and rem - weights[i] in achievable[i + 1]:
+            chosen.append(i)
+            rem -= weights[i]
+    assert rem == 0
+    return chosen
+
+
+def test_level_choice_closed_form_equals_the_subset_sum_search():
+    # every admissible size of every two-factor shape with 2 <= a <= b <= 14
+    cases = 0
+    for a in range(2, 15):
+        for b in range(a, 15):
+            dims = Dims((a, b))
+            weights = [c - 1 for c in level_counts(dims)]
+            for target in range(sum(weights) + 1):
+                chosen = _choose_levels(weights, target)
+                assert chosen == reference_choose_levels(weights, target), (dims, target)
+                assert sum(weights[n] for n in chosen) == target
+                cases += 1
+    assert cases == 4641
+
+
+@pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2)], ids=str)
+def test_minimal_upb_on_more_factors_chooses_no_level(d):
+    dims = Dims(d)
+    assert _choose_levels([c - 1 for c in level_counts(dims)], 0) == []
+    recipe = _upb_recipe(dims, dims.max_level + 1)
+    assert (recipe.levels, recipe.dropped) == ((), ())
 
 
 def fp_annihilator(generators, dims, p):
