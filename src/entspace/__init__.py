@@ -32,28 +32,23 @@ _HOMES = {
     **dict.fromkeys(("multi_index", "all_indices", "level", "level_count",
                      "level_count_closed_form"), "counting"),
     **dict.fromkeys((
-        "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field"),
-        "fields"),
-    **dict.fromkeys(("StateVector", "Subspace"), "linalg"),
-    **dict.fromkeys((
+        "Field", "Fp", "RATIONAL", "COMPLEX", "prime_field", "parse_field",
+        "StateVector", "Subspace",
         "span", "orthocomplement", "intersect", "subspace_sum", "reduce_mod_p"),
-        "elimination"),
+        "linalg"),
     **dict.fromkeys((
         "ProductVector", "standard_product_vector",
         "level_sum_vector", "vandermonde_vector",
         "entangled_subspace", "entangled_complement", "entangled_level",
-        "level_sum_line", "antidiagonal_zero_space"), "construct"),
-    **dict.fromkeys((
-        "UpbRecipe", "minimal_upb", "upb_of_size", "UpbReport", "verify_upb"),
-        "upb"),
-    **dict.fromkeys((
+        "level_sum_line", "antidiagonal_zero_space",
+        "UpbRecipe", "minimal_upb", "upb_of_size", "UpbReport", "verify_upb",
         "character_basis", "split_antidiagonal_spaces", "gram_matrix"),
-        "examples"),
+        "construct"),
     **dict.fromkeys((
         "ENUMERATION_BUDGET", "candidate_count", "default_primes"), "ff"),
     **dict.fromkeys((
         "ClassifyReport", "classify_product_vectors_fp", "ff_verify",
-        "find_product_vectors_fp"), "ffobjects"),
+        "find_product_vectors_fp"), "construct"),
     **dict.fromkeys((
         "ALS_BUDGET", "AlsResult", "max_product_overlap",
         "nearest_vandermonde", "orthonormal_basis"), "verify"),

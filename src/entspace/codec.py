@@ -9,25 +9,20 @@ rows, example2-R's vectors and ``onb``'s character rows (``producttext``),
 the oracle's from its int residues (``ff._point_entry``, which also writes
 a point over F_p here, and ``ff._classify_document``), ``upb``'s from its
 recipe (``upbtext``), and the ALS search's from its floats
-(``verify._als_entry``).  The scalar and vector types decoded into are
-imported by the functions that use them.
+(``verify._als_entry``).  The objects it encodes and decodes are
+``entspace.linalg``'s and ``entspace.construct``'s.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
-from .grading import DENSE_BUDGET, INFINITY, Dims
+from .construct import ClassifyReport, ProductVector, UpbReport
+from .ff import _classify_document, _point_entry
+from .grading import DENSE_BUDGET, INFINITY, Dims, VerificationReport
+from .linalg import RATIONAL, Field, Fp, StateVector, Subspace, parse_field
 from .serialize import _complex_entry, _document, rows_document
-
-if TYPE_CHECKING:
-    from .construct import ProductVector
-    from .ffobjects import ClassifyReport
-    from .fields import Field
-    from .grading import VerificationReport
-    from .linalg import StateVector, Subspace
-    from .upb import UpbReport
-    from .upbtext import UpbRecipe
+from .upbtext import UpbRecipe
 
 
 def _scalar_encoder(field: Field):
@@ -45,12 +40,8 @@ def encode_scalar(c, field: Field):
 
 def decode_scalar(raw, field: Field):
     if field.kind == "rational":
-        from fractions import Fraction
-
         return Fraction(raw)
     if field.kind == "fp":
-        from .fields import Fp
-
         return Fp(int(raw), field.p)
     return complex(raw["re"], raw["im"])
 
@@ -67,8 +58,6 @@ def _product_entry(pv: ProductVector) -> dict:
     determine the vector exactly (``document_product_vectors`` reads only
     them).  A point over F_p is written by the oracle's ``ff._point_entry``."""
     if pv.field.kind == "fp":
-        from .ff import _point_entry
-
         return _point_entry(pv.dims, pv.field.p, [[c.value for c in f] for f in pv.factors])
     enc = _scalar_encoder(pv.field)
     entry = {"factors": [list(map(enc, f)) for f in pv.factors]}
@@ -143,8 +132,6 @@ def encode_upb_recipe(recipe: UpbRecipe, field: Field) -> dict:
 
 def encode_classify_report(rep: ClassifyReport) -> dict:
     """The document of the oracle's int classify writer, ``ff._classify_document``."""
-    from .ff import _classify_document
-
     return _classify_document(rep.dims, rep.p, *(
         [[[c.value for c in f] for f in pv.factors] for pv in pvs]
         for pvs in (rep.found, rep.missing, rep.extraneous)))
@@ -152,9 +139,6 @@ def encode_classify_report(rep: ClassifyReport) -> dict:
 
 def document_vectors(doc: dict) -> tuple[Dims, Field, list[StateVector]]:
     """Rebuild exact vectors from a parsed JSON document."""
-    from .fields import parse_field
-    from .linalg import StateVector
-
     dims = Dims(tuple(doc["dims"]))
     field = parse_field(doc["field"])
     vectors = [
@@ -168,9 +152,6 @@ def document_vectors(doc: dict) -> tuple[Dims, Field, list[StateVector]]:
 
 
 def document_product_vectors(doc: dict) -> tuple[Dims, Field, list[ProductVector]]:
-    from .construct import ProductVector
-    from .fields import parse_field
-
     dims = Dims(tuple(doc["dims"]))
     field = parse_field(doc["field"])
     vectors = [
@@ -188,9 +169,6 @@ def document_product_vectors(doc: dict) -> tuple[Dims, Field, list[ProductVector
 
 def parse_csv(text: str, field: Field | None = None) -> list[StateVector]:
     """Inverse of csv_matrices for rational matrices."""
-    from .fields import RATIONAL
-    from .linalg import StateVector
-
     field = field or RATIONAL
     blocks = [b for b in text.strip().split("\n\n") if b.strip()]
     vectors = []

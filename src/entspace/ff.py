@@ -21,17 +21,16 @@ writers of their documents from the int hits (``_point_entry``,
 ``_report_entry``, ``_classify_document``).  The library entry points that
 make ``Fp`` scalars, ``ProductVector``s and reports from the hits
 (``find_product_vectors_fp``, ``ff_verify``, ``classify_product_vectors_fp``
-and ``ClassifyReport``) live in ``entspace.ffobjects``.  So this module
+and ``ClassifyReport``) live in ``entspace.construct``.  So this module
 imports only ``grading`` and ``reduction`` at load, and a graded oracle
-command compiles neither the wrappers nor ``fields``, ``linalg`` or
-``construct``.
+command compiles neither ``linalg`` nor ``construct``.
 
 This module runs without numpy, so ``verify --method ff``, ``upb`` and
 ``classify`` start as fast as ``construct``.  A small enumeration is a
 depth-first fibre solve on plain ints; one with more than ``_BATCH_FIBRES``
 fibres loads the batched numpy kernel in ``entspace.ffkernel``.  The UPB
 audits run on it too: the ``upb`` command's in ``entspace.upbtext`` on a
-``LevelSums``, and the library's in ``entspace.upb``.
+``LevelSums``, and the library's in ``entspace.construct``.
 """
 
 from __future__ import annotations
@@ -350,8 +349,7 @@ def _ff_runs(generators, dims: Dims, primes=None,
         dim = rational_dim = _level_rank(*target)
         check_dense_size(dim, dims.total)  # the rows _level_rows would write
     else:
-        from .fields import RATIONAL
-        from .linalg import Subspace
+        from .linalg import RATIONAL, Subspace
 
         if isinstance(generators, Subspace):
             dim = generators.dim

@@ -9,7 +9,7 @@ with no scalar or vector made.  ``upb`` writes its basis with it
 (``entspace.upbtext``), and ``construct`` the eight vectors of example2-R;
 the tests check both against ``codec``'s encoding of the library's
 ``ProductVector``s.  ``onb`` writes a level's character basis from its
-closed form, whose rows ``examples.character_basis`` wraps as vectors.
+closed form, whose rows ``construct.character_basis`` wraps as vectors.
 """
 
 from __future__ import annotations

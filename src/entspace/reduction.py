@@ -4,11 +4,11 @@ the primality test.
 ``_reduce_rows`` is the one exact row reduction, over F_p on residues and
 over Q on integer rows without fractions, and ``_kernel_basis`` the one
 read-off of a kernel from reduced rows, over both fields.  The subspace
-calculus in ``entspace.linalg`` and ``entspace.elimination`` builds on them,
-and the F_p oracle in ``entspace.ff`` reduces its inputs and reads its
-annihilator and every fibre's kernel off with them, so each imports what
-it uses from here.  The module imports only ``grading`` at load, so a graded
-oracle command compiles neither ``fields`` nor ``linalg``.
+calculus in ``entspace.linalg`` builds on them, and the F_p oracle in
+``entspace.ff`` reduces its inputs and reads its annihilator and every
+fibre's kernel off with them, so each imports what it uses from here.  The
+module imports only ``grading`` at load, so a graded oracle command
+compiles no ``linalg``.
 """
 
 from __future__ import annotations

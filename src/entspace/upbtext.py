@@ -19,7 +19,7 @@ standard vectors complete each chosen level, so the basis has rank
 ``LevelSums`` the oracle takes in closed form.  No scalar, vector or
 report object is made, and ``fractions`` loads only to parse ``--lambdas``.
 
-The library's ``upb_of_size`` (``entspace.upb``) builds the same recipe and
+The library's ``upb_of_size`` (``entspace.construct``) builds the same recipe and
 makes the vectors as objects, and its ``verify_upb`` audits them by
 elimination; the tests check that ``codec`` writes both to the same bytes.
 """

@@ -1,18 +1,18 @@
 """Two independent verifiers for complete entanglement.
 
 The finite-field route (``entspace.ff``, with its batched numpy kernel in
-``entspace.ffkernel`` and its library entry points in
-``entspace.ffobjects``; the UPB audit is ``entspace.upb``) enumerates every
-projective product vector of the subspace reduced mod p, giving a
-definitive statement about the reduced subspace.  This module is the
-numerical route: alternating single-site maximization of the product
-overlap over complex floats, which reports a margin; it can certify the
-presence of a product vector (overlap near 1) but never the absence.
+``entspace.ffkernel``, and its library entry points and the UPB audit in
+``entspace.construct``) enumerates every projective product vector of the
+subspace reduced mod p, giving a definitive statement about the reduced
+subspace.  This module is the numerical route: alternating single-site
+maximization of the product overlap over complex floats, which reports a
+margin; it can certify the presence of a product vector (overlap near 1)
+but never the absence.
 
 A search imports only ``grading``, ``serialize``, ``normals`` and numpy at
 load, and never ``numpy.random``: ``normals`` draws each restart's start
 factors as ``default_rng([seed, t])`` would, in plain Python.  The exact
-layers (``construct``, ``fields``, ``linalg``) load only to make a witness
+layers (``construct``, ``linalg``) load only to make a witness
 ``ProductVector``: the report's, when the verdict is a witness, and
 ``AlsResult.witness`` on first access.  The command line makes neither: it
 runs the search's float core, ``_als_runs``, and writes the report, a
@@ -42,11 +42,9 @@ if TYPE_CHECKING:
 
 # Aliases that perfbench's tracer looks up here, until it names the homes
 # (ROADMAP item 1).
-__getattr__ = _lazy_getattr(__name__, {
-    **dict.fromkeys(("ff_verify", "find_product_vectors_fp",
-                     "classify_product_vectors_fp"), "ffobjects"),
-    "verify_upb": "upb",
-})
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys((
+    "ff_verify", "find_product_vectors_fp", "classify_product_vectors_fp", "verify_upb"),
+    "construct"))
 
 
 # complex entries per stacked array of the ALS restarts advanced together: a
@@ -333,7 +331,7 @@ class AlsResult(Record):
 def _witness_vector(factors: list[np.ndarray]) -> ProductVector:
     """The complex product vector of the given factors, one array per site."""
     from .construct import ProductVector
-    from .fields import COMPLEX
+    from .linalg import COMPLEX
 
     dims = Dims(tuple(len(f) for f in factors))
     return ProductVector.from_values(dims, COMPLEX, [tuple(f) for f in factors])
@@ -482,7 +480,7 @@ def nearest_vandermonde(witness: ProductVector, dims: Dims):
     factors' overlaps, and so is each norm.
     """
     from .construct import vandermonde_vector
-    from .fields import COMPLEX
+    from .linalg import COMPLEX
 
     factors = [np.asarray([complex(c) for c in f]) for f in witness.factors]
     num = 0j

@@ -37,7 +37,7 @@ import entspace.commands.classify as classify_command
 import entspace.commands.construct as construct_command
 import entspace.commands.verify as verify_command
 import entspace.ff as ff_module
-import entspace.ffobjects as ffobjects
+import entspace.construct as construct_module
 import entspace.verify as verify_module
 from entspace.cli import main
 from entspace.codec import document_product_vectors, document_vectors, parse_csv
@@ -561,7 +561,12 @@ def test_huge_estimates_print_as_powers_of_two(capsys):
     assert err.startswith("error: enumeration needs at least 2**") and err.count("\n") == 1, err
 
 
-STARTUP_PROBE = """
+# the library modules, which no command loads: every load probe names them
+# through this tuple
+LIBRARY = ("entspace.linalg", "entspace.construct", "entspace.codec", "entspace.counting")
+LIBRARY_LINE = f"LIBRARY = {LIBRARY!r}\n"
+
+STARTUP_PROBE = LIBRARY_LINE + """
 import contextlib, io, sys
 import entspace.cli
 
@@ -580,16 +585,15 @@ PARSER = ("argparse", "gettext", "locale")
 
 # the reader needs no construction, output layer, verifier, command handler
 # or parser
-assert not loaded(("entspace.construct", "entspace.serialize", "entspace.ff",
-                   "entspace.verify") + PARSER), "loaded by import entspace.cli"
+assert not loaded(LIBRARY + ("entspace.serialize", "entspace.ff",
+                             "entspace.verify") + PARSER), "loaded by import entspace.cli"
 assert handlers() == [], handlers()
 
 # the closed forms need no elimination, UPB, example or verifier
 for space in ("S", "Sperp", "example1"):
     assert quiet("construct", "--dims", "3,3", "--space", space) == 0
 assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
-closed_form = ("entspace.elimination", "entspace.upb", "entspace.examples", "entspace.ff",
-               "entspace.verify")
+closed_form = LIBRARY + ("entspace.ff", "entspace.verify")
 assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct"
 # a command compiles its own handler alone
 assert handlers() == ["entspace.commands.construct"], handlers()
@@ -602,9 +606,7 @@ def package():
 before = package()
 for dims, level in (("3,3", "2"), ("2,3,4", "3"), ("2,2,2,2,2", "0")):
     assert quiet("onb", "--dims", dims, "--level", level) == 0
-objects = ("entspace.fields", "entspace.linalg", "entspace.elimination", "entspace.construct",
-           "entspace.examples", "entspace.codec", "entspace.ffobjects", "entspace.upb",
-           "entspace.counting", "entspace.reduction", "fractions", "decimal", "numpy")
+objects = LIBRARY + ("entspace.reduction", "fractions", "decimal", "numpy")
 assert not loaded(objects), str(loaded(objects)) + " loaded by onb"
 gained = sorted(set(package()) - set(before))
 assert gained == ["entspace.commands.onb", "entspace.producttext"], gained
@@ -614,8 +616,7 @@ assert gained == ["entspace.commands.onb", "entspace.producttext"], gained
 assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
 assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
 assert quiet("upb", "--dims", "2,3,4", "--min") == 0
-text_only = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
-             "entspace.ffobjects", "entspace.upb", "entspace.elimination", "fractions")
+text_only = LIBRARY + ("fractions",)
 assert not loaded(text_only), str(loaded(text_only)) + " loaded by upb"
 
 # so is example2, from its groups and its points, also under the oracle: no
@@ -624,8 +625,7 @@ for space in ("example2-M", "example2-R"):
     for fmt in ("json", "csv"):
         assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
     assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
-exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
-         "entspace.examples", "entspace.elimination", "fractions", "decimal")
+exact = LIBRARY + ("fractions", "decimal")
 assert not loaded(exact), str(loaded(exact)) + " loaded by example2"
 
 assert quiet("dims", "--dims", "3,3") == 0
@@ -641,17 +641,17 @@ from entspace.reduction import is_prime
 at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
 assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut)) == 0
 assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
-oracle_only = ("entspace.upb", "entspace.elimination", "entspace.ffkernel", "json")
+oracle_only = LIBRARY + ("entspace.ffkernel", "json")
 assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
 # nor with --lambdas, which loads fractions alone
 assert quiet("upb", "--dims", "3,3", "--size", "9", "--lambdas=inf,0,1,-1,1/3") == 0
-assert not loaded(("entspace.elimination", "entspace.upb")), "loaded by upb"
+assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by upb"
 assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
 assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
 assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
 import entspace
-assert entspace.ff_verify is entspace.ffobjects.ff_verify
-assert entspace.UpbReport is entspace.upb.UpbReport
+assert entspace.ff_verify is entspace.construct.ff_verify
+assert entspace.UpbReport is entspace.construct.UpbReport
 assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
 # every command above read its argv from the option tables, so argparse,
 # which loads gettext and locale, never loaded
@@ -683,7 +683,7 @@ kernel = loaded(("numpy", "entspace.ffkernel", "entspace.verify"))
 assert kernel == ["numpy", "entspace.ffkernel"], kernel
 """
 
-ALS_PROBE = """
+ALS_PROBE = LIBRARY_LINE + """
 import contextlib, io, sys
 import entspace.cli
 
@@ -700,9 +700,7 @@ for space in ("Sperp", "S", "level:1"):
                  "--restarts", "2") == 0
 for name in ("numpy", "entspace.verify"):
     assert name in sys.modules, name + " not loaded by verify --method als"
-for name in ("entspace.ff", "entspace.ffkernel", "json", "entspace.codec",
-             "entspace.construct", "entspace.fields", "entspace.linalg",
-             "entspace.reduction", "entspace.elimination"):
+for name in LIBRARY + ("entspace.ff", "entspace.ffkernel", "json", "entspace.reduction"):
     assert name not in sys.modules, name + " loaded by a graded verify --method als"
 # a module compiled after numpy raises the peak RSS
 order = list(sys.modules)
@@ -711,8 +709,7 @@ assert order.index("entspace.serialize") < order.index("numpy")
 for space in ("example2-M", "example2-R"):
     assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
                  "--restarts", "4") == 0
-for name in ("entspace.fields", "entspace.linalg", "entspace.construct", "entspace.codec",
-             "entspace.examples", "entspace.elimination", "fractions", "decimal"):
+for name in LIBRARY + ("fractions", "decimal"):
     assert name not in sys.modules, name + " loaded by an example2 verify --method als"
 # nor does any search read its argv with argparse
 for name in PARSER:
@@ -724,7 +721,7 @@ exec("from entspace import *", names)
 missing = [n for n in entspace.__all__ if n not in names]
 assert not missing, missing
 assert entspace.max_product_overlap is entspace.verify.max_product_overlap
-assert entspace.verify_upb is entspace.upb.verify_upb
+assert entspace.verify_upb is entspace.construct.verify_upb
 assert entspace.verify.VerificationReport is entspace.grading.VerificationReport
 assert "max_product_overlap" in dir(entspace) and "ff_verify" in dir(entspace)
 try:
@@ -799,7 +796,7 @@ def test_dims_and_construct_start_without_numpy():
         assert proc.returncode == 0, proc.stderr
 
 
-GRADED_CONSTRUCT_PROBE = """
+GRADED_CONSTRUCT_PROBE = LIBRARY_LINE + """
 import contextlib, io, sys
 import entspace.cli
 
@@ -810,10 +807,9 @@ def quiet(*argv):
 def loaded(names):
     return [name for name in names if name in sys.modules]
 
-exact = ("entspace.fields", "entspace.linalg")
-assert not loaded(exact), str(loaded(exact)) + " loaded by import entspace.cli"
+assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by import entspace.cli"
 assert quiet("dims", "--dims", "3,3") == 0
-assert not loaded(exact), str(loaded(exact)) + " loaded by dims"
+assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by dims"
 
 # a graded basis is written from its closed form as text: no scalar, vector
 # or subspace is made
@@ -823,30 +819,27 @@ for space in ("S", "Sperp", "level:2", "example1"):
 assert quiet("construct", "--dims", "2,3,4", "--space", "Sperp") == 0
 assert quiet("construct", "--dims", "3,4,2", "--space", "S", "--format", "csv") == 2
 assert quiet("construct", "--dims", "300,300", "--space", "S") == 2
-rest = ("fractions", "decimal", "entspace.fields", "entspace.linalg",
-        "entspace.construct", "numpy")
+rest = ("fractions", "decimal") + LIBRARY + ("numpy",)
 assert not loaded(rest), str(loaded(rest)) + " loaded by a graded construct"
 package = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert package == ["entspace", "entspace.cli", "entspace.commands",
                    "entspace.commands.construct", "entspace.commands.dims",
                    "entspace.grading", "entspace.serialize"], package
-objects = ("entspace.codec", "entspace.ffobjects")
-assert not loaded(objects), str(loaded(objects)) + " loaded by a graded construct"
 
 # so is example2: example2-M from its eight groups, and example2-R's
 # Vandermonde vectors from their points by the text writer upb shares
 for space in ("example2-M", "example2-R"):
     for fmt in ("json", "csv"):
         assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
-exact = rest + objects + ("entspace.examples", "entspace.elimination")
-assert not loaded(exact), str(loaded(exact)) + " loaded by construct of example2"
+assert not loaded(rest), str(loaded(rest)) + " loaded by construct of example2"
 after = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert after == sorted(package + ["entspace.producttext"]), after
 
 # the guard can fail: the library builds S over Q
 import entspace
 entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(rest) == list(rest[:-1]), loaded(rest)
+assert loaded(("fractions", "decimal")) == ["fractions", "decimal"] and loaded(LIBRARY), \
+    loaded(rest)
 """
 
 
@@ -856,7 +849,7 @@ def test_graded_construct_loads_only_cli_grading_and_serialize():
     assert proc.returncode == 0, proc.stderr
 
 
-ORACLE_PROBE = """
+ORACLE_PROBE = LIBRARY_LINE + """
 import contextlib, io, sys
 import entspace.cli
 
@@ -870,13 +863,12 @@ def package():
 def loaded(names):
     return [name for name in names if name in sys.modules]
 
-# the prime comes from the int-reduction module: entspace.fields would load
+# the prime comes from the int-reduction module: entspace.linalg would load
 # the exact layers the probe looks for
 from entspace.ff import _BATCH_FIBRES
 from entspace.reduction import is_prime
 
-exact = ("entspace.fields", "entspace.linalg", "entspace.construct", "fractions",
-         "decimal")
+exact = LIBRARY + ("fractions", "decimal")
 oracle = ["entspace", "entspace.cli", "entspace.commands", "entspace.commands.classify",
           "entspace.commands.verify", "entspace.ff", "entspace.grading",
           "entspace.reduction", "entspace.serialize"]
@@ -896,10 +888,8 @@ assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
 assert quiet("classify", "--dims", "2,2", "--prime", str(at_cut)) == 0
 assert package() == oracle, package()
 rest = exact + ("numpy",)
+# no exact layer, object encoder or library wrapper of the oracle
 assert not loaded(rest), str(loaded(rest)) + " loaded below the cut"
-# no object encoder and no library wrapper of the oracle
-objects = ("entspace.codec", "entspace.ffobjects")
-assert not loaded(objects), str(loaded(objects)) + " loaded by a graded oracle command"
 
 # past the cut the batched kernel and numpy load, and nothing else
 past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
@@ -913,7 +903,8 @@ assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
 # the guard can fail: the library builds S over Q
 import entspace
 entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(exact) == list(exact), loaded(exact)
+assert loaded(("fractions", "decimal")) == ["fractions", "decimal"] and loaded(LIBRARY), \
+    loaded(exact)
 """
 
 
@@ -923,7 +914,7 @@ def test_graded_oracle_loads_no_exact_layer():
     assert proc.returncode == 0, proc.stderr
 
 
-GRADED_ALS_PROBE = """
+GRADED_ALS_PROBE = LIBRARY_LINE + """
 import contextlib, io, sys
 import entspace.cli
 
@@ -939,8 +930,7 @@ def loaded(names):
 for space in ("S", "level:2", "example1"):
     assert quiet("verify", "--dims", "3,4", "--space", space, "--method", "als",
                  "--restarts", "4") == 0
-exact = ("entspace.construct", "entspace.fields", "entspace.linalg", "entspace.reduction",
-         "entspace.codec", "entspace.ff", "entspace.ffobjects", "fractions")
+exact = LIBRARY + ("entspace.reduction", "entspace.ff", "fractions")
 assert not loaded(exact), str(loaded(exact)) + " loaded by a graded ALS search"
 package = sorted(name for name in sys.modules if name.startswith("entspace"))
 assert package == ["entspace", "entspace.cli", "entspace.commands",
@@ -966,7 +956,8 @@ assert not loaded(("numpy.random",)), "numpy.random loaded by an example2 ALS se
 import entspace
 from entspace.codec import subspace_document
 subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))
-assert loaded(exact[:5]) == list(exact[:5]), loaded(exact[:5])
+assert loaded(LIBRARY) and loaded(("entspace.reduction", "fractions")) == \
+    ["entspace.reduction", "fractions"], loaded(exact)
 # and numpy's own draw loads numpy.random
 import numpy
 numpy.random.default_rng(0)
@@ -1013,8 +1004,7 @@ def test_als_loads_every_package_module_before_numpy(space):
     assert code == "0"
     # entspace.normals, which draws the starts, loads before numpy too
     assert "entspace.verify" in package and "entspace.normals" in package, package
-    for name in ("entspace.codec", "entspace.construct", "entspace.elimination",
-                 "entspace.examples"):
+    for name in LIBRARY:
         assert name not in package, package
 
 
@@ -1089,6 +1079,41 @@ def test_tracer_layer_names_still_resolve():
     assert checked > 30
 
 
+# the public API, pinned: a layout change must not drop or add a name
+PUBLIC_NAMES = [
+    'Dims', 'parse_dims', 'enumerate_level', 'level_counts', 'LevelSums',
+    'BudgetExceededError', 'DEFAULT_MAX_SWEEPS', 'DEFAULT_RESTARTS', 'DEFAULT_TOL',
+    'NO_WITNESS', 'WITNESS', 'VerificationReport', 'INFINITY', 'multi_index',
+    'all_indices', 'level', 'level_count', 'level_count_closed_form', 'Field', 'Fp',
+    'RATIONAL', 'COMPLEX', 'prime_field', 'parse_field', 'StateVector', 'Subspace',
+    'span', 'orthocomplement', 'intersect', 'subspace_sum', 'reduce_mod_p',
+    'ProductVector', 'standard_product_vector', 'level_sum_vector',
+    'vandermonde_vector', 'entangled_subspace', 'entangled_complement',
+    'entangled_level', 'level_sum_line', 'antidiagonal_zero_space', 'UpbRecipe',
+    'minimal_upb', 'upb_of_size', 'UpbReport', 'verify_upb', 'character_basis',
+    'split_antidiagonal_spaces', 'gram_matrix', 'ENUMERATION_BUDGET',
+    'candidate_count', 'default_primes', 'ClassifyReport',
+    'classify_product_vectors_fp', 'ff_verify', 'find_product_vectors_fp',
+    'ALS_BUDGET', 'AlsResult', 'max_product_overlap', 'nearest_vandermonde',
+    'orthonormal_basis',
+]
+
+
+def test_public_names_are_pinned():
+    import entspace
+
+    assert len(PUBLIC_NAMES) == 60
+    assert entspace.__all__ == PUBLIC_NAMES
+
+
+def test_readme_library_block_runs():
+    # README's ``## Library`` example, run as it is written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from entspace import" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_every_name_has_one_home():
     import importlib
 
@@ -1103,15 +1128,14 @@ def test_every_name_has_one_home():
 
 def test_moved_names_resolve_in_their_old_modules():
     # the only moved names an old module still resolves are the ones the
-    # tracer looks up in a module that does not define them (and
-    # perfbench's test's ``construct.span``)
+    # tracer looks up in a module that does not define them
     import importlib
     import inspect
     import pkgutil
 
     import entspace
 
-    wanted = {"entspace.construct": {"span"}}
+    wanted = {}
     for module_name, names in _tracer_layers().values():
         module = importlib.import_module(module_name)
         wanted.setdefault(module_name, set()).update(
@@ -1134,6 +1158,8 @@ def test_moved_names_resolve_in_their_old_modules():
     assert not hasattr(entspace.serialize, "__path__")
     # one kernel read-off, for the oracle and orthocomplement alike
     assert entspace.ff._kernel_basis is entspace.reduction._kernel_basis
+    # perfbench's test looks ``span`` up in ``construct``, which imports it
+    assert entspace.construct.span is entspace.linalg.span
 
 
 def _graded_cases():
@@ -1208,7 +1234,7 @@ def assert_verify_writers_agree(dims, space, primes):
     from entspace.serialize import json_dumps
 
     target, expected = _library_space(dims, space)
-    reports = ffobjects.ff_verify(target, dims, primes)
+    reports = construct_module.ff_verify(target, dims, primes)
     verdict = WITNESS if any(r.verdict == WITNESS for r in reports) else NO_WITNESS
     want = json_dumps({
         "dims": list(dims.d), "space": space, "method": "ff", "verdict": verdict,
@@ -1225,7 +1251,7 @@ def assert_classify_writers_agree(dims, p):
     from entspace.codec import encode_classify_report
     from entspace.serialize import json_dumps
 
-    report = ffobjects.classify_product_vectors_fp(dims, p)
+    report = construct_module.classify_product_vectors_fp(dims, p)
     got = _command_output(classify_command.run, dims=",".join(map(str, dims.d)),
                           prime=p)
     assert got == (0 if report.passed else 3,
@@ -1345,7 +1371,7 @@ def test_classify_document_names_missing_and_extraneous_points(monkeypatch):
 
 def test_fp_point_entry_is_written_from_residues(monkeypatch):
     from entspace.construct import ProductVector
-    from entspace.fields import prime_field
+    from entspace.linalg import prime_field
     from entspace.grading import DENSE_BUDGET
     from entspace.codec import _product_entry, encode_witness
 
@@ -1535,8 +1561,8 @@ def test_onb_matches_the_library_encoder_byte_for_byte(capsys):
     # onb writes the character basis from its closed form as text: the
     # document vectors_document writes of the library's complex vectors
     from entspace.codec import vectors_document
-    from entspace.examples import character_basis
-    from entspace.fields import COMPLEX
+    from entspace.construct import character_basis
+    from entspace.linalg import COMPLEX
     from entspace.serialize import json_dumps
 
     for text in ("2,2", "2,3", "3,3", "2,3,4", "2,2,2,2"):
@@ -1736,6 +1762,27 @@ def test_reader_takes_every_listed_argv_as_the_parser_does():
                  "upb --dims 2,2 --min --lambdas -1,0,1", "construct --dims 3,3 -- --space S",
                  "upb --dims 2,2", "upb --dims 2,2 --min --size 3", "upb --dims 2,2 --min=1"):
         assert text in argvs and text not in taken, text
+
+
+def test_reach_report_script_traces_two_argv():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reach_report.py"
+    proc = subprocess.run([sys.executable, str(script), "--argv", "dims --dims 3,3",
+                           "--argv", "upb --dims 2,2 --min"], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "2 argv and README's library block", lines[0]
+    rows = {line.split()[0]: [int(n) for n in line.split()[1:]] for line in lines[2:]
+            if len(line.split()) == 4 and line.split()[1].isdigit()}
+    total, by_argv, with_readme = rows["total"]
+    assert 0 < by_argv < with_readme < total
+    # each argv reaches its own handler and no other's
+    assert rows["entspace.commands.dims"][1] > 0 and rows["entspace.commands.upb"][1] > 0
+    assert rows["entspace.commands.onb"][1:] == [0, 0]
+    # no command reaches the library; README's block does
+    assert rows["entspace.construct"][1] == 0 < rows["entspace.construct"][2]
+    assert any(line.startswith("functions neither reaches: ") for line in lines)
+    assert "  entspace.commands.onb.run (7 lines)" in lines
 
 
 @pytest.mark.parametrize("argv", [["--repeats", "0"], ["--bogus"], ["--repeats", "x"]],

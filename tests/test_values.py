@@ -18,10 +18,8 @@ from entspace import (
     standard_product_vector,
 )
 from entspace.codec import document_vectors
-from entspace.construct import ProductVector
-from entspace.ffobjects import ClassifyReport
+from entspace.construct import ClassifyReport, ProductVector, UpbReport
 from entspace.grading import NO_WITNESS, WITNESS, VerificationReport
-from entspace.upb import UpbReport
 from entspace.verify import AlsResult
 
 D = Dims((2, 2))

@@ -54,9 +54,9 @@ from entspace import (
     verify_upb,
 )
 import entspace.construct as construct_module
-import entspace.elimination as elimination_module
 import entspace.ff as ff_module
 import entspace.ffkernel as ffkernel_module
+import entspace.linalg as linalg_module
 import entspace.normals as normals_module
 import entspace.verify as verify_module
 from entspace.ff import _site_index
@@ -360,7 +360,8 @@ def test_ff_verify_reduces_once_per_prime(monkeypatch):
         raise AssertionError("a reduced echelon input needs no second span")
 
     monkeypatch.setattr(ff_module, "_reduce_rows", counting_reduce)
-    monkeypatch.setattr(elimination_module, "span", no_span)
+    for module in (linalg_module, construct_module):
+        monkeypatch.setattr(module, "span", no_span)
     dims = Dims((2, 3))
     # a reduced echelon input: one reduction per prime, none over Q (p None)
     reports = ff_verify(entangled_subspace(dims), dims, primes=[5, 7])
@@ -399,10 +400,11 @@ def test_upb_eliminates_nothing(monkeypatch, argv):
     def no_elimination(*args, **kwargs):
         raise AssertionError("a upb run spans or complements nothing")
 
-    for module in (elimination_module, ff_module):
+    for module in (linalg_module, ff_module):
         monkeypatch.setattr(module, "_reduce_rows", counting_reduce)
-    for name in ("span", "orthocomplement"):
-        monkeypatch.setattr(elimination_module, name, no_elimination)
+    for module in (linalg_module, construct_module):
+        for name in ("span", "orthocomplement"):
+            monkeypatch.setattr(module, name, no_elimination)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0  # the audit passed
     assert calls == []
@@ -419,7 +421,7 @@ def test_verify_upb_reduces_each_matrix_once(monkeypatch):
             calls.append(p)
         return real_reduce(rows, d, p, stop)
 
-    for module in (elimination_module, ff_module):
+    for module in (linalg_module, ff_module):
         monkeypatch.setattr(module, "_reduce_rows", counting_reduce)
     dims = Dims((3, 4))
     assert verify_upb(minimal_upb(dims), dims, [7]).is_upb
@@ -733,7 +735,7 @@ def test_oracle_refuses_oversized_eliminations():
 def test_oracle_runs_no_fp_elimination(monkeypatch):
     # Fp objects appear only in the output: every exact elimination runs on
     # ints, and none of the subspace calculus runs over F_p
-    real = elimination_module._reduce_rows
+    real = linalg_module._reduce_rows
     eliminated = []
 
     def rational_only(rows, d, p=None, stop=None):
@@ -745,7 +747,7 @@ def test_oracle_runs_no_fp_elimination(monkeypatch):
         eliminated.append(len(rows))
         return real(rows, d, p, stop)
 
-    monkeypatch.setattr(elimination_module, "_reduce_rows", rational_only)
+    monkeypatch.setattr(linalg_module, "_reduce_rows", rational_only)
     dims = Dims((2, 3))
     assert [r.verdict for r in ff_verify(entangled_subspace(dims), dims)] == [NO_WITNESS] * 3
     gens = [pv.expand() for pv in split_antidiagonal_spaces().spanning_set]
