@@ -6,9 +6,11 @@ A function-body line is the first line of a statement inside a function or
 method of ``src/entspace`` (a docstring excluded, a nested function's body
 counted as its own).  Every argv of ``scripts/same_outputs.py``'s default
 list at its default seeds, 1 and 4242 (``--argv`` replaces the list), runs in
-this process through the console entry point, ``cli.run``, with its exit
-caught, and then the ``python`` block under README's ``## Library`` runs;
-``sys.settrace`` records the lines each reaches.  The report gives, per
+this process through ``cli.main``, with its exit caught, and then the
+``python`` block under README's ``## Library`` runs; ``sys.settrace``
+records the lines each reaches.  The console entry point's own lines
+(``cli.run``: the collector, the BLAS threads, ``os._exit``) are not
+counted as reached.  The report gives, per
 module, its function-body lines, those the argv reach, and those the argv
 or README reach, then the totals and the functions that neither reaches.
 
@@ -19,7 +21,6 @@ or README reach, then the totals and the functions that neither reaches.
 import argparse
 import ast
 import contextlib
-import gc
 import importlib.util
 import io
 import os
@@ -104,42 +105,23 @@ class LineTracer:
             sys.settrace(previous)
 
 
-class _Exit(Exception):
-    pass
-
-
-def _raise_exit(code):
-    raise _Exit(code)
-
-
 def run_argv(argvs, tracer: LineTracer) -> None:
-    """Each argv through ``cli.run`` in this process, its ``os._exit``
+    """Each argv through ``cli.main`` in this process, its ``SystemExit``
     caught; output goes nowhere and any ``--out`` file into a temporary
-    directory.  What ``run`` changes for its process (the collector, the
-    BLAS thread variables) is put back."""
+    directory."""
     import entspace.cli
 
-    real_exit, real_argv, cwd, environ = os._exit, sys.argv, os.getcwd(), dict(os.environ)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        os._exit = _raise_exit
         try:
             for text in argvs:
-                sys.argv = ["entspace", *text.split()]
                 sink = io.StringIO()
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
-                        tracer.installed():
-                    try:
-                        entspace.cli.run()
-                    except _Exit:
-                        pass
-                gc.enable()
+                        contextlib.suppress(SystemExit), tracer.installed():
+                    entspace.cli.main(text.split())
         finally:
-            os._exit, sys.argv = real_exit, real_argv
             os.chdir(cwd)
-            os.environ.clear()
-            os.environ.update(environ)
-            gc.enable()
 
 
 def readme_block() -> str:

@@ -40,8 +40,10 @@ _HOMES = {
         "ProductVector", "standard_product_vector",
         "level_sum_vector", "vandermonde_vector",
         "entangled_subspace", "entangled_complement", "entangled_level",
-        "level_sum_line", "antidiagonal_zero_space",
-        "UpbRecipe", "minimal_upb", "upb_of_size", "UpbReport", "verify_upb",
+        "level_sum_line", "antidiagonal_zero_space"), "construct"),
+    "UpbRecipe": "upbtext",
+    **dict.fromkeys((
+        "minimal_upb", "upb_of_size", "UpbReport", "verify_upb",
         "character_basis", "split_antidiagonal_spaces", "gram_matrix"),
         "construct"),
     **dict.fromkeys((

@@ -838,7 +838,7 @@ assert after == sorted(package + ["entspace.producttext"]), after
 # the guard can fail: the library builds S over Q
 import entspace
 entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(("fractions", "decimal")) == ["fractions", "decimal"] and loaded(LIBRARY), \
+assert loaded(rest) == ["fractions", "decimal", "entspace.linalg", "entspace.construct"], \
     loaded(rest)
 """
 
@@ -903,7 +903,7 @@ assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
 # the guard can fail: the library builds S over Q
 import entspace
 entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(("fractions", "decimal")) == ["fractions", "decimal"] and loaded(LIBRARY), \
+assert loaded(exact) == ["entspace.linalg", "entspace.construct", "fractions", "decimal"], \
     loaded(exact)
 """
 
@@ -956,8 +956,8 @@ assert not loaded(("numpy.random",)), "numpy.random loaded by an example2 ALS se
 import entspace
 from entspace.codec import subspace_document
 subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))
-assert loaded(LIBRARY) and loaded(("entspace.reduction", "fractions")) == \
-    ["entspace.reduction", "fractions"], loaded(exact)
+assert loaded(exact) == ["entspace.linalg", "entspace.construct", "entspace.codec",
+                        "entspace.reduction", "entspace.ff", "fractions"], loaded(exact)
 # and numpy's own draw loads numpy.random
 import numpy
 numpy.random.default_rng(0)
@@ -1108,20 +1108,27 @@ def test_public_names_are_pinned():
 
 def test_readme_library_block_runs():
     # README's ``## Library`` example, run as it is written
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reach_report.py"
+    spec = importlib.util.spec_from_file_location("reach_report", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    block = script.readme_block()
     assert "from entspace import" in block
     exec(compile(block, "README.md", "exec"), {})
 
 
 def test_every_name_has_one_home():
     import importlib
+    import inspect
 
     import entspace
 
     for name in entspace.__all__:
         home = importlib.import_module(f"entspace.{entspace._HOMES[name]}")
-        assert getattr(entspace, name) is vars(home)[name], name
+        value = getattr(entspace, name)
+        assert value is vars(home)[name], name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home.__name__, name
         assert name in dir(entspace), name
     assert "__getattr__" not in vars(entspace.ff) and "__getattr__" not in vars(entspace.grading)
 
