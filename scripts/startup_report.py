@@ -14,7 +14,10 @@ totals: the package code includes ``entspace.cli``, which runs as
 ``__main__`` and so is not an import, and the run's peak RSS, the median
 over the runs of the child's ``ru_maxrss`` as ``os.wait4`` reports it.
 With no ARGV, one argv per command runs, ``construct`` of example2-M and
-the oracle on example2-R, and ALS on S and on Sperp.
+the oracle on example2-R, ``upb --lambdas`` (the one argv that loads
+``fractions``), the oracle past the batched kernel's cut of 6,000 fibres
+(the one that loads ``ffkernel``), and ALS on S and on Sperp: every command
+family that ``LOADS`` in ``tests/test_cli.py`` pins.
 
     python scripts/startup_report.py
     python scripts/startup_report.py "verify --dims 3,3 --space S --method ff --primes 13"
@@ -32,15 +35,18 @@ from entspace.commands import positive_int
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # one argv per command, example2 (written and checked from its closed
-# forms) under construct and the oracle, and the ALS search with and
-# without a witness
+# forms) under construct and the oracle, upb with rational points, the
+# oracle past the cut (2,2 at p has p + 1 fibres), and the ALS search with
+# and without a witness
 DEFAULT_ARGVS = (
     "dims --dims 3,3",
     "construct --dims 3,3 --space S",
     "construct --dims 4,4 --space example2-M",
     "upb --dims 3,3 --min --primes 5",
+    "upb --dims 3,3 --size 9 --lambdas=inf,0,1,-1,1/3",
     "verify --dims 3,3 --space S --method ff --primes 13",
     "verify --dims 4,4 --space example2-R --method ff --primes 7",
+    "verify --dims 2,2 --space S --primes 6007",
     "classify --dims 2,3 --prime 7",
     "onb --dims 3,3 --level 2",
     "verify --dims 3,3 --space S --method als --restarts 4",

@@ -142,7 +142,8 @@ def main(argv=None) -> int:
 
     A well-formed argv is read by ``read_argv``; any other goes to the
     parser, which prints usage, help or an error and raises ``SystemExit``.
-    A handler's input error is one ``error:`` line and exit 2.
+    A handler's input error, or its running out of memory, is one
+    ``error:`` line and exit 2.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = read_argv(argv)
@@ -155,6 +156,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # it carries no text; what it held is freed by now
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

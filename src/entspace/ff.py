@@ -150,7 +150,9 @@ def _check_oracle(dims: Dims, p: int, budget: int) -> int:
     )
     if fibres > budget:
         raise _over_budget(fibres, budget)
-    # the batched kernel's residues are int64; refused on both paths alike
+    # the batched kernel's residues are int64; refused on both paths alike.
+    # Only a raised budget reaches this: at least p + 1 fibres within
+    # ENUMERATION_BUDGET and max(d) <= p keep max(d) * p * p below 10**18
     if max(dims.d) * p * p >= 2**63:
         raise ValueError(f"prime {p} is too large for int64 residues")
     return fibres

@@ -52,7 +52,7 @@ __getattr__ = _lazy_getattr(__name__, dict.fromkeys((
 _ALS_BLOCK_ENTRIES = 1 << 12
 # Worst-case ALS site updates, restarts * max_sweeps * sites.  The defaults
 # need 64 * 500 * k, the largest benchmarked run (3,3 with 1000 restarts)
-# 10**6; each update is also one float kept in ``AlsResult.histories``.
+# 10**6.
 ALS_BUDGET = 4 * 10**6
 # Worst-case multiply-adds of a graded search, (k - 1) * max d * (N + 1) per
 # site update (the other sites' polynomial product).  The defaults need 1.8e7
@@ -256,7 +256,8 @@ def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
     the factor of site r maximizing the overlap is its top eigenvector, and
     the overlap is its top eigenvalue plus ``shift``.  Returns every
     restart's final overlap, final factors (one (B, d_s) array per site)
-    and history: its overlap after each site update.
+    and sweep count, and the histories: each restart's overlaps after its
+    site updates, as one (total sweeps, sites) array, restart by restart.
     """
     factors = _start_factors(dims, ts, seed)
     final = np.empty(len(ts))
@@ -297,9 +298,18 @@ def _als_block(form, dims: Dims, ts: range, max_sweeps: int, tol: float,
     flat = np.empty((ends[-1], dims.k))
     for s, (act, overlaps) in enumerate(log):
         flat[ends[act] - n_sweeps[act] + s] = overlaps
-    values = flat.ravel().tolist()
-    ends = (ends * dims.k).tolist()
-    return final, factors, [values[a:b] for a, b in zip([0] + ends, ends)]
+    return final, factors, n_sweeps, flat
+
+
+def _history_lists(blocks: list) -> list[list[float]]:
+    """Every restart's history as a list of floats, from the (sweep counts,
+    histories) of each ``_als_block``."""
+    histories = []
+    for n_sweeps, flat in blocks:
+        values = flat.ravel().tolist()
+        ends = (np.cumsum(n_sweeps) * flat.shape[1]).tolist()
+        histories += [values[a:b] for a, b in zip([0] + ends, ends)]
+    return histories
 
 
 class AlsResult(Record):
@@ -381,11 +391,11 @@ def max_product_overlap(
     execution order and block size.  Among restarts reaching the same best
     overlap, the lowest index wins.
     """
-    fields, factors, histories = _als_runs(basis, dims, restarts, max_sweeps, tol, seed)
+    fields, factors, blocks = _als_runs(basis, dims, restarts, max_sweeps, tol, seed)
     witness = factors
     if fields["verdict"] == WITNESS:
         witness = fields["witness"] = _witness_vector(factors)
-    return AlsResult(fields["metrics"]["best_overlap"], witness, histories,
+    return AlsResult(fields["metrics"]["best_overlap"], witness, _history_lists(blocks),
                      VerificationReport(**fields))
 
 
@@ -408,11 +418,13 @@ def _als_entry(fields: dict, factors: list | None) -> dict:
 
 
 def _als_runs(basis: np.ndarray | LevelSums, dims: Dims, restarts: int, max_sweeps: int,
-              tol: float, seed: int) -> tuple[dict, list | None, list[list[float]]]:
+              tol: float, seed: int) -> tuple[dict, list | None, list]:
     """The work of ``max_product_overlap`` on floats: the report's fields, in
     the order of ``VerificationReport``'s and with no witness; the best
     restart's phase-fixed factors, one array per site (None for a space of
-    dimension 0); and every restart's history."""
+    dimension 0); and every restart's history, as each block's sweep counts
+    and float64 overlaps (8 bytes an update), which ``_history_lists``
+    expands into lists."""
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_sweeps < 1:
@@ -450,25 +462,26 @@ def _als_runs(basis: np.ndarray | LevelSums, dims: Dims, restarts: int, max_swee
     best = -1.0
     best_factors: list[np.ndarray] | None = None
     best_restart = -1
-    histories: list[list[float]] = []
+    blocks = []
+    total_sweeps = 0
     for first in range(0, restarts, block):
         ts = range(first, min(first + block, restarts))
-        final, factors, block_histories = _als_block(
+        final, factors, n_sweeps, flat = _als_block(
             form, dims, ts, max_sweeps, tol, seed, shift)
-        histories += block_histories
+        blocks.append((n_sweeps, flat))
+        total_sweeps += len(flat)
         i = int(np.argmax(final))  # the first restart reaching the maximum
         if final[i] > best:
             best = float(final[i])
             best_factors = [f[i].copy() for f in factors]
             best_restart = first + i
-    total_sweeps = sum(map(len, histories)) // dims.k
 
     best = min(max(best, 0.0), 1.0)
     if best > 1.0 - tol:
         fields["verdict"] = WITNESS
     fields["metrics"] = {"best_overlap": best, "total_sweeps": total_sweeps,
                          "best_restart": best_restart}
-    return fields, _fix_phases(best_factors), histories
+    return fields, _fix_phases(best_factors), blocks
 
 
 def nearest_vandermonde(witness: ProductVector, dims: Dims):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, formats, round-trips, determinism."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -42,6 +43,7 @@ import entspace.verify as verify_module
 from entspace.cli import main
 from entspace.codec import document_product_vectors, document_vectors, parse_csv
 from entspace.counting import all_indices
+from entspace.reduction import is_prime
 
 
 def run(capsys, *argv):
@@ -488,6 +490,17 @@ def test_oversized_shapes_are_refused_before_anything_is_built(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_running_out_of_memory_is_an_error_line():
+    # within every budget, but its document needs more than 256 MB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run([sys.executable, "-m", "entspace.cli", "onb", "--dims", "500,500",
+                           "--level", "1"], env=_cli_env(), capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv", [
     "construct --dims {twos} --space S",
     "construct --dims {twos} --space Sperp",
@@ -561,451 +574,159 @@ def test_huge_estimates_print_as_powers_of_two(capsys):
     assert err.startswith("error: enumeration needs at least 2**") and err.count("\n") == 1, err
 
 
-# the library modules, which no command loads: every load probe names them
-# through this tuple
-LIBRARY = ("entspace.linalg", "entspace.construct", "entspace.codec", "entspace.counting")
-LIBRARY_LINE = f"LIBRARY = {LIBRARY!r}\n"
+# The modules each kind of run loads, each row checked in a fresh interpreter
+# by test_runs_load_exactly_their_modules.  A row's steps run in order: an
+# argv through cli.main with its exit code, or a library statement with None.
+# After them the row names every package module loaded (besides ``entspace``
+# itself) and which SENTINELS loaded, both exactly.  README's load table
+# restates these rows.
+SENTINELS = ("numpy", "numpy.random", "fractions", "decimal", "json", "argparse",
+             "gettext", "locale", "dataclasses", "inspect")
+# the largest prime whose 2,2 oracle (p + 1 fibres) stays on plain ints, and
+# the smallest past the cut, which runs the batched numpy kernel
+AT_CUT = max(q for q in range(2, ff_module._BATCH_FIBRES) if is_prime(q))
+PAST_CUT = next(q for q in range(ff_module._BATCH_FIBRES, 2 * ff_module._BATCH_FIBRES)
+                if is_prime(q))
+GRADED = ("S", "Sperp", "level:2", "example1")
+COMMAND = "cli commands grading"  # every command, besides its handler
+ORACLE = COMMAND + " commands.classify commands.verify ff reduction serialize"
+UPB = COMMAND + " commands.upb ff producttext reduction serialize upbtext"
+ALS = COMMAND + " commands.verify normals serialize verify"
+LIBRARY_S = "import entspace; entspace.entangled_subspace(entspace.Dims((3, 3)))"
+EXACT = "construct ff grading linalg producttext reduction serialize upbtext"
+LOADS = {
+    # the reader needs no handler, output layer, verifier or parser
+    "import": ([("import entspace.cli", None)], COMMAND, ()),
+    "dims": ([("dims --dims 3,3", 0)], COMMAND + " commands.dims", ()),
+    # a graded basis is written from its closed form as text: no scalar,
+    # vector or subspace, and the JSON writer quotes its strings itself
+    "construct-graded": (
+        [(f"construct --dims {dims} --space {space} --format {fmt}", 0)
+         for dims in ("3,3", "3,4") for space in GRADED for fmt in ("json", "csv")]
+        + [("construct --dims 2,3,4 --space Sperp", 0),
+           ("construct --dims 3,4,2 --space S --format csv", 2),
+           ("construct --dims 300,300 --space S", 2)],
+        COMMAND + " commands.construct serialize", ()),
+    # example2-M from its eight groups, example2-R's Vandermonde vectors from
+    # their points by the text writer upb shares
+    "construct-example2-M": (
+        [(f"construct --dims 4,4 --space example2-M --format {fmt}", 0) for fmt in ("json", "csv")],
+        COMMAND + " commands.construct serialize", ()),
+    "construct-example2-R": (
+        [(f"construct --dims 4,4 --space example2-R --format {fmt}", 0) for fmt in ("json", "csv")],
+        COMMAND + " commands.construct producttext serialize", ()),
+    # the character basis from its complex closed form
+    "onb": ([(f"onb --dims {dims} --level {level}", 0)
+             for dims, level in (("3,3", 2), ("2,3,4", 3), ("2,2,2,2,2", 0))],
+            COMMAND + " commands.onb producttext serialize", ()),
+    # a UPB is written from its recipe as text and audited in closed form
+    "upb": ([("upb --dims 2,2 --min --primes 5", 0), ("upb --dims 3,3 --size 7", 0),
+             ("upb --dims 2,3,4 --min", 0)], UPB, ()),
+    # only the --lambdas parser makes a rational
+    "upb-lambdas": ([("upb --dims 3,3 --size 9 --lambdas=inf,0,1,-1,1/3", 0),
+                     ("upb --dims 2,2 --min --lambdas=0,1,2", 0)],
+                    UPB, ("fractions", "decimal")),
+    "upb-past-cut": ([(f"upb --dims 2,2 --min --primes {PAST_CUT}", 0)],
+                     UPB + " ffkernel", ("numpy", "inspect")),
+    # the oracle takes a graded space's rank and annihilator in closed form,
+    # example2's too, and writes its documents from its int hits
+    "oracle": (
+        [(f"verify --dims 3,3 --space {space} --method ff", 0) for space in GRADED]
+        + [(f"verify --dims 2,2 --space {space} --primes {AT_CUT}", 0) for space in GRADED]
+        + [(f"verify --dims 4,4 --space {space} --method ff", 0)
+           for space in ("example2-M", "example2-R")]
+        + [("verify --dims 4,4 --space example2-R --primes 7", 0),
+           ("verify --dims 2,3 --space S --primes 5,7,11", 0),
+           ("verify --dims 3,3 --space S --primes 3", 2),
+           ("classify --dims 2,3 --prime 7", 0), ("classify --dims 2,2 --prime 5", 0),
+           (f"classify --dims 2,2 --prime {AT_CUT}", 0)],
+        ORACLE, ()),
+    # with both handlers loaded first, past the cut the batched kernel and
+    # numpy load, and nothing else
+    "oracle-past-cut": (
+        [("classify --dims 2,3 --prime 7", 0)]
+        + [(f"verify --dims 2,2 --space {space} --primes {PAST_CUT}", 0) for space in GRADED]
+        + [(f"classify --dims 2,2 --prime {PAST_CUT}", 0)],
+        ORACLE + " ffkernel", ("numpy", "inspect")),
+    # a search writes its report, a witness included, from its floats; a
+    # graded one runs on the level sums, example2 on the float rows of its
+    # closed form, and normals draws the starts without numpy.random
+    "als": (
+        [(f"verify --dims 2,2 --space {space} --method als --restarts 2", 0)
+         for space in ("Sperp", "S", "level:1")]
+        + [(f"verify --dims 3,4 --space {space} --method als --restarts 4", 0)
+           for space in GRADED]
+        + [(f"verify --dims 4,4 --space {space} --method als --restarts {restarts}", 0)
+           for space in ("example2-M", "example2-R") for restarts in (2, 4)],
+        ALS, ("numpy", "inspect")),
+    # help and refusals are the parser's, which alone loads argparse
+    "parser": ([("construct --help", 0), ("verify --dims 3,3 --space S --seed x", 2)],
+               COMMAND + " commands.construct commands.verify",
+               ("argparse", "gettext", "locale")),
+    # controls: the library loads what no command does, and the JSON writer
+    # loads json only for a string that needs an escape
+    "library-S": ([(LIBRARY_S, None)], EXACT, ("fractions", "decimal")),
+    "library-codec": (
+        [(LIBRARY_S, None),
+         ("from entspace.codec import subspace_document; "
+          "subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))", None)],
+        EXACT + " codec", ("fractions", "decimal")),
+    "library-als": (
+        [("import entspace; entspace.max_product_overlap("
+          "entspace.LevelSums((1,)), entspace.Dims((2, 2)), restarts=2)", None),
+         ("import numpy; numpy.random.default_rng(0)", None)],
+        "grading normals serialize verify", ("numpy", "numpy.random", "inspect")),
+    "library-counting": (
+        [("import entspace; entspace.level_count(entspace.Dims((3, 3)), 2)", None),
+         ("from entspace.serialize import json_dumps; json_dumps('\\u00e9')", None),
+         ("import dataclasses", None)],
+        "counting grading serialize", ("json", "dataclasses", "inspect")),
+}
 
-STARTUP_PROBE = LIBRARY_LINE + """
+# One LOADS row in a fresh interpreter, after its STEPS and SENTINELS: prints
+# the steps' exit codes, the package modules loaded, the sentinels loaded and
+# the package modules that finished loading after numpy.  It imports no
+# sentinel: the test reads its repr with ast.literal_eval.
+LOAD_PROBE = """
 import contextlib, io, sys
-import entspace.cli
 
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
+names = {}  # the library statements' namespace
 
-def loaded(names=("numpy", "entspace.verify", "dataclasses", "inspect")):
-    # the value types are plain classes: start-up needs no code generator
-    return [name for name in names if name in sys.modules]
-
-def handlers():
-    return sorted(name for name in sys.modules if name.startswith("entspace.commands."))
-
-PARSER = ("argparse", "gettext", "locale")
-
-# the reader needs no construction, output layer, verifier, command handler
-# or parser
-assert not loaded(LIBRARY + ("entspace.serialize", "entspace.ff",
-                             "entspace.verify") + PARSER), "loaded by import entspace.cli"
-assert handlers() == [], handlers()
-
-# the closed forms need no elimination, UPB, example or verifier
-for space in ("S", "Sperp", "example1"):
-    assert quiet("construct", "--dims", "3,3", "--space", space) == 0
-assert quiet("construct", "--dims", "3,3", "--space", "S", "--format", "csv") == 0
-closed_form = LIBRARY + ("entspace.ff", "entspace.verify")
-assert not loaded(closed_form), str(loaded(closed_form)) + " loaded by construct"
-# a command compiles its own handler alone
-assert handlers() == ["entspace.commands.construct"], handlers()
-
-# onb writes its character basis from its closed form as text: no exact
-# layer, object encoder, example, counting or rational, and no numpy
-def package():
-    return sorted(name for name in sys.modules if name.startswith("entspace"))
-
-before = package()
-for dims, level in (("3,3", "2"), ("2,3,4", "3"), ("2,2,2,2,2", "0")):
-    assert quiet("onb", "--dims", dims, "--level", level) == 0
-objects = LIBRARY + ("entspace.reduction", "fractions", "decimal", "numpy")
-assert not loaded(objects), str(loaded(objects)) + " loaded by onb"
-gained = sorted(set(package()) - set(before))
-assert gained == ["entspace.commands.onb", "entspace.producttext"], gained
-
-# upb writes its basis from the recipe as text and audits it in closed form:
-# no scalar, vector, report or object encoder, and nothing eliminated
-assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
-assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
-assert quiet("upb", "--dims", "2,3,4", "--min") == 0
-text_only = LIBRARY + ("fractions",)
-assert not loaded(text_only), str(loaded(text_only)) + " loaded by upb"
-
-# so is example2, from its groups and its points, also under the oracle: no
-# exact layer, object encoder, example, elimination or rational
-for space in ("example2-M", "example2-R"):
-    for fmt in ("json", "csv"):
-        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
-exact = LIBRARY + ("fractions", "decimal")
-assert not loaded(exact), str(loaded(exact)) + " loaded by example2"
-
-assert quiet("dims", "--dims", "3,3") == 0
-assert not loaded(), str(loaded()) + " loaded by dims, construct or onb"
-# the JSON writer quotes the documents' strings itself
-assert not loaded(("json",)), "json loaded by construct"
-
-from entspace.ff import _BATCH_FIBRES
-from entspace.reduction import is_prime
-
-# the finite-field oracle on plain ints: 2,2 at p has p + 1 fibres, so the
-# largest prime at the cut stays numpy-free
-at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
-assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(at_cut)) == 0
-assert quiet("verify", "--dims", "3,3", "--space", "Sperp", "--method", "ff") == 0
-oracle_only = LIBRARY + ("entspace.ffkernel", "json")
-assert not loaded(oracle_only), str(loaded(oracle_only)) + " loaded by verify --method ff"
-# nor with --lambdas, which loads fractions alone
-assert quiet("upb", "--dims", "3,3", "--size", "9", "--lambdas=inf,0,1,-1,1/3") == 0
-assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by upb"
-assert quiet("verify", "--dims", "4,4", "--space", "example2-R", "--primes", "7") == 0
-assert quiet("classify", "--dims", "2,2", "--prime", "5") == 0
-assert quiet("verify", "--dims", "3,3", "--space", "S", "--primes", "3") == 2
-import entspace
-assert entspace.ff_verify is entspace.construct.ff_verify
-assert entspace.UpbReport is entspace.construct.UpbReport
-assert not loaded(), str(loaded()) + " loaded by verify --method ff, upb or classify"
-# every command above read its argv from the option tables, so argparse,
-# which loads gettext and locale, never loaded
-assert not loaded(PARSER), str(loaded(PARSER)) + " loaded by a well-formed run"
-
-def parsed(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def run(text, code):
+    if code is None:
+        exec(text, names)
+        return None
+    from entspace.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            entspace.cli.main(list(argv))
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue()
-    raise AssertionError(f"{argv} did not end in the parser")
+            return main(text.split())
+        except SystemExit as exc:  # the parser's help and refusals
+            return exc.code
 
-# help and refusals are the parser's, which loads them all
-code, out, err = parsed("construct", "--help")
-assert code == 0 and err == "", (code, err)
-assert out.startswith("usage: entspace construct [-h] --dims DIMS"), out
-code, out, err = parsed("verify", "--dims", "3,3", "--space", "S", "--seed", "x")
-assert code == 2 and out == "" and err.startswith("usage: entspace verify [-h]"), err
-assert err.splitlines()[-1] == ("entspace verify: error: argument --seed: "
-                                "invalid non_negative_int value: 'x'"), err
-assert loaded(PARSER) == list(PARSER), loaded(PARSER)
-
-# just past the cut the batched kernel loads, and the ALS search does not
-past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
-assert quiet("verify", "--dims", "2,2", "--space", "S", "--primes", str(past_cut)) == 0
-kernel = loaded(("numpy", "entspace.ffkernel", "entspace.verify"))
-assert kernel == ["numpy", "entspace.ffkernel"], kernel
-"""
-
-ALS_PROBE = LIBRARY_LINE + """
-import contextlib, io, sys
-import entspace.cli
-
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
-
-PARSER = ("argparse", "gettext", "locale")
-assert not [name for name in PARSER if name in sys.modules], "loaded by import entspace.cli"
-
-# a graded search writes its report, a witness included, from its floats
-for space in ("Sperp", "S", "level:1"):
-    assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
-                 "--restarts", "2") == 0
-for name in ("numpy", "entspace.verify"):
-    assert name in sys.modules, name + " not loaded by verify --method als"
-for name in LIBRARY + ("entspace.ff", "entspace.ffkernel", "json", "entspace.reduction"):
-    assert name not in sys.modules, name + " loaded by a graded verify --method als"
-# a module compiled after numpy raises the peak RSS
-order = list(sys.modules)
-assert order.index("entspace.serialize") < order.index("numpy")
-# example2 is searched in dense form, on the float rows of its closed form
-for space in ("example2-M", "example2-R"):
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
-                 "--restarts", "4") == 0
-for name in LIBRARY + ("fractions", "decimal"):
-    assert name not in sys.modules, name + " loaded by an example2 verify --method als"
-# nor does any search read its argv with argparse
-for name in PARSER:
-    assert name not in sys.modules, name + " loaded by verify --method als"
-
-import entspace
-names = {}
-exec("from entspace import *", names)
-missing = [n for n in entspace.__all__ if n not in names]
-assert not missing, missing
-assert entspace.max_product_overlap is entspace.verify.max_product_overlap
-assert entspace.verify_upb is entspace.construct.verify_upb
-assert entspace.verify.VerificationReport is entspace.grading.VerificationReport
-assert "max_product_overlap" in dir(entspace) and "ff_verify" in dir(entspace)
-try:
-    entspace.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("unknown attribute resolved")
+codes = [run(*step) for step in STEPS]
+order = list(sys.modules)  # in the order the modules finished loading
+after = order[order.index("numpy"):] if "numpy" in sys.modules else []
+print(repr((codes, sorted(name for name in order if name.startswith("entspace")),
+            [name for name in SENTINELS if name in sys.modules],
+            [name for name in after if name.startswith("entspace")])))
 """
 
 
-FRACTION_PROBE = """
-import contextlib, io, sys
-import entspace.cli
-
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
-
-def loaded():
-    return [name for name in ("fractions", "decimal") if name in sys.modules]
-
-from entspace.ff import _BATCH_FIBRES
-from entspace.reduction import is_prime
-
-# no command below makes a rational: the oracle takes a graded space's rank
-# and annihilator in closed form, and the ALS search its level-sum form
-assert not loaded(), str(loaded()) + " loaded by import entspace.cli"
-assert quiet("dims", "--dims", "3,3") == 0
-for space in ("S", "Sperp", "level:2", "example1"):
-    assert quiet("verify", "--dims", "3,3", "--space", space, "--method", "ff") == 0
-past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
-assert quiet("verify", "--dims", "2,2", "--space", "Sperp", "--primes", str(past_cut)) == 0
-assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
-# a upb document is written from its integer points as text
-assert quiet("upb", "--dims", "2,2", "--min", "--primes", "5") == 0
-assert quiet("upb", "--dims", "3,3", "--size", "7") == 0
-# example2 is written and searched from its closed forms
-for space in ("example2-M", "example2-R"):
-    for fmt in ("json", "csv"):
-        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
-# and onb's character basis from its complex closed form
-assert quiet("onb", "--dims", "3,3", "--level", "2") == 0
-assert not loaded(), str(loaded()) + " loaded by a command that makes no rational"
-for space in ("S", "Sperp", "level:1"):
-    assert quiet("verify", "--dims", "2,2", "--space", space, "--method", "als",
-                 "--restarts", "2") == 0
-for space in ("example2-M", "example2-R"):
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
-                 "--restarts", "2") == 0
-assert not loaded(), str(loaded()) + " loaded by verify --method als"
-
-# the guard can fail: the library's exact S and --lambdas points are rational
-import entspace
-entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded() == ["fractions", "decimal"], loaded()
-for name in ("fractions", "decimal"):
-    del sys.modules[name]
-assert quiet("upb", "--dims", "2,2", "--min", "--lambdas=0,1,2") == 0
-assert loaded() == ["fractions", "decimal"], loaded()
-"""
-
-
-def test_dims_and_construct_start_without_numpy():
-    src = str(Path(entspace_cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for probe in (STARTUP_PROBE, ALS_PROBE, FRACTION_PROBE):
-        proc = subprocess.run([sys.executable, "-c", probe],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-
-GRADED_CONSTRUCT_PROBE = LIBRARY_LINE + """
-import contextlib, io, sys
-import entspace.cli
-
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
-
-def loaded(names):
-    return [name for name in names if name in sys.modules]
-
-assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by import entspace.cli"
-assert quiet("dims", "--dims", "3,3") == 0
-assert not loaded(LIBRARY), str(loaded(LIBRARY)) + " loaded by dims"
-
-# a graded basis is written from its closed form as text: no scalar, vector
-# or subspace is made
-for space in ("S", "Sperp", "level:2", "example1"):
-    for fmt in ("json", "csv"):
-        assert quiet("construct", "--dims", "3,4", "--space", space, "--format", fmt) == 0
-assert quiet("construct", "--dims", "2,3,4", "--space", "Sperp") == 0
-assert quiet("construct", "--dims", "3,4,2", "--space", "S", "--format", "csv") == 2
-assert quiet("construct", "--dims", "300,300", "--space", "S") == 2
-rest = ("fractions", "decimal") + LIBRARY + ("numpy",)
-assert not loaded(rest), str(loaded(rest)) + " loaded by a graded construct"
-package = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert package == ["entspace", "entspace.cli", "entspace.commands",
-                   "entspace.commands.construct", "entspace.commands.dims",
-                   "entspace.grading", "entspace.serialize"], package
-
-# so is example2: example2-M from its eight groups, and example2-R's
-# Vandermonde vectors from their points by the text writer upb shares
-for space in ("example2-M", "example2-R"):
-    for fmt in ("json", "csv"):
-        assert quiet("construct", "--dims", "4,4", "--space", space, "--format", fmt) == 0
-assert not loaded(rest), str(loaded(rest)) + " loaded by construct of example2"
-after = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert after == sorted(package + ["entspace.producttext"]), after
-
-# the guard can fail: the library builds S over Q
-import entspace
-entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(rest) == ["fractions", "decimal", "entspace.linalg", "entspace.construct"], \
-    loaded(rest)
-"""
-
-
-def test_graded_construct_loads_only_cli_grading_and_serialize():
-    proc = subprocess.run([sys.executable, "-c", GRADED_CONSTRUCT_PROBE], env=_cli_env(),
+@pytest.mark.parametrize("row", LOADS)
+def test_runs_load_exactly_their_modules(row):
+    steps, modules, sentinels = LOADS[row]
+    probe = f"STEPS = {steps!r}\nSENTINELS = {SENTINELS!r}\n" + LOAD_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-ORACLE_PROBE = LIBRARY_LINE + """
-import contextlib, io, sys
-import entspace.cli
-
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
-
-def package():
-    return sorted(name for name in sys.modules if name.startswith("entspace"))
-
-def loaded(names):
-    return [name for name in names if name in sys.modules]
-
-# the prime comes from the int-reduction module: entspace.linalg would load
-# the exact layers the probe looks for
-from entspace.ff import _BATCH_FIBRES
-from entspace.reduction import is_prime
-
-exact = LIBRARY + ("fractions", "decimal")
-oracle = ["entspace", "entspace.cli", "entspace.commands", "entspace.commands.classify",
-          "entspace.commands.verify", "entspace.ff", "entspace.grading",
-          "entspace.reduction", "entspace.serialize"]
-spaces = ("S", "Sperp", "level:2", "example1")
-
-# the oracle's documents are written from its int hits: no scalar, vector,
-# subspace or report object is made
-at_cut = max(q for q in range(2, _BATCH_FIBRES) if is_prime(q))
-for space in spaces:
-    assert quiet("verify", "--dims", "3,3", "--space", space, "--method", "ff") == 0
-    assert quiet("verify", "--dims", "2,2", "--space", space, "--primes", str(at_cut)) == 0
-# so are example2's: its rank and annihilator come in closed form too
-for space in ("example2-M", "example2-R"):
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "ff") == 0
-assert quiet("verify", "--dims", "2,3", "--space", "S", "--primes", "5,7,11") == 0
-assert quiet("classify", "--dims", "2,3", "--prime", "7") == 0
-assert quiet("classify", "--dims", "2,2", "--prime", str(at_cut)) == 0
-assert package() == oracle, package()
-rest = exact + ("numpy",)
-# no exact layer, object encoder or library wrapper of the oracle
-assert not loaded(rest), str(loaded(rest)) + " loaded below the cut"
-
-# past the cut the batched kernel and numpy load, and nothing else
-past_cut = next(q for q in range(_BATCH_FIBRES, 2 * _BATCH_FIBRES) if is_prime(q))
-for space in spaces:
-    assert quiet("verify", "--dims", "2,2", "--space", space, "--primes", str(past_cut)) == 0
-assert quiet("classify", "--dims", "2,2", "--prime", str(past_cut)) == 0
-assert package() == sorted(oracle + ["entspace.ffkernel"]), package()
-assert "numpy" in sys.modules
-assert not loaded(exact), str(loaded(exact)) + " loaded past the cut"
-
-# the guard can fail: the library builds S over Q
-import entspace
-entspace.entangled_subspace(entspace.Dims((3, 3)))
-assert loaded(exact) == ["entspace.linalg", "entspace.construct", "fractions", "decimal"], \
-    loaded(exact)
-"""
-
-
-def test_graded_oracle_loads_no_exact_layer():
-    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE], env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
-GRADED_ALS_PROBE = LIBRARY_LINE + """
-import contextlib, io, sys
-import entspace.cli
-
-def quiet(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return entspace.cli.main(list(argv))
-
-def loaded(names):
-    return [name for name in names if name in sys.modules]
-
-# a graded space without sums holds no product vector: its search reports
-# no witness and makes no exact object (nor does Sperp's: see ALS_PROBE)
-for space in ("S", "level:2", "example1"):
-    assert quiet("verify", "--dims", "3,4", "--space", space, "--method", "als",
-                 "--restarts", "4") == 0
-exact = LIBRARY + ("entspace.reduction", "entspace.ff", "fractions")
-assert not loaded(exact), str(loaded(exact)) + " loaded by a graded ALS search"
-package = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert package == ["entspace", "entspace.cli", "entspace.commands",
-                   "entspace.commands.verify", "entspace.grading", "entspace.normals",
-                   "entspace.serialize", "entspace.verify"], package
-# the starts are drawn by entspace.normals, not numpy.random
-assert "numpy" in sys.modules
-assert quiet("verify", "--dims", "3,4", "--space", "Sperp", "--method", "als",
-             "--restarts", "4") == 0
-assert not loaded(("numpy.random",)), "numpy.random loaded by a graded ALS search"
-
-# nor does example2's: it is searched in dense form, on the float rows of
-# its closed form
-for space in ("example2-M", "example2-R"):
-    assert quiet("verify", "--dims", "4,4", "--space", space, "--method", "als",
-                 "--restarts", "2") == 0
-assert not loaded(exact), str(loaded(exact)) + " loaded by an example2 ALS search"
-after = sorted(name for name in sys.modules if name.startswith("entspace"))
-assert after == package, after
-assert not loaded(("numpy.random",)), "numpy.random loaded by an example2 ALS search"
-
-# the guard can fail: the library builds S over Q and encodes it
-import entspace
-from entspace.codec import subspace_document
-subspace_document(entspace.entangled_subspace(entspace.Dims((3, 3))))
-assert loaded(exact) == ["entspace.linalg", "entspace.construct", "entspace.codec",
-                        "entspace.reduction", "entspace.ff", "fractions"], loaded(exact)
-# and numpy's own draw loads numpy.random
-import numpy
-numpy.random.default_rng(0)
-assert loaded(("numpy.random",)) == ["numpy.random"]
-"""
-
-
-def test_graded_als_without_sums_loads_no_exact_layer():
-    proc = subprocess.run([sys.executable, "-c", GRADED_ALS_PROBE], env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
-# one command in a fresh interpreter; prints the package modules, after
-# checking that numpy loaded after every one of them.  sys.modules lists
-# modules as they finish loading, so entspace.verify, which imports numpy
-# (after it is compiled), comes after it.
-LOAD_ORDER_PROBE = """
-import contextlib, io, sys
-import entspace.cli
-
-with contextlib.redirect_stdout(io.StringIO()):
-    code = entspace.cli.main(sys.argv[1:])
-order = list(sys.modules)
-package = [name for name in order if name.startswith("entspace")]
-late = [name for name in package
-        if order.index(name) > order.index("numpy") and name != "entspace.verify"]
-assert not late, str(late) + " loaded after numpy"
-print(code, *package)
-"""
-
-
-@pytest.mark.parametrize("space", ["S", "Sperp", "example2-M", "example2-R"])
-def test_als_loads_every_package_module_before_numpy(space):
-    # a module compiled after numpy raises the run's peak RSS; no search
-    # loads an exact layer, example2's included
-    dims = "4,4" if space.startswith("example2") else "3,4"
-    argv = ["verify", "--dims", dims, "--space", space, "--method", "als",
-            "--restarts", "4"]
-    proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, *argv], env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, *package = proc.stdout.split()
-    assert code == "0"
-    # entspace.normals, which draws the starts, loads before numpy too
-    assert "entspace.verify" in package and "entspace.normals" in package, package
-    for name in LIBRARY:
-        assert name not in package, package
+    codes, package, loaded, after_numpy = ast.literal_eval(proc.stdout)
+    assert codes == [code for _, code in steps]
+    assert package == sorted(["entspace"] + [f"entspace.{name}" for name in modules.split()])
+    assert loaded == list(sentinels)
+    # a package module compiled after numpy raises the run's peak RSS: only
+    # the one that imports numpy finishes loading after it
+    assert after_numpy == [name for name in ("entspace.ffkernel", "entspace.verify")
+                           if name in package]
 
 
 RUN_PROBE = """
@@ -1104,6 +825,9 @@ def test_public_names_are_pinned():
 
     assert len(PUBLIC_NAMES) == 60
     assert entspace.__all__ == PUBLIC_NAMES
+    names = {}
+    exec("from entspace import *", names)
+    assert [name for name in PUBLIC_NAMES if name not in names] == []
 
 
 def test_readme_library_block_runs():
@@ -1130,6 +854,10 @@ def test_every_name_has_one_home():
         if inspect.isclass(value) or inspect.isfunction(value):
             assert value.__module__ == home.__name__, name
         assert name in dir(entspace), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        entspace.no_such_name
+    # the ALS report is the one report type
+    assert entspace.verify.VerificationReport is entspace.grading.VerificationReport
     assert "__getattr__" not in vars(entspace.ff) and "__getattr__" not in vars(entspace.grading)
 
 
@@ -1676,6 +1404,18 @@ def test_exit_codes_partition(capsys):
         main(["bogus-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # help and refusals are the parser's
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: entspace construct [-h] --dims DIMS"), out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dims", "3,3", "--space", "S", "--seed", "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and err.startswith("usage: entspace verify [-h]")
+    assert err.splitlines()[-1] == ("entspace verify: error: argument --seed: "
+                                    "invalid non_negative_int value: 'x'"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1005,6 +1005,26 @@ def test_batched_als_blocks_stay_within_block_entries(monkeypatch):
     assert sum(s[0] for s in shapes[::2]) == 1000  # two site updates per sweep
 
 
+def test_als_search_holds_its_histories_as_float64():
+    # the command line writes only total_sweeps, yet the search keeps every
+    # restart's history: as float64 overlaps and a sweep count it holds 24
+    # bytes a restart here, where a list of floats per restart held about 130
+    import tracemalloc
+
+    dims = Dims((2, 2))
+    restarts = 4000
+    tracemalloc.start()
+    try:
+        fields, _, blocks = verify_module._als_runs(
+            LevelSums(range(dims.max_level + 1)), dims, restarts, 1, 1e-10, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fields["metrics"]["total_sweeps"] == restarts
+    assert held < 40 * restarts, held
+    assert len(verify_module._history_lists(blocks)) == restarts
+
+
 def graded_spaces(dims):
     """Every graded space the CLI can search: (name, level-sum form, exact space)."""
     every = tuple(range(dims.max_level + 1))
