@@ -712,9 +712,7 @@ print(repr((codes, sorted(name for name in order if name.startswith("entspace"))
 """
 
 
-@pytest.mark.parametrize("row", LOADS)
-def test_runs_load_exactly_their_modules(row):
-    steps, modules, sentinels = LOADS[row]
+def _check_loads(steps, modules, sentinels):
     probe = f"STEPS = {steps!r}\nSENTINELS = {SENTINELS!r}\n" + LOAD_PROBE
     proc = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
@@ -727,6 +725,20 @@ def test_runs_load_exactly_their_modules(row):
     # the one that imports numpy finishes loading after it
     assert after_numpy == [name for name in ("entspace.ffkernel", "entspace.verify")
                            if name in package]
+
+
+@pytest.mark.parametrize("row", LOADS)
+def test_runs_load_exactly_their_modules(row):
+    _check_loads(*LOADS[row])
+
+
+@pytest.mark.parametrize("space", ["S", "Sperp", "example2-M", "example2-R"])
+def test_als_loads_every_package_module_before_numpy(space):
+    # one search alone, in a fresh interpreter, loads the "als" row's modules:
+    # no exact layer, example2's included, and only verify after numpy
+    dims = "4,4" if space.startswith("example2") else "3,4"
+    _check_loads([(f"verify --dims {dims} --space {space} --method als --restarts 4", 0)],
+                 ALS, ("numpy", "inspect"))
 
 
 RUN_PROBE = """
