@@ -5,8 +5,9 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each argv runs as ``python -m entspace.cli`` once under each tree, with
 PYTHONDONTWRITEBYTECODE=1 so that neither tree gains a bytecode cache, and
 the runs are compared on stdout sha256, exit code and stderr.  The argv are
-every ``GOLDEN`` argv of ``tests/test_cli.py``, the three workload lists of
-``perfbench/workloads.py`` at each seed of ``--seeds``, every graded space
+every argv of the exact-output ledger, ``tests/exact_outputs.txt``, the
+three workload lists of ``perfbench/workloads.py`` at each seed of
+``--seeds``, every graded space
 and example2 in JSON and CSV on a few shapes, the finite-field oracle
 (``verify --method ff`` of every graded space on a few shapes, example2 at
 the default primes and at 7, and ``classify``),
@@ -20,20 +21,27 @@ edge (``--name=value`` forms it reads; abbreviations, repeats, ``--``,
 ``--argv`` replaces them all.  The argv that differ are printed, and the
 exit code is 1 if any do.
 
+``--write-ledger`` instead rewrites the ledger from this checkout's
+``src``: it keeps the ledger's comments and the order of its argv, writes
+each argv's outcome again, and appends every exact argv of the default
+list (at seeds 1,4242; not the ALS search, not ``onb``) that it lacks.
+
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC --seeds 1,4242
+    python scripts/same_outputs.py --write-ledger
 """
 
 import argparse
-import ast
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "tests" / "exact_outputs.txt"
 GRADED_SPACES = ("S", "Sperp", "level:1", "level:3", "example1")
 GRADED_SHAPES = ("3,4", "2,3,4", "12,14", "2,2,2,2,2,2")
 # example2, written from its eight groups and its eight points
@@ -104,6 +112,7 @@ ALS = (
 REFUSALS = (
     "",
     "bogus",
+    "--help",
     "construct --help",
     "construct --dims 2,2",
     "construct --dims 1,3 --space S",
@@ -112,6 +121,11 @@ REFUSALS = (
     "construct --dims 2,3 --space level:9",
     "construct --dims 2,3 --space level:-1",
     "construct --dims 2,3 --space level:x",
+    # a level has one name
+    "construct --dims 3,3 --space level:+1",
+    "construct --dims 3,3 --space level:0_1",
+    "construct --dims 3,3 --space level:01",
+    "construct --dims 3,3 --space level:\u0662",
     "construct --dims 2,2 --space example2-M",
     "construct --dims 300,300 --space S",
     "construct --dims 1000,1000 --space Sperp --format csv",
@@ -145,6 +159,18 @@ REFUSALS = (
     "verify --dims 3,3 --space S --method als --restarts 2 --max 2",
     "construct --dims 3,3 --space S --space Sperp",
     "construct --dims 3,3 --space S --seed -1",
+    # each option only where it is read: --seed by verify alone, and each
+    # method's options only under that method
+    "dims --dims 3,3 --seed 1",
+    "construct --dims 3,3 --space S --seed 1",
+    "upb --dims 2,2 --min --seed 1",
+    "classify --dims 2,2 --prime 5 --seed 1",
+    "onb --dims 2,2 --level 1 --seed 1",
+    "verify --dims 3,3 --space S --seed 1",
+    "verify --dims 3,3 --space S --method ff --restarts 2",
+    "verify --dims 3,3 --space S --method ff --tol 0.5",
+    "verify --dims 3,3 --space S --method ff --max-sweeps 3",
+    "verify --dims 3,3 --space S --method als --primes 7",
     "upb --dims 2,2 --min --lambdas -1,0,1",
     "construct --dims 3,3 -- --space S",
     "-- construct --dims 3,3 --space S",
@@ -167,14 +193,14 @@ REFUSALS = (
 )
 
 
-def golden_argvs() -> list[str]:
-    """The keys of ``GOLDEN`` in tests/test_cli.py, read without importing it."""
-    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "GOLDEN" for t in node.targets):
-            return list(ast.literal_eval(node.value))
-    raise LookupError("no GOLDEN table in tests/test_cli.py")
+def ledger_items() -> list[str]:
+    """The exact-output ledger's comment lines and its argv, in its order."""
+    return [line if line.startswith("#") else json.loads(line.split(" ", 3)[3])
+            for line in LEDGER.read_text(encoding="utf-8").splitlines()]
+
+
+def ledger_argvs() -> list[str]:
+    return [item for item in ledger_items() if not item.startswith("#")]
 
 
 def workload_argvs(seeds) -> list[str]:
@@ -193,18 +219,47 @@ def default_argvs(seeds) -> list[str]:
               for dims in GRADED_SHAPES for space in GRADED_SPACES
               for fmt in ("", " --format csv")]
     return list(dict.fromkeys(
-        golden_argvs() + workload_argvs(seeds) + graded + EXAMPLE2 + ORACLE + UPB + ALS
+        ledger_argvs() + workload_argvs(seeds) + graded + EXAMPLE2 + ORACLE + UPB + ALS
         + list(REFUSALS)))
 
 
 def outcome(src: str, argv: str) -> tuple[str, int, str]:
-    """(stdout sha256, exit code, stderr) of one run of ``argv`` under ``src``."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+    """(stdout sha256, exit code, stderr) of one run of ``argv`` under ``src``.
+
+    The runs take COLUMNS=80, to which argparse wraps its usage and help,
+    and write UTF-8, so the ledger's digests depend on neither the terminal
+    nor the locale.
+    """
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80",
+           "PYTHONIOENCODING": "utf-8",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "entspace.cli", *argv.split()],
                           env=env, capture_output=True, timeout=600)
     return (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode,
             proc.stderr.decode("utf-8", "replace"))
+
+
+def is_exact(argv: str) -> bool:
+    """Whether ``argv`` writes the same bytes everywhere: not the ALS search
+    nor ``onb``, whose floats depend on LAPACK and libm."""
+    words = argv.replace("=", " ").split()
+    return words[:1] != ["onb"] and "als" not in words
+
+
+def write_ledger(argvs) -> None:
+    """Rewrite the ledger from this checkout's ``src``: its comments stay,
+    its argv keep their order, and each exact argv of ``argvs`` it lacks
+    is appended."""
+    items = ledger_items()
+    items += [text for text in argvs if is_exact(text) and text not in items]
+    lines = []
+    for item in items:
+        if not item.startswith("#"):
+            out, code, err = outcome(str(ROOT / "src"), item)
+            item = (f"{out} {code} {hashlib.sha256(err.encode()).hexdigest()} "
+                    f"{json.dumps(item)}")
+        lines.append(item + "\n")
+    LEDGER.write_text("".join(lines), encoding="utf-8")
 
 
 def seed_list(text: str) -> list[int]:
@@ -213,13 +268,22 @@ def seed_list(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", metavar="PARENT_SRC", help="src directory of the parent tree")
-    ap.add_argument("change", metavar="CHANGE_SRC", help="src directory of the changed tree")
+    ap.add_argument("parent", nargs="?", metavar="PARENT_SRC",
+                    help="src directory of the parent tree")
+    ap.add_argument("change", nargs="?", metavar="CHANGE_SRC",
+                    help="src directory of the changed tree")
     ap.add_argument("--seeds", type=seed_list, default=[1, 4242],
                     help="comma-separated workload seeds (default 1,4242)")
     ap.add_argument("--argv", action="append", dest="argvs", metavar="ARGV",
                     help="compare only this quoted argv after 'entspace'; repeatable")
+    ap.add_argument("--write-ledger", action="store_true",
+                    help="rewrite tests/exact_outputs.txt from this checkout instead")
     args = ap.parse_args(argv)
+    if args.write_ledger:
+        write_ledger(default_argvs([1, 4242]))
+        return 0
+    if args.change is None:
+        ap.error("give PARENT_SRC and CHANGE_SRC, or --write-ledger")
     for src in (args.parent, args.change):
         if not (Path(src) / "entspace" / "cli.py").is_file():
             ap.error(f"{src} holds no entspace/cli.py")

@@ -23,7 +23,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .commands import non_negative_int
 from .grading import BudgetExceededError
 
 # command -> its help.  The command's other options and its handler are
@@ -36,11 +35,10 @@ COMMANDS = {
     "classify": "product vectors in the complement over F_p",
     "onb": "character orthonormal basis of one level",
 }
-# every command's options, before its own: (flag, add_argument keywords)
+# the options every command reads, before its own: (flag, add_argument keywords)
 OPTIONS = (
     ("--dims", {"required": True, "help": "comma-separated local dimensions, e.g. 2,3"}),
     ("--out", {"default": None, "help": "output path (default stdout)"}),
-    ("--seed", {"type": non_negative_int, "default": 0}),
 )
 
 
@@ -50,16 +48,10 @@ def _command(name: str):
     return __import__(f"{__package__}.commands.{name}", fromlist=["run"])
 
 
-def build_parser(only: str | None = None):
-    """The command-line parser, with every subcommand or with ``only``.
-
-    It is built from the same ``OPTIONS`` tables ``read_argv`` reads, and
-    ``main`` builds it only for an argv the reader declines, so argparse
-    loads only for help and errors.  A parser with one subcommand parses
-    that command's argv as the full one does, byte for byte: argparse names
-    a subcommand's siblings only in the top-level usage, which then lists
-    every command as its metavar.
-    """
+def build_parser():
+    """The command-line parser, built from the ``OPTIONS`` tables that
+    ``read_argv`` reads.  ``main`` builds it only for an argv the reader
+    declines, so argparse loads only for help and errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -67,12 +59,8 @@ def build_parser(only: str | None = None):
         description="Completely entangled subspaces and unextendible "
                     "product bases, with exact and numerical verification.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in COMMANDS.items():
-        if only not in (None, name):
-            continue
         command = _command(name)
         p = sub.add_parser(name, help=help_text)
         one_of = getattr(command, "ONE_OF", ())
@@ -146,20 +134,17 @@ def main(argv=None) -> int:
     ``error:`` line and exit 2.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = read_argv(argv)
-    if args is None:
-        # a named command needs only its own subparser; --help, a missing or
-        # an unknown command get the full parser
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None
-                            ).parse_args(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:  # it carries no text; what it held is freed by now
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:  # it carries no text
+        message = "out of memory"
+    # written once the exception has freed the frames and all they held:
+    # inside its except block the print could run out of memory itself
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 # BLAS thread pools of a command-line run, unless the caller set their size

@@ -2,7 +2,7 @@
 
 ``entspace.cli`` reads the argv and dispatches; the command ``name`` is
 the module ``entspace.commands.<name>``, whose ``OPTIONS`` table declares
-its options beside ``--dims``, ``--out`` and ``--seed`` (each as a flag and
+the options it reads beside ``--dims`` and ``--out`` (each as a flag and
 its argparse ``add_argument`` keywords) and whose ``run`` handles a parsed
 argv.  ``cli`` loads only the invoked command's module, so a run compiles
 one handler, and nothing here loads argparse: a type function imports it
@@ -77,10 +77,13 @@ def _named_space(dims: Dims, name: str):
     if name == "Sperp":
         return LevelSums(every, sums=True), WITNESS
     if name.startswith("level:"):
-        try:
-            return LevelSums((int(name[len("level:"):]),)), NO_WITNESS
+        try:  # a level has one name: no +, space, _, leading 0 or non-ASCII digit
+            level = int(name[len("level:"):])
+            if name == f"level:{level}":
+                return LevelSums((level,)), NO_WITNESS
         except ValueError:
-            raise ValueError(f"bad level selector {name!r}") from None
+            pass
+        raise ValueError(f"bad level selector {name!r}")
     if name == "example1":
         if dims.k != 2:
             raise ValueError("example1 needs exactly two factors")

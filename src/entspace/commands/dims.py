@@ -11,7 +11,7 @@ from . import _write
 TABLE_BUDGET = 2 * 10**6
 
 
-# none beside --dims, --out and --seed
+# none beside --dims and --out
 OPTIONS = ()
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ..grading import DEFAULT_MAX_SWEEPS, DEFAULT_RESTARTS, DEFAULT_TOL, NO_WITNESS, \
     WITNESS, LevelSums, _group_entries, _level_groups, parse_dims
-from . import SPACES, _named_space, _write, bad_value, positive_int, prime_list
+from . import SPACES, _named_space, _write, bad_value, non_negative_int, positive_int, prime_list
 
 
 def tolerance(text: str) -> float:
@@ -16,17 +16,25 @@ def tolerance(text: str) -> float:
 
 
 OPTIONS = (
+    ("--seed", {"type": non_negative_int}),
     ("--space", {"required": True, "help": f"one of {SPACES}"}),
     ("--method", {"choices": ("ff", "als"), "default": "ff"}),
     ("--primes", {"type": prime_list, "default": None,
                   "help": "comma-separated oracle primes"}),
-    ("--restarts", {"type": positive_int, "default": DEFAULT_RESTARTS}),
-    ("--tol", {"type": tolerance, "default": DEFAULT_TOL}),
-    ("--max-sweeps", {"type": positive_int, "default": DEFAULT_MAX_SWEEPS}),
+    ("--restarts", {"type": positive_int}),
+    ("--tol", {"type": tolerance}),
+    ("--max-sweeps", {"type": positive_int}),
 )
+# method -> the options it alone reads, which default to None so that the
+# other method can refuse them; the method that reads one applies its default
+METHOD_OPTIONS = {"als": ("--seed", "--restarts", "--tol", "--max-sweeps"), "ff": ("--primes",)}
 
 
 def run(args) -> int:
+    other = "als" if args.method == "ff" else "ff"
+    for flag in METHOD_OPTIONS[other]:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is read only by --method {other}")
     from ..serialize import json_dumps
 
     dims = parse_dims(args.dims)
@@ -51,8 +59,10 @@ def run(args) -> int:
         if dense:
             space = orthonormal_basis(_group_entries(
                 dims.total, _level_groups(dims, space), space.sums, 0, 1, -1))
-        fields, factors, _ = _als_runs(space, dims, args.restarts, args.max_sweeps,
-                                       args.tol, args.seed)
+        # none of them takes 0 but the seed, whose default is 0
+        fields, factors, _ = _als_runs(space, dims, args.restarts or DEFAULT_RESTARTS,
+                                       args.max_sweeps or DEFAULT_MAX_SWEEPS,
+                                       args.tol or DEFAULT_TOL, args.seed or 0)
         reports = [_als_entry(fields, factors)]
     verdict = WITNESS if any(r["verdict"] == WITNESS for r in reports) else NO_WITNESS
     doc = {

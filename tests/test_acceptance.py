@@ -175,8 +175,8 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
             ["dims", "--dims", "2,3,4"],
             ["construct", "--dims", "2,3,4", "--space", "S"],
             ["construct", "--dims", "3,3", "--space", "Sperp", "--format", "csv"],
-            ["upb", "--dims", "3,3", "--size", "7", "--seed", "5"],
-            ["verify", "--dims", "2,3", "--space", "S", "--seed", "5"],
+            ["upb", "--dims", "3,3", "--size", "7"],
+            ["verify", "--dims", "2,3", "--space", "S"],
             ["verify", "--dims", "2,2", "--space", "Sperp",
              "--method", "als", "--restarts", "8", "--seed", "5"],
             ["classify", "--dims", "2,3", "--prime", "5"],

@@ -164,6 +164,11 @@ def test_construct_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "construct", "--dims", "2,3", "--space", "level:9")
     assert code == 2
+    # int() reads each of these, but a document names a level one way
+    for level in ("level: 1", "level:+1", "level:0_1", "level:01", "level:-0", "level:\u0662",
+                  "level:None"):
+        assert run(capsys, "construct", "--dims", "3,3", "--space", level) == (
+            2, "", f"error: bad level selector {level!r}\n"), level
 
 
 def test_upb_min(capsys):
@@ -501,6 +506,37 @@ def test_running_out_of_memory_is_an_error_line():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
+def test_out_of_memory_frees_the_run_before_its_error_line(monkeypatch):
+    # the exception's traceback holds the handler's frames and all they hold
+    # (a half-built document): writing the line inside the except block
+    # could run out of memory again
+    import weakref
+
+    import entspace.commands.dims as dims_command
+
+    class Held(list):  # a list that a weakref can track
+        pass
+
+    held = []
+
+    def handler(args):
+        document = Held(range(1000))
+        held.append(weakref.ref(document))
+        raise MemoryError
+
+    class Stderr:
+        def write(self, text):
+            freed.append(held[0]() is None)
+            written.append(text)
+
+    freed, written = [], []
+    monkeypatch.setattr(dims_command, "run", handler)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["dims", "--dims", "2,2"]) == 2
+    assert "".join(written) == "error: out of memory\n"
+    assert freed and all(freed)
+
+
 @pytest.mark.parametrize("argv", [
     "construct --dims {twos} --space S",
     "construct --dims {twos} --space Sperp",
@@ -596,7 +632,7 @@ LIBRARY_S = "import entspace; entspace.entangled_subspace(entspace.Dims((3, 3)))
 EXACT = "construct ff grading linalg producttext reduction serialize upbtext"
 LOADS = {
     # the reader needs no handler, output layer, verifier or parser
-    "import": ([("import entspace.cli", None)], COMMAND, ()),
+    "import": ([("import entspace.cli", None)], "cli grading", ()),
     "dims": ([("dims --dims 3,3", 0)], COMMAND + " commands.dims", ()),
     # a graded basis is written from its closed form as text: no scalar,
     # vector or subspace, and the JSON writer quotes its strings itself
@@ -661,7 +697,7 @@ LOADS = {
         ALS, ("numpy", "inspect")),
     # help and refusals are the parser's, which alone loads argparse
     "parser": ([("construct --help", 0), ("verify --dims 3,3 --space S --seed x", 2)],
-               COMMAND + " commands.construct commands.verify",
+               COMMAND + "".join(f" commands.{name}" for name in entspace_cli.COMMANDS),
                ("argparse", "gettext", "locale")),
     # controls: the library loads what no command does, and the JSON writer
     # loads json only for a string that needs an escape
@@ -988,7 +1024,8 @@ def assert_verify_writers_agree(dims, space, primes):
         "expected": expected, "reports": [encode_report(r) for r in reports],
     })
     got = _command_output(verify_command.run, dims=",".join(map(str, dims.d)),
-                          space=space, method="ff", primes=primes)
+                          space=space, method="ff", primes=primes, seed=None,
+                          restarts=None, tol=None, max_sweeps=None)
     assert got == (0 if verdict == expected else 3, want), (dims, space, primes)
 
 
@@ -1252,10 +1289,33 @@ def test_thousand_factor_shapes_exit_cleanly():
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("seed", ["-1", "-7"])
 def test_negative_seed_rejected(capsys, argv, seed):
+    # verify alone takes a --seed; to the other commands it is unknown
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--seed", seed])
     assert exc.value.code == 2
-    assert f"argument --seed: must be at least 0, got {seed}" in capsys.readouterr().err
+    message = (f"argument --seed: must be at least 0, got {seed}" if argv[0] == "verify"
+               else f"error: unrecognized arguments: --seed {seed}")
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *((f"{command} --seed 1", "--seed") for command in (
+        "dims --dims 1,3", "construct --dims 1,3 --space S", "upb --dims 1,3 --min",
+        "classify --dims 1,3 --prime 5", "onb --dims 1,3 --level 1")),
+    ("verify --dims 1,3 --space S --seed 1", "--seed"),
+    *((f"verify --dims 1,3 --space S --method ff {flag} {value}", flag)
+      for flag, value in (("--restarts", "2"), ("--tol", "0.5"), ("--max-sweeps", "3"))),
+    ("verify --dims 1,3 --space S --method als --primes 5", "--primes"),
+], ids=lambda value: value if value.startswith("--") else value.split()[0])
+def test_options_are_accepted_only_where_they_are_read(capsys, argv, flag):
+    # a refusal that names the option, before the bad --dims is read
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse: an option unknown to the command
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert flag in err.splitlines()[-1], err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1338,73 +1398,24 @@ def test_byte_determinism(tmp_path, capsys):
         assert f1.read_bytes().endswith(b"\n")
 
 
-# stdout sha256 and exit code of the exact-output commands.  The oracle
-# entries were pinned from the oracle that reduced on Fp objects, and the
-# last two from the spans that eliminated on Fraction and Fp objects; the
-# reduction on ints must not change a byte.  Both fibre paths are covered:
-# the runs at primes 6007 and 79 take the batched one.  ALS and onb are left
-# out: their floats depend on LAPACK and libm.
-GOLDEN = {
-    "dims --dims 3,3":
-        ("42c08e68bddf32af21da9dd203c848bba154b3b7c457f3a4ac607887b421310d", 0),
-    "construct --dims 3,4 --space S":
-        ("ba585d693e933a4e36b9c8b99323b32093ef43cdb7d619a96030c517c9822aac", 0),
-    "construct --dims 3,4 --space Sperp":
-        ("3b6400d072d7859e2d6a275433eaff4c25e36f9d68eb251c76a2abdb01edd745", 0),
-    "construct --dims 2,3,4 --space level:2":
-        ("8e0bf2cab5b9c3d2a67f04147ed8881a89737b40120e10868f1b836d7db31f42", 0),
-    "construct --dims 3,4 --space example1":
-        ("79c30382f441060859a017caad02c557520f39de3681a1412f3681af4c6660d6", 0),
-    "construct --dims 4,4 --space example2-M":
-        ("975a557761c1fcbc4915a1fb39aa2f71b66ddf43facc1155c0e3324c5a8fd361", 0),
-    "construct --dims 4,4 --space example2-R":
-        ("e8075cc4897d4c17df5bf133c211fc20437d955c4bdd736005d151f7bc0510fc", 0),
-    "construct --dims 4,4 --space example2-M --format csv":
-        ("687b357e0d4af4a49057080cc8d2d6075b0b110840f080cbfc51578ecb106141", 0),
-    "construct --dims 4,5 --space S --format csv":
-        ("2be0dc7e8a4dd98ab6b6a5882317933f62187c1261702989ca637b4766c20d35", 0),
-    # on two factors example1 is S, so the same CSV as S at 3,4
-    "construct --dims 3,4 --space example1 --format csv":
-        ("27def5070a85646b4114bf0357b043461e28d8b9ebd4cdca1384bfb2c5f83389", 0),
-    "verify --method ff --dims 3,3 --space S":
-        ("0986f32889c02c910f0c797cac39f68c7c902c9e7651e8a8c569ebb76c36390b", 0),
-    "verify --method ff --dims 3,3 --space Sperp":
-        ("229b41d10d9a1ed89e7f34432dddc1a54fc868627d26d414f3d400851f4270db", 0),
-    "verify --method ff --dims 2,3,4 --space level:3":
-        ("9e51bbade89bb75de46363bad3546736535d63cb1471ac6196ed11f8cf658529", 0),
-    "verify --method ff --dims 3,4 --space example1 --primes 7,11":
-        ("1d124546ed943806f8932d24de5c60a9f3ea9bf2174b1ecc3e7780e13fa54532", 0),
-    "verify --method ff --dims 4,4 --space example2-M":
-        ("522e15cf0ddb97562b3826ebf670784c122ad38cff77a7a3ebc8bae72fdf5bfa", 0),
-    "verify --method ff --dims 4,4 --space example2-R":
-        ("e64c389f2146da5f7aa8986c81760001d3333b2f6f11d6ad1e6fecbf222b15ec", 0),
-    "verify --dims 2,2 --space S --primes 6007":
-        ("cb9785b0d3219afd555975d2230886e6fc109ad67a8d8bc0803f5da6a7e9a34a", 0),
-    "verify --dims 2,2,2 --space Sperp --primes 79":
-        ("000951986710e82d256155c0fcf2565aaa19d1d6d5ae5fa1c13a015a48159584", 0),
-    "upb --dims 3,3 --min":
-        ("9e80f3b1260f97e82f7ff761c2990c9b6f27939c1cfe54eb91ec355a4ca73231", 0),
-    "upb --dims 2,2,2 --min --primes 5":
-        ("a8cc1b3b3ff79f702ffa1a3c3112e424f5f7c4544acdb2882d1904023d2d67d1", 0),
-    "upb --dims 2,3,4 --min --lambdas 0,1/2,2,3,4,5,inf --primes 11":
-        ("9439a7c93770378c302c707f8e539a21af48401b4c99f220dea8830a0c431bad", 0),
-    "upb --dims 3,4 --size 9 --primes 7,11":
-        ("25fbcc0eae35dfac2c0d90aa9ffbd0ba2f21653c1b11f396e4ac2ac6c36aad11", 0),
-    "classify --dims 3,3 --prime 7":
-        ("c419bf20997733887ca27668e64725b0f7c51bb6e7054208e2fa3d4429a25183", 0),
-    # negative and fractional points: the audit's spans over Q meet negative
-    # leading entries and denominators
-    "upb --dims 3,3 --min --lambdas=-1/3,0,2/5,inf,7 --primes 11":
-        ("9ac2705b7621ffe86bd22980a3aefacc273d6bd67d0dfb7f3f6042f07df45b96", 0),
-    "verify --dims 4,4 --space example2-R --method ff --primes 7,11":
-        ("e64c389f2146da5f7aa8986c81760001d3333b2f6f11d6ad1e6fecbf222b15ec", 0),
-}
+# The exact-output ledger, tests/exact_outputs.txt: argv -> (stdout sha256,
+# exit code, stderr sha256) of every exact argv that scripts/same_outputs.py
+# compares.  Its first block is the golden table of earlier versions.
+LEDGER = {json.loads(argv): (out, int(code), err) for out, code, err, argv in (
+    line.split(" ", 3) for line in (Path(__file__).resolve().parent / "exact_outputs.txt")
+    .read_text(encoding="utf-8").splitlines() if not line.startswith("#"))}
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN))
-def test_oracle_output_matches_golden_digest(capsys, argv):
-    code, out, _ = run(capsys, *argv.split())
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == GOLDEN[argv]
+@pytest.mark.parametrize("argv", list(LEDGER))
+def test_oracle_output_matches_golden_digest(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # the parser's help and refusals
+        code = exc.code
+    out, err = capsys.readouterr()
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err)]
+    assert (digests[0], code, digests[1]) == LEDGER[argv]
 
 
 def test_exit_codes_partition(capsys):
@@ -1445,53 +1456,13 @@ def test_als_margins_script_rejects_bad_flags(capsys, argv):
     assert err.startswith("usage:") and "Traceback" not in err
 
 
-def _parse_outcome(parser, argv):
-    """(exit code or None, stdout, stderr, parsed arguments) of one parse."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = vars(parser.parse_args(argv))
-            code = None
-        except SystemExit as exc:
-            args, code = None, exc.code
-    return code, out.getvalue(), err.getvalue(), args
+def test_main_builds_no_parser_for_a_well_formed_argv(monkeypatch):
+    # a well-formed argv is read from the option tables
+    def refuse():
+        raise AssertionError("parser built")
 
-
-@pytest.mark.parametrize("command, flags", [
-    ("dims", []), ("construct", ["--space", "S"]), ("upb", ["--min"]),
-    ("verify", ["--space", "S"]), ("classify", ["--prime", "5"]), ("onb", ["--level", "1"]),
-])
-def test_one_subcommand_parser_parses_as_the_full_one(command, flags):
-    # argparse names a command's siblings only in the top-level usage, so the
-    # parser main builds for a named command must print the same bytes
-    valid = [command, "--dims", "2,2", *flags]
-    cases = [[command, "--help"], [command, "--bogus"], [command, "--seed", "x"],
-             [command], valid, valid + ["stray"]]
-    for argv in cases:
-        want = _parse_outcome(entspace_cli.build_parser(), argv)
-        assert _parse_outcome(entspace_cli.build_parser(command), argv) == want, argv
-    # the stray argument is refused by the top-level parser
-    assert want[0] == 2 and want[2].startswith("usage: entspace [-h] {dims,construct,")
-
-
-def test_main_builds_the_full_parser_only_without_a_command(capsys, monkeypatch):
-    # a well-formed argv is read from the option tables and builds no parser;
-    # any other builds its command's parser, or the full one without a command
-    built = []
-    real = entspace_cli.build_parser
-
-    def recording(only=None):
-        built.append(only)
-        return real(only)
-
-    monkeypatch.setattr(entspace_cli, "build_parser", recording)
+    monkeypatch.setattr(entspace_cli, "build_parser", refuse)
     assert main(["dims", "--dims", "2,2"]) == 0
-    assert main(["dims", "--dims", "2,2", "--dims", "2,3"]) == 0  # a repeat: the last wins
-    for argv in (["dims", "--help"], ["--help"], ["bogus"], []):
-        with pytest.raises(SystemExit):
-            main(argv)
-    capsys.readouterr()
-    assert built == ["dims", "dims", None, None, None]
 
 
 def _reads_as_the_parser(argv):
@@ -1510,17 +1481,20 @@ def test_reader_takes_every_listed_argv_as_the_parser_does():
     spec.loader.exec_module(script)
     argvs = script.default_argvs([1, 4242])
     taken = {text for text in argvs if _reads_as_the_parser(text.split())}
-    # every GOLDEN and workload argv is well formed, and so skips argparse
-    assert set(GOLDEN) | set(script.workload_argvs([1, 4242])) <= taken
     # the edge: = forms are read, and help, abbreviations, repeats, values
     # led by -, -- and a missing one-of are left to the parser
     assert "construct --dims=3,3 --space=S" in taken
     assert "upb --dims 2,2 --min --lambdas=-1,0,1" in taken
-    for text in ("construct --dims 3,3 --space S -h", "construct --dim 3,3 --space S",
-                 "construct --dims 3,3 --space S --space Sperp",
-                 "upb --dims 2,2 --min --lambdas -1,0,1", "construct --dims 3,3 -- --space S",
-                 "upb --dims 2,2", "upb --dims 2,2 --min --size 3", "upb --dims 2,2 --min=1"):
+    edge = ("--help", "construct --help", "construct --dims 3,3 --space S -h",
+            "construct --dim 3,3 --space S", "construct --dims 3,3 --space S --space Sperp",
+            "upb --dims 2,2 --min --lambdas -1,0,1", "construct --dims 3,3 -- --space S",
+            "upb --dims 2,2", "upb --dims 2,2 --min --size 3", "upb --dims 2,2 --min=1")
+    for text in edge:
         assert text in argvs and text not in taken, text
+    # every workload argv, and every ledger argv that runs its command but
+    # the edge forms, is well formed, and so skips argparse
+    ran = {text for text, (_, code, _) in LEDGER.items() if code in (0, 3)}
+    assert (ran - set(edge)) | set(script.workload_argvs([1, 4242])) <= taken
 
 
 def test_reach_report_script_traces_two_argv():
@@ -1593,9 +1567,10 @@ def test_same_outputs_script_rejects_bad_flags(capsys, tmp_path, argv):
     out = capsys.readouterr().out
     assert out.startswith("DIFFERS (stdout): dims --dims 2,2\n"), out
     assert out.endswith("1 argv compared, 1 differ\n"), out
-    # the default list: every GOLDEN argv and every workload argv
-    argvs = script.default_argvs([1])
-    assert set(GOLDEN) <= set(argvs)
+    # the default list: every ledger argv and every workload argv; the
+    # ledger holds every exact one at the seeds it was written at
+    argvs = script.default_argvs([1, 4242])
+    assert set(LEDGER) == {text for text in argvs if script.is_exact(text)}
     assert "construct --dims 16,16 --space Sperp --format csv" in argvs  # exact-build
     assert "construct --dims 3,4,2 --space example1" in argvs
 
@@ -1626,7 +1601,7 @@ _GRAMMAR = {  # command -> (required flags, optional flags); a tuple is a choice
     "dims": ([], []),
     "construct": (["--space"], ["--format"]),
     "upb": ([("--min", "--size")], ["--lambdas", "--primes"]),
-    "verify": (["--space"], ["--method", "--primes", "--restarts", "--tol",
+    "verify": (["--space"], ["--seed", "--method", "--primes", "--restarts", "--tol",
                              "--max-sweeps"]),
     "classify": (["--prime"], []),
     "onb": (["--level"], []),
@@ -1646,7 +1621,7 @@ def cli_argv(draw):
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
     required, optional = _GRAMMAR[command]
     flags = [(f, 7) for f in ["--dims"] + required]  # (flag, times in eight)
-    flags += [(f, 4) for f in ["--out", "--seed"] + optional]
+    flags += [(f, 4) for f in ["--out"] + optional]
     flags.append((draw(st.sampled_from(sorted(_VALUES))), 1))
     words = []  # each flag with its value, as one or two words
     for flag, keep in flags:
